@@ -1,9 +1,11 @@
 """Pure-Python row-reduction kernels.
 
 Reference implementations of reduced row echelon form with first-nonzero
-pivoting, over F_p (ints) and over Q (fractions.Fraction). The compiled
-module `_rowred` mirrors `rref_mod` bit for bit; parity between the two is
-asserted by the test suite.
+pivoting, over F_p (ints) and over Q (fractions.Fraction). `rref_mod` takes
+pivot inverses with the built-in modular inverse `pow(x, -1, p)` and works
+for any prime p, since Python ints do not overflow. The compiled module
+`_rowred` mirrors `rref_mod` bit for bit for p < 2**31; parity between the
+two is asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
+        inv = pow(rows[r][c], -1, p)
         if inv != 1:
             row = rows[r]
             for j in range(c, ncols):

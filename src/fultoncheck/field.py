@@ -2,8 +2,10 @@
 
 All arithmetic is exact. The prime field is the workhorse (default modulus
 2^31 - 1, small enough that products of two residues fit in a signed 64-bit
-integer); the rational field exists to audit prime-field results on small
-instances.
+integer, which the compiled row-reduction kernel needs; `rowred` sends larger
+moduli to the pure-Python kernel). Inverses use the built-in modular inverse
+`pow(a, -1, p)`. The rational field exists to audit prime-field results on
+small instances.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def sample(self, rng: Random) -> int:
         return rng.randrange(self.p)

@@ -107,6 +107,7 @@ def build_system(
             raise ValueError("quotient flag has wrong dimension or field")
 
     ncols = m * r
+    mul = field.mul
     rows: list[tuple] = []
     for j in range(s):
         i_set = problem.index_sets[j].elements
@@ -116,14 +117,8 @@ def build_system(
             level = i_set[a - 1] - a  # allowed quotient step for this generator
             f_col = [f_mat.rows[v][a - 1] for v in range(r)]
             for t in range(level, m):
-                row = [field.zero] * ncols
-                for u in range(m):
-                    du = d_inv.rows[t][u]
-                    if du == field.zero:
-                        continue
-                    for v in range(r):
-                        row[u * r + v] = field.add(row[u * r + v], field.mul(du, f_col[v]))
-                rows.append(tuple(row))
+                # Row t of D^-1 (x) f_a: entry u * r + v is D^-1[t][u] * f_a[v].
+                rows.append(tuple(mul(du, fv) for du in d_inv.rows[t] for fv in f_col))
 
     matrix = Matrix(field, len(rows), ncols, tuple(rows))
     rank = matrix.rank()

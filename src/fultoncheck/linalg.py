@@ -10,8 +10,8 @@ RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dc_field
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 from typing import Iterable, Sequence
 
@@ -127,28 +127,33 @@ class Matrix:
         zero = self.field.zero
         return all(x == zero for row in self.rows for x in row)
 
-    @cached_property
     def _rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        # Cached in the instance dict directly: unlike
+        # `functools.cached_property`, this takes no lock on first access.
+        cached = self.__dict__.get("_rref_cache")
+        if cached is not None:
+            return cached
         f = self.field
         work = [list(row) for row in self.rows]
         if isinstance(f, PrimeField):
             red, piv = rref_mod(work, f.p)
         else:
             red, piv = rref_frac(work)
-        return (
+        cached = self.__dict__["_rref_cache"] = (
             Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in red)),
             tuple(piv),
         )
+        return cached
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        return self._rref
+        return self._rref()
 
     def rank(self) -> int:
-        return len(self._rref[1])
+        return len(self._rref()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns span the null space {x : self @ x = 0}; rank-nullity holds."""
-        red, piv = self._rref
+        red, piv = self._rref()
         f = self.field
         pivset = set(piv)
         free = [j for j in range(self.ncols) if j not in pivset]
@@ -256,14 +261,17 @@ def contained_in(small: Matrix, big: Matrix) -> bool:
 class Flag:
     """A complete flag given by an ordered basis (invertible matrix).
 
-    Step i is the span of the first i columns.
+    Step i is the span of the first i columns. Construction inverts the
+    basis with one `[M | I]` reduction, which both checks invertibility
+    (a singular or non-square basis raises `LinAlgError`) and stores the
+    inverse; `inverse` takes no part in equality or hashing.
     """
 
     matrix: Matrix
+    inverse: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.matrix.is_invertible():
-            raise LinAlgError("flag basis must be invertible")
+        object.__setattr__(self, "inverse", self.matrix.inverse())
 
     @property
     def field(self) -> Field:
@@ -272,10 +280,6 @@ class Flag:
     @property
     def n(self) -> int:
         return self.matrix.nrows
-
-    @cached_property
-    def inverse(self) -> Matrix:
-        return self.matrix.inverse()
 
     def step(self, i: int) -> Matrix:
         if not 0 <= i <= self.n:
@@ -302,9 +306,10 @@ def random_matrix(field: Field, nrows: int, ncols: int, rng: Random) -> Matrix:
 def random_flag(field: Field, n: int, rng: Random, max_attempts: int = MAX_SAMPLE_ATTEMPTS) -> Flag:
     """Uniform invertible ordered basis; deterministic given the RNG state."""
     for _ in range(max_attempts):
-        m = random_matrix(field, n, n, rng)
-        if m.rank() == n:
-            return Flag(m)
+        try:
+            return Flag(random_matrix(field, n, n, rng))
+        except LinAlgError:
+            continue
     raise SamplingError(f"no invertible {n}x{n} sample in {max_attempts} attempts")
 
 

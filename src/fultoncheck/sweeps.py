@@ -20,8 +20,9 @@ from typing import Callable, Iterator
 
 from .cohomology import intersection_number, nonvanishing_positions
 from .field import Field, field_from_name
-from .filtration import run_filtration_random, trace_to_dict, verify_trace
-from .homspace import DEFAULT_TRIALS, generic_hom_dim
+from .filtration import FiltrationError, run_filtration_random, trace_to_dict, verify_trace
+from .homspace import DEFAULT_TRIALS, GenericityError, generic_hom_dim
+from .linalg import SamplingError
 from .littlewood import lr_coefficient as _lr_tableau
 from .partitions import (
     IndexSet,
@@ -30,7 +31,7 @@ from .partitions import (
     all_index_sets,
     partitions_with,
 )
-from .reports import make_report
+from .reports import make_report, write_text
 from .semistability import ParabolicWeights, clincher, find_violations
 
 # Module-level reference so tests can substitute a deliberately corrupted
@@ -153,18 +154,37 @@ def enumerate_problems(
 # ---------------------------------------------------------------------------
 
 
-def _config_fingerprint(command: str, cfg: SweepConfig) -> str:
-    payload = {"command": command, **cfg.as_dict()}
+def _instance_text(item) -> str:
+    """Canonical text of one sweep instance: a problem or a partition triple."""
+    if isinstance(item, tuple):
+        return " ".join(part.text() for part in item)
+    return item.text()
+
+
+def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
+    """Digest of everything a checkpoint's partial results depend on.
+
+    Besides the command and configuration this covers the tool version and
+    the exact instance list, so a resume never lands on a different instance
+    after the enumeration order changes.
+    """
+    from . import __version__
+
+    items_digest = hashlib.blake2b(digest_size=16)
+    for item in items:
+        items_digest.update(_instance_text(item).encode() + b"\n")
+    payload = {
+        "command": command,
+        "version": __version__,
+        "items": items_digest.hexdigest(),
+        **cfg.as_dict(),
+    }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
 def _write_checkpoint(path: str, data: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_text(path, json.dumps(data, sort_keys=True) + "\n")
 
 
 def _run_sweep(
@@ -181,7 +201,7 @@ def _run_sweep(
     counters that the report's `extra` section is built from).  Returns
     (instances, failures, counterexamples, state).
     """
-    fingerprint = _config_fingerprint(command, cfg)
+    fingerprint = _config_fingerprint(command, cfg, items) if cfg.checkpoint else None
     start_index = 0
     failures = 0
     counterexamples: list[dict] = []
@@ -189,8 +209,13 @@ def _run_sweep(
     if cfg.checkpoint and os.path.exists(cfg.checkpoint):
         with open(cfg.checkpoint, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
-        if saved.get("fingerprint") == fingerprint:
-            start_index = saved["next_index"]
+        next_index = saved.get("next_index")
+        if (
+            saved.get("fingerprint") == fingerprint
+            and isinstance(next_index, int)
+            and 0 <= next_index <= len(items)
+        ):
+            start_index = next_index
             failures = saved["failures"]
             counterexamples = saved["counterexamples"]
             state = saved["state"]
@@ -346,44 +371,55 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
         number = intersection_number(problem)
         if number > 0:
             state["intersection_positive"] += 1
-        result = generic_hom_dim(
-            problem,
-            rng_for(cfg.seed, f"hom:{problem.text()}"),
-            fld,
-            trials=cfg.trials,
-        )
-        if (number > 0) != (result.dim == 0):
-            records.append(
-                {
-                    "kind": "count_rank_mismatch",
-                    "index": index,
-                    "problem": problem.text(),
-                    "intersection_number": number,
-                    "generic_hom_dim": result.dim,
-                    "samples": result.samples,
-                }
-            )
-        if result.dim > 0:
-            state["with_maps"] += 1
-            trace = run_filtration_random(
+        try:
+            result = generic_hom_dim(
                 problem,
-                rng_for(cfg.seed, f"trace:{problem.text()}"),
+                rng_for(cfg.seed, f"hom:{problem.text()}"),
                 fld,
                 trials=cfg.trials,
-                seed=cfg.seed,
             )
-            audit = verify_trace(trace)
-            state["traces_audited"] += 1
-            if not audit.ok:
+            if (number > 0) != (result.dim == 0):
                 records.append(
                     {
-                        "kind": "trace_audit_failed",
+                        "kind": "count_rank_mismatch",
                         "index": index,
                         "problem": problem.text(),
-                        "failed_checks": [k for k, v in audit.checks.items() if not v],
-                        "trace": trace_to_dict(trace, audit),
+                        "intersection_number": number,
+                        "generic_hom_dim": result.dim,
+                        "samples": result.samples,
                     }
                 )
+            if result.dim > 0:
+                state["with_maps"] += 1
+                trace = run_filtration_random(
+                    problem,
+                    rng_for(cfg.seed, f"trace:{problem.text()}"),
+                    fld,
+                    trials=cfg.trials,
+                    seed=cfg.seed,
+                )
+                audit = verify_trace(trace)
+                state["traces_audited"] += 1
+                if not audit.ok:
+                    records.append(
+                        {
+                            "kind": "trace_audit_failed",
+                            "index": index,
+                            "problem": problem.text(),
+                            "failed_checks": [k for k, v in audit.checks.items() if not v],
+                            "trace": trace_to_dict(trace, audit),
+                        }
+                    )
+        except (GenericityError, FiltrationError, SamplingError) as exc:
+            # A field too small for genericity fails the instance, not the sweep.
+            records.append(
+                {
+                    "kind": "run_error",
+                    "index": index,
+                    "problem": problem.text(),
+                    "error": str(exc),
+                }
+            )
         return records
 
     instances, failures, cxs, state = _run_sweep(command := "crosscheck", cfg, items, check, state)

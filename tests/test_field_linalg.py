@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fultoncheck import rowred
+from fultoncheck import linalg, rowred
 from fultoncheck._rowred_py import rref_frac as pure_rref_frac
 from fultoncheck._rowred_py import rref_mod as pure_rref_mod
 from fultoncheck.field import (
@@ -20,6 +20,7 @@ from fultoncheck.linalg import (
     Flag,
     LinAlgError,
     Matrix,
+    SamplingError,
     Subspace,
     contained_in,
     intersect_dim,
@@ -31,6 +32,7 @@ from fultoncheck.linalg import (
 
 PF = PrimeField(DEFAULT_PRIME)
 QF = RationalField()
+MERSENNE_61 = 2**61 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,37 @@ def test_column_helpers():
     assert m.reverse_rows().rows == ((Fraction(4), Fraction(5), Fraction(6)), (Fraction(1), Fraction(2), Fraction(3)))
 
 
+def test_flag_stores_its_inverse():
+    rng = random.Random(5)
+    for field in (PF, QF):
+        m = random_flag(field, 4, rng).matrix
+        fl = Flag(m)
+        assert fl.inverse == m.inverse()
+        assert (m @ fl.inverse) == Matrix.identity(field, 4)
+        # The stored inverse is not part of a flag's identity.
+        assert fl == Flag(m) and hash(fl) == hash(Flag(m))
+
+
+def test_flag_rejects_singular_or_nonsquare_basis():
+    with pytest.raises(LinAlgError):
+        Flag(Matrix.from_rows(PF, [[1, 2], [2, 4]]))
+    with pytest.raises(LinAlgError):
+        Flag(Matrix.from_rows(QF, [[1, 0, 0], [0, 1, 0]]))
+
+
+def test_random_flag_gives_up_after_max_attempts(monkeypatch):
+    draws = []
+
+    def singular(field, nrows, ncols, rng):
+        draws.append((nrows, ncols))
+        return Matrix.zeros(field, nrows, ncols)
+
+    monkeypatch.setattr(linalg, "random_matrix", singular)
+    with pytest.raises(SamplingError):
+        random_flag(PF, 3, random.Random(0), max_attempts=7)
+    assert draws == [(3, 3)] * 7
+
+
 def test_singular_matrix_has_no_inverse():
     m = Matrix.from_rows(PF, [[1, 2], [2, 4]])
     assert not m.is_invertible()
@@ -199,16 +232,74 @@ def test_backend_reports_identity():
 def test_backends_agree_on_200_matrices():
     if not rowred.HAVE_COMPILED:
         pytest.skip("compiled backend not built in this environment")
-    rng = random.Random(99)
-    p = DEFAULT_PRIME
-    for _ in range(200):
-        nrows = rng.randint(1, 8)
-        ncols = rng.randint(1, 8)
-        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-        got_rows, got_piv = rowred.rref_mod([r[:] for r in rows], p)
-        want_rows, want_piv = pure_rref_mod([r[:] for r in rows], p)
-        assert list(got_piv) == list(want_piv)
-        assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
+    for p in (DEFAULT_PRIME, MERSENNE_61):
+        rng = random.Random(99)
+        for _ in range(200):
+            nrows = rng.randint(1, 8)
+            ncols = rng.randint(1, 8)
+            rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+            got_rows, got_piv = rowred.rref_mod([r[:] for r in rows], p)
+            want_rows, want_piv = pure_rref_mod([r[:] for r in rows], p)
+            assert list(got_piv) == list(want_piv)
+            assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
+
+
+class _UnreachableKernel:
+    """Stands in for the compiled module; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"compiled kernel reached via {name!r}")
+
+
+def test_large_prime_never_reaches_compiled_kernel(monkeypatch):
+    monkeypatch.setattr(rowred, "_compiled", _UnreachableKernel())
+    rng = random.Random(61)
+    rows = [[rng.randrange(MERSENNE_61) for _ in range(7)] for _ in range(6)]
+    got = rowred.rref_mod([r[:] for r in rows], MERSENNE_61)
+    assert got == pure_rref_mod([r[:] for r in rows], MERSENNE_61)
+    # The stub is live: a modulus below 2**31 is handed to it.
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(rowred, "_np", np, raising=False)
+    with pytest.raises(AssertionError, match="compiled kernel reached"):
+        rowred.rref_mod([r[:] for r in rows], DEFAULT_PRIME)
+
+
+def _random_rref_pair(rng: random.Random, nrows: int, ncols: int):
+    """An integer matrix A and its RREF R, valid over Q and over every F_p.
+
+    R is a random integer RREF; A = E @ R for a unimodular E (unit lower
+    times unit upper triangular, then a row permutation), which is
+    invertible modulo every prime, so R is the RREF of A over each field.
+    """
+    k = rng.randint(0, min(nrows, ncols))
+    pivots = sorted(rng.sample(range(ncols), k))
+    target = [[0] * ncols for _ in range(nrows)]
+    for i, pc in enumerate(pivots):
+        target[i][pc] = 1
+        for j in range(pc + 1, ncols):
+            if j not in pivots:
+                target[i][j] = rng.randint(-5, 5)
+    lower = [[1 if i == j else (rng.randint(-3, 3) if j < i else 0) for j in range(nrows)] for i in range(nrows)]
+    upper = [[1 if i == j else (rng.randint(-3, 3) if j > i else 0) for j in range(nrows)] for i in range(nrows)]
+    mix = [[sum(lower[i][t] * upper[t][j] for t in range(nrows)) for j in range(nrows)] for i in range(nrows)]
+    rng.shuffle(mix)
+    a = [[sum(mix[i][t] * target[t][j] for t in range(nrows)) for j in range(ncols)] for i in range(nrows)]
+    return a, target, pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME, MERSENNE_61])
+def test_rref_mod_agrees_with_rref_frac_mod_p(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
+        a, target, pivots = _random_rref_pair(rng, nrows, ncols)
+        red_q, piv_q = pure_rref_frac([[Fraction(x) for x in row] for row in a])
+        want = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in red_q]
+        assert want == [[x % p for x in row] for row in target]
+        for kernel in (pure_rref_mod, rowred.rref_mod):
+            red_p, piv_p = kernel([[x % p for x in row] for row in a], p)
+            assert list(piv_p) == list(piv_q) == pivots
+            assert [list(row) for row in red_p] == want
 
 
 def test_rational_reduction_matches_modular_pivots():

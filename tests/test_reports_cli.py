@@ -168,6 +168,53 @@ def test_checkpoint_with_other_config_is_ignored(tmp_path):
     assert strip_volatile(rep_b) == strip_volatile(fresh)
 
 
+def test_checkpoint_with_forged_next_index_is_ignored(tmp_path, monkeypatch):
+    from fultoncheck.littlewood import lr_coefficient as real
+
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=2, size_max=4, checkpoint=str(ck))
+    cmd_fulton(cfg)
+    saved = json.loads(ck.read_text())
+
+    def corrupted(mu, nu, lam):
+        if (mu.trimmed().parts, nu.trimmed().parts, lam.trimmed().parts) == ((1,), (1,), (1, 1)):
+            return 2
+        return real(mu, nu, lam)
+
+    # A forged checkpoint must not let a sweep pass with nothing checked.
+    monkeypatch.setattr(sweeps, "lr_coefficient", corrupted)
+    fresh = strip_volatile(cmd_fulton(SweepConfig(r_max=2, size_max=4)))
+    assert fresh["ok"] is False
+    for forged in (10**9, -1, "3"):
+        ck.write_text(json.dumps({**saved, "next_index": forged}))
+        assert strip_volatile(cmd_fulton(cfg)) == fresh
+
+
+def test_checkpoint_for_other_instances_is_ignored(tmp_path, monkeypatch):
+    ck = str(tmp_path / "ck.json")
+    cfg = SweepConfig(r_max=2, n_max=4, s_max=2, seed=5, checkpoint=ck)
+    problems = list(enumerate_problems(2, 4, 2))
+    cmd_crosscheck(cfg)
+    # Same configuration and length, different instances: the checkpoint
+    # from the first list must not be resumed for the second.
+    changed = [problems[-1]] * len(problems)
+    monkeypatch.setattr(sweeps, "enumerate_problems", lambda *args: iter(changed))
+    resumed = cmd_crosscheck(cfg)
+    fresh = cmd_crosscheck(SweepConfig(r_max=2, n_max=4, s_max=2, seed=5))
+    assert strip_volatile(resumed) == strip_volatile(fresh)
+
+
+def test_checkpoint_fingerprint_covers_version_and_items(monkeypatch):
+    import fultoncheck
+
+    cfg = SweepConfig()
+    items = list(enumerate_problems(2, 4, 2))
+    base = sweeps._config_fingerprint("crosscheck", cfg, items)
+    assert sweeps._config_fingerprint("crosscheck", cfg, items[::-1]) != base
+    monkeypatch.setattr(fultoncheck, "__version__", "0.0.0-other")
+    assert sweeps._config_fingerprint("crosscheck", cfg, items) != base
+
+
 def test_planted_corruption_is_caught(monkeypatch):
     from fultoncheck.littlewood import lr_coefficient as real
 
@@ -309,3 +356,22 @@ def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
     hit = rep["counterexamples"][0]
     assert hit["mu"] == "2,1" and hit["lam"] == "3,2,1"
     assert hit["coefficient"] == 1 and hit["coefficient_scaled"] == 3
+
+
+def test_cli_crosscheck_small_prime_reports_run_errors(tmp_path, capsys):
+    out_path = tmp_path / "rep.json"
+    code = cli.main(
+        ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3",
+         "--field", "prime:3", "--seed", "1", "--out", str(out_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    rep = json.loads(out_path.read_text())
+    assert rep["ok"] is False
+    assert rep["counts"]["instances"] == 69
+    # Over F_3 some samples never stabilize (run_error); others settle on a
+    # non-generic value, which the other checks report.
+    errors = [c for c in rep["counterexamples"] if c["kind"] == "run_error"]
+    assert all(set(c) == {"kind", "index", "problem", "error"} for c in errors)
+    assert "2@4;3@4" in {c["problem"] for c in errors}
