@@ -79,8 +79,9 @@ def class_product(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
 
 def problem_class(problem: SchubertProblem) -> CohomologyClass:
     r, n = problem.r, problem.n
-    acc = unit_class(r, n)
-    for lam in problem.partitions():
+    first, *rest = problem.partitions()
+    acc = schubert_class(first, r, n)
+    for lam in rest:
         acc = class_product(acc, schubert_class(lam, r, n))
         if acc.is_zero():
             break

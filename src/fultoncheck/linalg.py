@@ -194,14 +194,6 @@ class Matrix:
         return Matrix(f, self.ncols, rhs.ncols, tuple(tuple(r) for r in out))
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of field^n presented by a basis matrix (columns)."""

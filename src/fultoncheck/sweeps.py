@@ -15,7 +15,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
 from .cohomology import intersection_number, nonvanishing_positions
@@ -138,15 +137,39 @@ def enumerate_problems(
     total codimension exactly r*(n-r).  Condition lists are enumerated as
     multisets: the quantities checked downstream are invariant under
     permuting the conditions.
+
+    The multisets are nondecreasing index tuples into the lexicographic list
+    of index sets, found by a depth-first search that computes each set's
+    codimension once per (n, r) and prunes any branch whose codimension
+    already exceeds r*(n-r).  The order is that of
+    `itertools.combinations_with_replacement` filtered by total codimension,
+    which fixes the instance indices and the checkpoint digest.
     """
     for n in range(2, n_max + 1):
         for r in range(1, min(r_max, n - 1) + 1):
             sets = all_index_sets(n, r)
+            codims = [ix.codim() for ix in sets]
             target = r * (n - r)
             for s in range(1, s_max + 1):
-                for combo in combinations_with_replacement(sets, s):
-                    if sum(ix.codim() for ix in combo) == target:
-                        yield SchubertProblem(n, r, tuple(combo))
+                for combo in _multisets_with_sum(codims, s, target):
+                    yield SchubertProblem(n, r, tuple(sets[i] for i in combo))
+
+
+def _multisets_with_sum(
+    weights: list[int], size: int, total: int, start: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing `size`-tuples of indices >= `start` into the nonnegative
+    `weights` whose weights sum to `total`, in lexicographic order."""
+    if size == 1:
+        for i in range(start, len(weights)):
+            if weights[i] == total:
+                yield (i,)
+        return
+    for i in range(start, len(weights)):
+        w = weights[i]
+        if w <= total:
+            for rest in _multisets_with_sum(weights, size - 1, total - w, i):
+                yield (i, *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +307,18 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def cmd_fulton(cfg: SweepConfig, seed_source: str = "flag") -> dict:
-    """Check that a coefficient equals one iff all its scalings equal one."""
+def _scaling_sweep(
+    cfg: SweepConfig,
+    command: str,
+    predicate: Callable[[int], bool],
+    kind: str,
+    seed_source: str,
+) -> dict:
+    """Check that `predicate` holds for a coefficient iff it holds for each scaling.
+
+    The coefficient routine is the module global `lr_coefficient`, looked up
+    at call time, so a substituted routine is the one under test.
+    """
     cfg.validate()
     started = time.perf_counter()
     items = list(enumerate_triples(cfg.r_max, cfg.size_max))
@@ -298,10 +331,10 @@ def cmd_fulton(cfg: SweepConfig, seed_source: str = "flag") -> dict:
             scaled = lr_coefficient(
                 mu.scale(factor), nu.scale(factor), lam.scale(factor)
             )
-            if (c == 1) != (scaled == 1):
+            if predicate(c) != predicate(scaled):
                 records.append(
                     {
-                        "kind": "multiplicity_one_not_preserved",
+                        "kind": kind,
                         "index": index,
                         "mu": mu.text(),
                         "nu": nu.text(),
@@ -313,43 +346,23 @@ def cmd_fulton(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                 )
         return records
 
-    instances, failures, cxs, state = _run_sweep(command := "fulton", cfg, items, check, {})
+    instances, failures, cxs, state = _run_sweep(command, cfg, items, check, {})
     extra = {"triples": instances, "scalings": list(cfg.n_list)}
     return _finish(command, cfg, seed_source, instances, failures, cxs, extra, started)
+
+
+def cmd_fulton(cfg: SweepConfig, seed_source: str = "flag") -> dict:
+    """Check that a coefficient equals one iff all its scalings equal one."""
+    return _scaling_sweep(
+        cfg, "fulton", lambda c: c == 1, "multiplicity_one_not_preserved", seed_source
+    )
 
 
 def cmd_saturation(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     """Check that a coefficient vanishes iff all its scalings vanish."""
-    cfg.validate()
-    started = time.perf_counter()
-    items = list(enumerate_triples(cfg.r_max, cfg.size_max))
-
-    def check(index: int, item, state: dict) -> list[dict]:
-        mu, nu, lam = item
-        c = lr_coefficient(mu, nu, lam)
-        records = []
-        for factor in cfg.n_list:
-            scaled = lr_coefficient(
-                mu.scale(factor), nu.scale(factor), lam.scale(factor)
-            )
-            if (c == 0) != (scaled == 0):
-                records.append(
-                    {
-                        "kind": "vanishing_not_preserved",
-                        "index": index,
-                        "mu": mu.text(),
-                        "nu": nu.text(),
-                        "lam": lam.text(),
-                        "scaling": factor,
-                        "coefficient": c,
-                        "coefficient_scaled": scaled,
-                    }
-                )
-        return records
-
-    instances, failures, cxs, state = _run_sweep(command := "saturation", cfg, items, check, {})
-    extra = {"triples": instances, "scalings": list(cfg.n_list)}
-    return _finish(command, cfg, seed_source, instances, failures, cxs, extra, started)
+    return _scaling_sweep(
+        cfg, "saturation", lambda c: c == 0, "vanishing_not_preserved", seed_source
+    )
 
 
 def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
@@ -448,11 +461,10 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
         records = []
         weights = ParabolicWeights.from_problem(problem)
         violations = find_violations(weights)
-        values: list[tuple[int, tuple[str, ...], int]] = []
+        values: list[tuple[int, tuple[IndexSet, ...], int]] = []
         for d in range(1, problem.r - 1 + 1):
             for positions in nonvanishing_positions(d, problem.r, problem.s):
-                value = clincher(problem, positions)
-                values.append((d, tuple(k.text() for k in positions), value))
+                values.append((d, positions, clincher(problem, positions)))
         if values:
             worst = max(v for _, _, v in values)
             if state["max_clincher"] is None or worst > state["max_clincher"]:
@@ -478,7 +490,7 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                         "index": index,
                         "problem": problem.text(),
                         "d": d,
-                        "positions": list(positions),
+                        "positions": [k.text() for k in positions],
                         "value": value,
                     }
                 )

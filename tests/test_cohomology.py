@@ -77,6 +77,22 @@ def test_problem_class_multiplies_all_conditions():
     assert problem_class(prob).as_dict() == {(2,): 1, (1, 1): 1}
 
 
+def test_problem_class_of_one_condition_is_its_schubert_class():
+    for text in ["1,4@4", "2,3@4", "3,4@4", "1,2@4", "1,3,5@6"]:
+        prob = SchubertProblem.parse(text)
+        (lam,) = prob.partitions()
+        assert problem_class(prob) == schubert_class(lam, prob.r, prob.n)
+
+
+def test_partition_outside_the_rectangle_is_refused():
+    with pytest.raises(ValueError):
+        schubert_class(P("3"), 2, 4)
+    with pytest.raises(ValueError):
+        schubert_class(P("1,1,1"), 2, 4)
+    with pytest.raises(ValueError):
+        SchubertProblem.from_partitions([P("3"), P("1")], 4, 2)
+
+
 def test_invariant_dimensions_small_cases():
     assert invariant_dim([P("1"), P("1")], 2) == 1
     assert invariant_dim([P("1"), P("1"), P("1")], 2) == 0

@@ -2,7 +2,8 @@
 
 The fixtures under `fixtures/golden/` are stripped reports. Filtration
 traces hold every sampled flag, map and basis, so they pin the RNG stream
-and the result of each exact reduction, over both fields.
+and the result of each exact reduction, over both fields. The sweep reports
+pin the verdict counts and the `extra` counters of every sweep command.
 """
 
 import json
@@ -43,3 +44,25 @@ def test_crosscheck_report_matches_golden(tmp_path):
         ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3", "--seed", "5"],
     )
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (
+            "semistable-r3-n6-s4-seed5",
+            ["semistable", "--r-max", "3", "--n-max", "6", "--s-max", "4", "--seed", "5"],
+        ),
+        (
+            "fulton-r2-size6-n2,3",
+            ["fulton", "--r-max", "2", "--size-max", "6", "--n-list", "2,3"],
+        ),
+        (
+            "saturation-r2-size6-n2,3",
+            ["saturation", "--r-max", "2", "--size-max", "6", "--n-list", "2,3"],
+        ),
+    ],
+)
+def test_sweep_report_matches_golden(tmp_path, name, argv):
+    want = (GOLDEN / f"{name}.json").read_text()
+    assert _stripped_report(tmp_path, argv) == want

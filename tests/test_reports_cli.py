@@ -3,10 +3,12 @@
 import json
 import os
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from fultoncheck import cli, sweeps
+from fultoncheck.partitions import IndexSet, SchubertProblem, all_index_sets
 from fultoncheck.reports import (
     make_report,
     strip_volatile,
@@ -131,6 +133,19 @@ def test_problem_enumeration_is_zero_expected_and_proper():
         assert 1 <= p.r < p.n
 
 
+def test_problem_enumeration_order_matches_brute_force():
+    brute = []
+    for n in range(2, 8):
+        for r in range(1, min(4, n - 1) + 1):
+            sets = all_index_sets(n, r)
+            for s in range(1, 5):
+                for combo in combinations_with_replacement(sets, s):
+                    if sum(ix.codim() for ix in combo) == r * (n - r):
+                        brute.append(SchubertProblem(n, r, combo))
+    assert len(brute) == 3021
+    assert list(enumerate_problems(4, 7, 4)) == brute
+
+
 def test_config_validation():
     SweepConfig().validate()
     with pytest.raises(ConfigError):
@@ -232,6 +247,33 @@ def test_planted_corruption_is_caught(monkeypatch):
     assert kinds == {"vanishing_not_preserved"}
     hit = rep["counterexamples"][0]
     assert hit["mu"] == "2" and hit["nu"] == "1,1" and hit["lam"] == "2,1,1"
+
+
+def test_positive_clinchers_are_reported(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "clincher", lambda problem, positions: 1)
+    out = tmp_path / "report.json"
+    argv = ["semistable", "--r-max", "3", "--n-max", "5", "--s-max", "3", "--out", str(out)]
+    assert cli.main(argv) == 1
+    rep = json.loads(out.read_text())
+    assert rep["ok"] is False
+    assert rep["extra"]["max_clincher"] == 1
+    positive = [c for c in rep["counterexamples"] if c["kind"] == "positive_clincher"]
+    assert positive
+    for rec in positive:
+        assert rec["value"] == 1
+        assert 1 <= rec["d"] < 3
+        problem = SchubertProblem.parse(rec["problem"])
+        assert len(rec["positions"]) == problem.s
+        for text in rec["positions"]:
+            ix = IndexSet.parse(text)
+            assert (ix.text(), ix.n, ix.r) == (text, problem.r, rec["d"])
+    kinds = {c["kind"] for c in rep["counterexamples"]}
+    assert kinds == {"positive_clincher", "slope_clincher_disagreement"}
+    disagreement = next(
+        c for c in rep["counterexamples"] if c["kind"] == "slope_clincher_disagreement"
+    )
+    assert disagreement["semistable"] is True
+    assert disagreement["all_clinchers_nonpositive"] is False
 
 
 # ---------------------------------------------------------------------------
