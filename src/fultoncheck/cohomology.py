@@ -57,6 +57,12 @@ def schubert_class(lam: Partition, r: int, n: int) -> CohomologyClass:
     return CohomologyClass.from_dict(r, n, {lam.trimmed().parts: 1})
 
 
+@lru_cache(maxsize=None)
+def _shapes(size: int, rows: int, cols: int) -> tuple[Partition, ...]:
+    """The partitions of `size` inside the rows x cols rectangle."""
+    return tuple(partitions_with(size, rows, cols))
+
+
 def class_product(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
     if (x.r, x.n) != (y.r, y.n):
         raise ValueError("classes live on different Grassmannians")
@@ -69,11 +75,10 @@ def class_product(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
             total = mu.size + nu.size
             if total > r * (n - r):
                 continue
-            for lam in partitions_with(total, r, n - r):
+            for lam in _shapes(total, r, n - r):
                 c = lr_coefficient(mu, nu, lam)
                 if c:
-                    key = lam.trimmed().parts
-                    out[key] = out.get(key, 0) + cx * cy * c
+                    out[lam.parts] = out.get(lam.parts, 0) + cx * cy * c
     return CohomologyClass.from_dict(r, n, out)
 
 

@@ -5,7 +5,11 @@ nu (semistandard filling whose reverse reading word is a lattice word). A
 filling is encoded by the count of each value in each row, which determines
 it uniquely because rows are weakly increasing; column strictness and the
 lattice condition become linear inequalities on those counts, checked
-incrementally during the enumeration.
+incrementally during the enumeration. Two choices are forced and never
+enumerated: within a row the last value takes whatever the row has left, and
+the last row takes every copy of each value not placed above it, so that row
+is only checked against its column-strictness and lattice bounds and its
+length.
 
 `lr_coefficient_pieri` is the audit oracle: it expands the second factor
 through one-row (complete homogeneous) classes with the alternating-sum
@@ -16,58 +20,78 @@ the tableau path beyond the Partition type.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import add
 
-from .partitions import Partition
+from .partitions import Partition, _parts_contain, _trim_parts
 
 
 def _tableau_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     nrows = len(lam)
-    mu = mu + (0,) * (nrows - len(mu))
     nvals = len(nu)
     if nvals == 0:
         return 1 if sum(lam) == sum(mu) else 0
-
+    if nrows == 0:
+        return 0
+    mu = mu + (0,) * (nrows - len(mu))
+    last_row = nrows - 1
+    last_val = nvals - 1
+    # placed[i][t]: copies of value t+1 in row i; one list per row, reused.
+    placed = [[0] * nvals for _ in range(nrows)]
     count = 0
+
     # tot[t]: copies of value t+1 placed in earlier rows; prev_cum[t]: entries
     # <= t+1 in the previous row.
     def fill_row(i: int, tot: tuple[int, ...], prev_cum: tuple[int, ...]) -> None:
         nonlocal count
-        if i == nrows:
-            count += 1
-            return
         row_len = lam[i] - mu[i]
-        indent = mu[i - 1] - mu[i] if i > 0 else None
+        indent = mu[i - 1] - mu[i] if i > 0 else 0
 
-        def choose(t: int, cum: int, placed: list[int]) -> None:
-            nonlocal count
-            if t == nvals:
-                if cum == row_len:
-                    new_tot = tuple(a + b for a, b in zip(tot, placed))
-                    new_cum = []
-                    acc = 0
-                    for b in placed:
-                        acc += b
-                        new_cum.append(acc)
-                    fill_row(i + 1, new_tot, tuple(new_cum))
-                return
-            ub = min(nu[t] - tot[t], row_len - cum)
+        if i == last_row:
+            # The last row holds every value not yet placed; check its bounds
+            # once instead of enumerating.
+            cum = 0
+            for t in range(nvals):
+                cum += nu[t] - tot[t]
+                if i > 0 and cum > indent + (prev_cum[t - 1] if t > 0 else 0):
+                    return
+                # Lattice word: all nu[t] copies of t+1 are placed once this
+                # row is, against the tot[t-1] copies of t in earlier rows.
+                if t > 0 and nu[t] > tot[t - 1]:
+                    return
+            if cum == row_len:
+                count += 1
+            return
+
+        row = placed[i]
+
+        def choose(t: int, cum: int) -> None:
+            rest = row_len - cum
+            ub = nu[t] - tot[t]
+            if rest < ub:
+                ub = rest
             if i > 0:
-                above = prev_cum[t - 1] if t > 0 else 0
-                ub = min(ub, indent + above - cum)
+                col = indent + (prev_cum[t - 1] if t > 0 else 0) - cum
+                if col < ub:
+                    ub = col
             if t > 0:
                 # Lattice word: within a row the larger value is read first,
                 # so copies of t+1 here are bounded by copies of t in strictly
                 # earlier rows.
-                ub = min(ub, tot[t - 1] - tot[t])
-            if ub < 0:
+                lat = tot[t - 1] - tot[t]
+                if lat < ub:
+                    ub = lat
+            if t == last_val:
+                # The last value fills the row, so it takes exactly `rest`.
+                if ub == rest:
+                    row[t] = rest
+                    fill_row(i + 1, tuple(map(add, tot, row)), tuple(accumulate(row)))
                 return
             for m in range(ub, -1, -1):
-                placed.append(m)
-                choose(t + 1, cum + m, placed)
-                placed.pop()
+                row[t] = m
+                choose(t + 1, cum + m)
 
-        choose(0, 0, [])
+        choose(0, 0)
 
     fill_row(0, (0,) * nvals, ())
     return count
@@ -80,14 +104,14 @@ def _lr(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
 
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     """Multiplicity of the lambda class in the product of the mu and nu classes."""
-    lam_t = lam.trimmed()
-    mu_t = mu.trimmed()
-    nu_t = nu.trimmed()
-    if lam_t.size != mu_t.size + nu_t.size:
+    lam_t = _trim_parts(lam.parts)
+    mu_t = _trim_parts(mu.parts)
+    nu_t = _trim_parts(nu.parts)
+    if sum(lam_t) != sum(mu_t) + sum(nu_t):
         return 0
-    if not (lam_t.contains(mu_t) and lam_t.contains(nu_t)):
+    if not (_parts_contain(lam_t, mu_t) and _parts_contain(lam_t, nu_t)):
         return 0
-    return _lr(lam_t.parts, mu_t.parts, nu_t.parts)
+    return _lr(lam_t, mu_t, nu_t)
 
 
 def _horizontal_strip_additions(kappa: tuple[int, ...], size: int, within: tuple[int, ...]):

@@ -15,6 +15,24 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 
+def _trim_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """`parts` without its trailing zeros."""
+    k = len(parts)
+    while k and parts[k - 1] == 0:
+        k -= 1
+    return parts if k == len(parts) else parts[:k]
+
+
+def _parts_contain(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    """Whether the trimmed `outer` contains the trimmed `inner`, row by row."""
+    if len(inner) > len(outer):
+        return False
+    for a, b in zip(outer, inner):
+        if b > a:
+            return False
+    return True
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """Weakly decreasing tuple of non-negative integers (trailing zeros kept)."""
@@ -39,16 +57,16 @@ class Partition:
         return len(self.parts)
 
     def trimmed(self) -> "Partition":
+        """This partition without trailing zeros (itself if it has none)."""
         parts = self.parts
-        k = len(parts)
-        while k and parts[k - 1] == 0:
-            k -= 1
-        return Partition(parts[:k])
+        if parts and parts[-1] == 0:
+            return Partition(_trim_parts(parts))
+        return self
 
     def padded(self, length: int) -> "Partition":
-        if length < len(self.trimmed().parts):
+        t = _trim_parts(self.parts)
+        if length < len(t):
             raise ValueError("padding below the number of nonzero parts")
-        t = self.trimmed().parts
         return Partition(t + (0,) * (length - len(t)))
 
     def scale(self, n: int) -> "Partition":
@@ -57,13 +75,10 @@ class Partition:
         return Partition(tuple(n * x for x in self.parts))
 
     def contains(self, other: "Partition") -> bool:
-        a, b = self.trimmed().parts, other.trimmed().parts
-        if len(b) > len(a):
-            return False
-        return all(b[i] <= a[i] for i in range(len(b)))
+        return _parts_contain(_trim_parts(self.parts), _trim_parts(other.parts))
 
     def fits_in(self, rows: int, cols: int) -> bool:
-        t = self.trimmed().parts
+        t = _trim_parts(self.parts)
         return len(t) <= rows and (not t or t[0] <= cols)
 
     @classmethod
@@ -74,7 +89,7 @@ class Partition:
         return cls(tuple(int(x) for x in text.split(",")))
 
     def text(self) -> str:
-        t = self.trimmed().parts
+        t = _trim_parts(self.parts)
         return ",".join(str(x) for x in t) if t else "0"
 
 

@@ -101,14 +101,26 @@ def to_csv_str(doc: dict) -> str:
     return buf.getvalue()
 
 
+def _umask() -> int:
+    """The process umask; reading it means setting it, so it is set back at once."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_text(path: str, text: str) -> None:
-    """Atomic write: the target never holds a partial document."""
+    """Atomic write: the target never holds a partial document.
+
+    The file gets the mode a plain `open` would give it (0o666 less the
+    umask), not the 0o600 of the temporary file it is written through.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fultoncheck-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

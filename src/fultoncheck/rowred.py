@@ -6,8 +6,7 @@ Cython) when it is available, unless the environment variable
 pure-Python reference kernel is used. The compiled core multiplies residues
 in signed 64-bit integers, so it is exact only for p < 2**31; larger moduli
 always go to the pure kernel, which uses Python ints and the built-in modular
-inverse. Both backends produce identical output; `benchmarks/bench_rowred.py`
-compares their speed.
+inverse. Both backends produce identical output.
 """
 
 from __future__ import annotations

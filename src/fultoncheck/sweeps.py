@@ -9,6 +9,7 @@ random streams as an uninterrupted run.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -117,14 +118,16 @@ def enumerate_triples(
     """All (mu, nu, lam) with at most r_max rows, |mu|+|nu| = |lam| <= size_max.
 
     Ordered by total size, then |mu|, then the descending-lex order of the
-    individual partitions, so the sequence is stable across runs.
+    individual partitions, so the sequence is stable across runs.  The
+    partitions of each size are built once and shared: equal partitions in
+    different triples are the same object.
     """
+    by_size = [tuple(partitions_with(size, r_max)) for size in range(size_max + 1)]
     for total in range(size_max + 1):
         for mu_size in range(total + 1):
-            nu_size = total - mu_size
-            for mu in partitions_with(mu_size, r_max):
-                for nu in partitions_with(nu_size, r_max):
-                    for lam in partitions_with(total, r_max):
+            for mu in by_size[mu_size]:
+                for nu in by_size[total - mu_size]:
+                    for lam in by_size[total]:
                         yield (mu, nu, lam)
 
 
@@ -317,20 +320,21 @@ def _scaling_sweep(
     """Check that `predicate` holds for a coefficient iff it holds for each scaling.
 
     The coefficient routine is the module global `lr_coefficient`, looked up
-    at call time, so a substituted routine is the one under test.
+    at call time, so a substituted routine is the one under test, for the
+    scaled coefficients too.  Each distinct partition is scaled once per
+    factor, through a cache that lives for one call.
     """
     cfg.validate()
     started = time.perf_counter()
     items = list(enumerate_triples(cfg.r_max, cfg.size_max))
+    scale = functools.cache(Partition.scale)
 
     def check(index: int, item, state: dict) -> list[dict]:
         mu, nu, lam = item
         c = lr_coefficient(mu, nu, lam)
         records = []
         for factor in cfg.n_list:
-            scaled = lr_coefficient(
-                mu.scale(factor), nu.scale(factor), lam.scale(factor)
-            )
+            scaled = lr_coefficient(scale(mu, factor), scale(nu, factor), scale(lam, factor))
             if predicate(c) != predicate(scaled):
                 records.append(
                     {

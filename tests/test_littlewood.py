@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fultoncheck.littlewood import lr_coefficient, lr_coefficient_pieri
+from fultoncheck.littlewood import _tableau_count, lr_coefficient, lr_coefficient_pieri
 from fultoncheck.partitions import Partition, partitions_up_to, partitions_with
+from fultoncheck.sweeps import enumerate_triples
 
 P = Partition.parse
 
@@ -52,6 +53,9 @@ def test_trivial_and_degenerate_cases():
     # target must contain each factor
     assert lr_coefficient(P("3"), P("1"), P("2,2")) == 0
     assert lr_coefficient(P("1,1,1"), P("1"), P("2,2")) == 0
+    # The engine itself: an empty shape holds no filling of a nonempty content.
+    assert _tableau_count((), (), (1,)) == 0
+    assert _tableau_count((), (), ()) == 1
 
 
 def test_two_column_square_fixture():
@@ -60,6 +64,9 @@ def test_two_column_square_fixture():
     assert lr_coefficient(P("1,1"), P("1,1"), P("2,1,1")) == 1
     assert lr_coefficient(P("1,1"), P("1,1"), P("1,1,1,1")) == 1
     assert lr_coefficient(P("1,1"), P("1,1"), P("3,1")) == 0
+    # The last row (3,3,2)/(2,2) would hold 1,1,2,2; the 2s need two 1s in
+    # strictly earlier rows, which hold only one.
+    assert lr_coefficient(P("2,2"), P("2,2"), P("3,3,2")) == 0
 
 
 def test_trailing_zeros_do_not_change_coefficients():
@@ -86,6 +93,16 @@ def test_engines_agree_exhaustively_small():
                 assert a == b, (mu.parts, nu.parts, lam.parts, a, b)
                 total += 1
     assert total == 4147
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+def test_engines_agree_on_scaled_sweep_triples(factor):
+    """Every triple of the r <= 3, size <= 8 scaling sweep, scaled by `factor`."""
+    for mu, nu, lam in enumerate_triples(3, 8):
+        mu, nu, lam = mu.scale(factor), nu.scale(factor), lam.scale(factor)
+        a = lr_coefficient(mu, nu, lam)
+        b = lr_coefficient_pieri(mu, nu, lam)
+        assert a == b, (mu.parts, nu.parts, lam.parts, a, b)
 
 
 def test_symmetry_in_the_two_factors():

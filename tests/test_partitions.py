@@ -29,6 +29,10 @@ def test_partition_construction_and_views():
     assert p.trimmed().parts == (3, 2, 2)
     assert p.padded(6).parts == (3, 2, 2, 0, 0, 0)
     assert p.scale(2).parts == (6, 4, 4, 0)
+    q = Partition((2, 1))
+    assert q.trimmed() is q
+    assert Partition((2, 1, 0)).trimmed() == q
+    assert Partition((0, 0)).trimmed() == Partition(())
 
 
 def test_partition_must_be_weakly_decreasing():
@@ -53,6 +57,10 @@ def test_partition_containment_and_fit():
     big = Partition((3, 2))
     assert big.contains(Partition((2, 2)))
     assert not big.contains(Partition((1, 1, 1)))
+    assert not big.contains(Partition((4,)))
+    assert big.contains(Partition((3, 2, 0, 0)))
+    assert Partition((3, 2, 0)).contains(big)
+    assert big.contains(Partition(()))
     assert big.fits_in(2, 3)
     assert not big.fits_in(1, 3)
     assert not big.fits_in(2, 2)

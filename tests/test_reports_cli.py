@@ -8,7 +8,13 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fultoncheck import cli, sweeps
-from fultoncheck.partitions import IndexSet, SchubertProblem, all_index_sets
+from fultoncheck.partitions import (
+    IndexSet,
+    Partition,
+    SchubertProblem,
+    all_index_sets,
+    partitions_with,
+)
 from fultoncheck.reports import (
     make_report,
     strip_volatile,
@@ -102,6 +108,18 @@ def test_write_text_is_atomic_replace(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_write_text_mode_follows_umask(tmp_path, umask, mode):
+    """Reports and checkpoints get the mode a plain `open` would give them."""
+    path = tmp_path / "report.json"
+    saved = os.umask(umask)
+    try:
+        write_text(str(path), "{}\n")
+    finally:
+        os.umask(saved)
+    assert path.stat().st_mode & 0o777 == mode
+
+
 # ---------------------------------------------------------------------------
 # Sweep plumbing
 # ---------------------------------------------------------------------------
@@ -123,6 +141,23 @@ def test_triple_enumeration_count_and_order():
     assert sizes == sorted(sizes)
     for mu, nu, lam in items:
         assert lam.size == mu.size + nu.size
+
+
+def test_triple_enumeration_matches_nested_generators_and_shares_partitions():
+    nested = [
+        (mu, nu, lam)
+        for total in range(9)
+        for mu_size in range(total + 1)
+        for mu in partitions_with(mu_size, 3)
+        for nu in partitions_with(total - mu_size, 3)
+        for lam in partitions_with(total, 3)
+    ]
+    items = list(enumerate_triples(3, 8))
+    assert items == nested
+    shared: dict[Partition, Partition] = {}
+    for triple in items:
+        for part in triple:
+            assert shared.setdefault(part, part) is part
 
 
 def test_problem_enumeration_is_zero_expected_and_proper():
