@@ -1,11 +1,9 @@
 """Exact coefficient fields: a prime field F_p and the rationals.
 
 All arithmetic is exact. The prime field is the workhorse (default modulus
-2^31 - 1, small enough that products of two residues fit in a signed 64-bit
-integer, which the compiled row-reduction kernel needs; `rowred` sends larger
-moduli to the pure-Python kernel). Inverses use the built-in modular inverse
-`pow(a, -1, p)`. The rational field exists to audit prime-field results on
-small instances.
+2^31 - 1; residues are Python ints, so any prime works). Inverses use the
+built-in modular inverse `pow(a, -1, p)`. The rational field exists to audit
+prime-field results on small instances.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Exact linear algebra over a prime field or the rationals.
 
-Matrices are immutable; columns are the vectors. Rank and kernel come from
-exact reduced row echelon form with first-nonzero pivoting (no tolerances
-anywhere). Random flags are ordered bases with uniform field entries,
-resampled until invertible, and are deterministic functions of the supplied
-RNG state.
+Matrices are immutable; columns are the vectors. Rank, kernel and inverse
+come from the one exact reduced row echelon form in `rowred` (first-nonzero
+pivoting, no tolerances anywhere), cached per matrix. Random flags are
+ordered bases with uniform field entries, resampled until invertible, and are
+deterministic functions of the supplied RNG state.
 """
 
 from __future__ import annotations

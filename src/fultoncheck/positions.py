@@ -4,7 +4,8 @@ The position of a d-dimensional V with respect to a complete flag E is the
 set of levels u where dim(V ∩ E_u) jumps. Induced flags come with explicit
 coordinates: on V, an ordered basis adapted to the jump levels, expressed in
 V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
-a fixed complement basis chosen once per call.
+a fixed complement basis chosen once per call. `quotient_flagged` builds every
+quotient flag; `induced_flag_quot` is its one-flag form.
 """
 
 from __future__ import annotations
@@ -93,21 +94,6 @@ def quotient_map(v: Subspace) -> tuple[Matrix, Matrix]:
     return proj, comp
 
 
-def induced_flag_quot(e: Flag, v: Subspace) -> Flag:
-    """The flag E_b(W/V) = image of E_{alpha(b)} on W/V, alpha = [n] \\ I."""
-    flag, _, _ = induced_flag_quot_with_map(e, v)
-    return flag
-
-
-def induced_flag_quot_with_map(e: Flag, v: Subspace) -> tuple[Flag, Matrix, Matrix]:
-    if v.ambient_dim != e.n:
-        raise LinAlgError("subspace and flag ambient dimensions differ")
-    proj, comp = quotient_map(v)
-    alpha = schubert_position(v, e).complement().elements
-    cols = e.matrix.take_columns([a - 1 for a in alpha])
-    return Flag(proj @ cols), proj, comp
-
-
 def falcon_compose(i_set: IndexSet, k_set: IndexSet) -> IndexSet:
     """Position of S in W from the position I of V in W and the position K of
     S in V relative to the induced flag: L = {i_a : a in K}."""
@@ -179,8 +165,14 @@ def restrict_flagged(space: FlaggedSpace, basis: Matrix) -> FlaggedSpace:
 
 
 def quotient_flagged(space: FlaggedSpace, basis: Matrix) -> tuple[FlaggedSpace, Matrix, Matrix]:
-    """Induced flags on the quotient by span(basis); returns (quotient space, projection,
-    complement basis), with the projection written in complement coordinates."""
+    """Induced flags on the quotient by V = span(basis); returns (quotient space,
+    projection, complement basis), with the projection written in complement
+    coordinates. Flag b of W/V is the image of E_{alpha(b)}, alpha = [n] \\ I,
+    where I is the position of V against E. This is the only routine that
+    builds quotient flags.
+    """
+    if basis.nrows != space.dim:
+        raise LinAlgError("subspace and flag ambient dimensions differ")
     v = Subspace(basis)
     proj, comp = quotient_map(v)
     flags = []
@@ -189,3 +181,9 @@ def quotient_flagged(space: FlaggedSpace, basis: Matrix) -> tuple[FlaggedSpace, 
         cols = f.matrix.take_columns([a - 1 for a in alpha])
         flags.append(Flag(proj @ cols))
     return FlaggedSpace(space.dim - basis.ncols, tuple(flags)), proj, comp
+
+
+def induced_flag_quot(e: Flag, v: Subspace) -> Flag:
+    """The induced flag of `e` on W/V, as built by `quotient_flagged`."""
+    quot, _, _ = quotient_flagged(FlaggedSpace(e.n, (e,)), v.basis)
+    return quot.flags[0]

@@ -1,52 +1,96 @@
-"""Backend selection for the row-reduction hot kernel.
+"""Row-reduction kernels: the one exact RREF used by every matrix.
 
-At import time this module picks the compiled core (`_rowred`, built from
-Cython) when it is available, unless the environment variable
-``FULTONCHECK_PURE`` is set to a non-empty value, in which case the
-pure-Python reference kernel is used. The compiled core multiplies residues
-in signed 64-bit integers, so it is exact only for p < 2**31; larger moduli
-always go to the pure kernel, which uses Python ints and the built-in modular
-inverse. Both backends produce identical output.
+Reduced row echelon form with first-nonzero pivoting, over F_p (ints) and
+over Q (fractions.Fraction). `rref_mod` takes pivot inverses with the
+built-in modular inverse `pow(x, -1, p)` and works for any prime p, since
+Python ints do not overflow.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
-from . import _rowred_py
-
-if os.environ.get("FULTONCHECK_PURE"):
-    _compiled = None
-else:
-    try:
-        from . import _rowred as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-BACKEND = "compiled" if HAVE_COMPILED else "pure"
-# Largest modulus (exclusive) whose residue products fit in a signed int64.
-COMPILED_P_LIMIT = 2**31
-
-if HAVE_COMPILED:
-    import numpy as _np
+# Kept as a constant because benchmark runs record it in their metadata.
+BACKEND = "pure"
 
 
 def rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """RREF of an integer matrix mod p; returns (reduced rows, pivot columns).
+    """Reduce `rows` (entries in [0, p)) to RREF in place.
 
-    The input list-of-lists is consumed (the pure backend reduces it in
-    place); callers pass a fresh copy. Moduli p >= 2**31 always use the pure
-    kernel, whatever the selected backend.
+    Pivot search scans rows top-down and takes the first nonzero entry in the
+    current column (no tolerance; arithmetic is exact mod p). The input
+    list-of-lists is consumed; callers pass a fresh copy.
+
+    Returns:
+        (rows, pivot_columns)
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    if _compiled is not None and nrows and ncols and p < COMPILED_P_LIMIT:
-        a = _np.array(rows, dtype=_np.int64)
-        piv = _np.empty(min(nrows, ncols), dtype=_np.int64)
-        k = _compiled.rref_mod_inplace(a, piv, p)
-        return a.tolist(), piv[:k].tolist()
-    return _rowred_py.rref_mod(rows, p)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = -1
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        if inv != 1:
+            row = rows[r]
+            for j in range(c, ncols):
+                row[j] = row[j] * inv % p
+        prow = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                row = rows[i]
+                for j in range(c, ncols):
+                    row[j] = (row[j] - f * prow[j]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
 
 
-rref_frac = _rowred_py.rref_frac
+def rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """RREF over the rationals; same control flow as `rref_mod`."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = -1
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        if inv != 1:
+            row = rows[r]
+            for j in range(c, ncols):
+                row[j] = row[j] * inv
+        prow = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                row = rows[i]
+                for j in range(c, ncols):
+                    row[j] = row[j] - f * prow[j]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots

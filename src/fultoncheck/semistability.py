@@ -210,11 +210,12 @@ def clincher(problem: SchubertProblem, positions: tuple[IndexSet, ...]) -> int:
     if len(positions) != problem.s:
         raise ValueError("position tuple length differs from the problem")
     n, r = problem.n, problem.r
-    d = positions[0].r
+    d = len(positions[0].elements)
     total = 0
     for ix, k in zip(problem.index_sets, positions):
-        if k.n != r or k.r != d:
+        elements = k.elements
+        if k.n != r or len(elements) != d:
             raise ValueError("position shape does not match the problem")
-        for a in k.elements:
+        for a in elements:
             total += n - r + a - ix.elements[a - 1]
     return total - d * (n - r)

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fultoncheck import linalg, rowred
-from fultoncheck._rowred_py import rref_frac as pure_rref_frac
-from fultoncheck._rowred_py import rref_mod as pure_rref_mod
 from fultoncheck.field import (
     DEFAULT_PRIME,
     PrimeField,
@@ -29,6 +27,7 @@ from fultoncheck.linalg import (
     random_nonzero_combination,
     random_subspace,
 )
+from fultoncheck.rowred import rref_frac, rref_mod
 
 PF = PrimeField(DEFAULT_PRIME)
 QF = RationalField()
@@ -220,48 +219,12 @@ def test_rank_agrees_across_fields_on_500_matrices():
 
 
 # ---------------------------------------------------------------------------
-# Row-reduction backends
+# Row reduction
 # ---------------------------------------------------------------------------
 
 
 def test_backend_reports_identity():
-    assert rowred.BACKEND in ("compiled", "pure")
-    assert rowred.HAVE_COMPILED == (rowred.BACKEND == "compiled")
-
-
-def test_backends_agree_on_200_matrices():
-    if not rowred.HAVE_COMPILED:
-        pytest.skip("compiled backend not built in this environment")
-    for p in (DEFAULT_PRIME, MERSENNE_61):
-        rng = random.Random(99)
-        for _ in range(200):
-            nrows = rng.randint(1, 8)
-            ncols = rng.randint(1, 8)
-            rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-            got_rows, got_piv = rowred.rref_mod([r[:] for r in rows], p)
-            want_rows, want_piv = pure_rref_mod([r[:] for r in rows], p)
-            assert list(got_piv) == list(want_piv)
-            assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
-
-
-class _UnreachableKernel:
-    """Stands in for the compiled module; any use of it fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"compiled kernel reached via {name!r}")
-
-
-def test_large_prime_never_reaches_compiled_kernel(monkeypatch):
-    monkeypatch.setattr(rowred, "_compiled", _UnreachableKernel())
-    rng = random.Random(61)
-    rows = [[rng.randrange(MERSENNE_61) for _ in range(7)] for _ in range(6)]
-    got = rowred.rref_mod([r[:] for r in rows], MERSENNE_61)
-    assert got == pure_rref_mod([r[:] for r in rows], MERSENNE_61)
-    # The stub is live: a modulus below 2**31 is handed to it.
-    np = pytest.importorskip("numpy")
-    monkeypatch.setattr(rowred, "_np", np, raising=False)
-    with pytest.raises(AssertionError, match="compiled kernel reached"):
-        rowred.rref_mod([r[:] for r in rows], DEFAULT_PRIME)
+    assert rowred.BACKEND == "pure"
 
 
 def _random_rref_pair(rng: random.Random, nrows: int, ncols: int):
@@ -293,13 +256,12 @@ def test_rref_mod_agrees_with_rref_frac_mod_p(p):
     for _ in range(60):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
         a, target, pivots = _random_rref_pair(rng, nrows, ncols)
-        red_q, piv_q = pure_rref_frac([[Fraction(x) for x in row] for row in a])
+        red_q, piv_q = rref_frac([[Fraction(x) for x in row] for row in a])
         want = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in red_q]
         assert want == [[x % p for x in row] for row in target]
-        for kernel in (pure_rref_mod, rowred.rref_mod):
-            red_p, piv_p = kernel([[x % p for x in row] for row in a], p)
-            assert list(piv_p) == list(piv_q) == pivots
-            assert [list(row) for row in red_p] == want
+        red_p, piv_p = rref_mod([[x % p for x in row] for row in a], p)
+        assert piv_p == piv_q == pivots
+        assert red_p == want
 
 
 def test_rational_reduction_matches_modular_pivots():
@@ -308,9 +270,9 @@ def test_rational_reduction_matches_modular_pivots():
         nrows = rng.randint(1, 5)
         ncols = rng.randint(1, 5)
         rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        _, piv_q = pure_rref_frac([[Fraction(x) for x in row] for row in rows])
-        _, piv_p = pure_rref_mod([[x % DEFAULT_PRIME for x in row] for row in rows], DEFAULT_PRIME)
-        assert list(piv_q) == list(piv_p)
+        _, piv_q = rref_frac([[Fraction(x) for x in row] for row in rows])
+        _, piv_p = rref_mod([[x % DEFAULT_PRIME for x in row] for row in rows], DEFAULT_PRIME)
+        assert piv_q == piv_p
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,22 @@ import random
 import pytest
 
 from fultoncheck.field import PrimeField, RationalField, field_from_name
-from fultoncheck.linalg import Flag, Matrix, Subspace, random_flag, random_matrix, random_subspace
+from fultoncheck.linalg import (
+    Flag,
+    LinAlgError,
+    Matrix,
+    Subspace,
+    contained_in,
+    random_flag,
+    random_matrix,
+    random_subspace,
+)
 from fultoncheck.partitions import IndexSet
 from fultoncheck.positions import (
     FlaggedSpace,
     dim_triple,
     falcon_compose,
     induced_flag_quot,
-    induced_flag_quot_with_map,
     induced_flag_sub,
     positions_in,
     quotient_flagged,
@@ -103,9 +111,9 @@ def test_induced_quotient_flag_of_coordinate_line():
     assert q.n == 2
     # images of e2, e3 under projection along e1 give the standard flag
     assert q.matrix.is_invertible()
-    fl, proj, comp = induced_flag_quot_with_map(e, v)
+    quot, proj, comp = quotient_flagged(FlaggedSpace(3, (e,)), v.basis)
     assert (proj @ v.basis).is_zero()
-    assert fl.matrix.rows == q.matrix.rows
+    assert quot.flags[0].matrix.rows == q.matrix.rows
 
 
 def test_induced_quotient_flag_of_zero_space_is_original():
@@ -113,6 +121,14 @@ def test_induced_quotient_flag_of_zero_space_is_original():
     v = Subspace.zero(QF, 3)
     q = induced_flag_quot(e, v)
     assert q.matrix.rows == e.matrix.rows
+
+
+def test_induced_quotient_flag_rejects_ambient_mismatch():
+    v = Subspace(Matrix.from_columns(QF, [[1, 0, 0, 0]]))
+    with pytest.raises(LinAlgError):
+        induced_flag_quot(Flag.standard(QF, 3), v)
+    with pytest.raises(LinAlgError):
+        quotient_flagged(FlaggedSpace(3, ()), v.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +212,27 @@ def test_chain_identity_on_random_subspace_chains():
 
 
 def test_flagged_space_restrict_and_quotient():
-    rng = random.Random(21)
     n, r = 5, 2
-    flags = tuple(random_flag(PF, n, rng) for _ in range(2))
-    space = FlaggedSpace(n, flags)
-    basis = random_subspace(PF, n, r, rng).basis
-    inner = restrict_flagged(space, basis)
-    assert inner.dim == r
-    assert inner.s == 2
-    assert positions_in(space, basis) == tuple(
-        schubert_position(Subspace(basis), f) for f in flags
-    )
-    quot, proj, comp = quotient_flagged(space, basis)
-    assert quot.dim == n - r
-    assert (proj @ basis).is_zero()
+    for field in (PF, QF):
+        rng = random.Random(21)
+        flags = tuple(random_flag(field, n, rng) for _ in range(2))
+        space = FlaggedSpace(n, flags)
+        basis = random_subspace(field, n, r, rng).basis
+        inner = restrict_flagged(space, basis)
+        assert inner.dim == r
+        assert inner.s == 2
+        assert positions_in(space, basis) == tuple(
+            schubert_position(Subspace(basis), f) for f in flags
+        )
+        quot, proj, comp = quotient_flagged(space, basis)
+        assert quot.dim == n - r
+        assert (proj @ basis).is_zero()
+        assert (proj @ comp).rows == Matrix.identity(field, n - r).rows
+        for f, q in zip(flags, quot.flags):
+            assert q.matrix.rows == induced_flag_quot(f, Subspace(basis)).matrix.rows
+            # step b of the quotient flag is the image of E_{alpha(b)}, all of it
+            alpha = schubert_position(Subspace(basis), f).complement().elements
+            for b, level in enumerate(alpha, start=1):
+                image = proj @ f.step(level)
+                assert image.rank() == b
+                assert contained_in(image, q.step(b))

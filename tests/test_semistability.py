@@ -125,6 +125,8 @@ def test_clincher_validates_shapes():
         clincher(prob, (IndexSet(2, (1,)),))
     with pytest.raises(ValueError):
         clincher(prob, (IndexSet(3, (1,)), IndexSet(3, (1,))))
+    with pytest.raises(ValueError):
+        clincher(prob, (IndexSet(2, (1,)), IndexSet(2, (1, 2))))
 
 
 def test_clincher_equals_chain_ledger_everywhere():
