@@ -14,11 +14,9 @@ from .cohomology import (
     CohomologyClass,
     class_product,
     intersection_number,
-    invariant_dim,
     nonvanishing_positions,
     problem_class,
     schubert_class,
-    unit_class,
 )
 from .field import (
     DEFAULT_PRIME,
@@ -32,7 +30,6 @@ from .filtration import (
     FiltrationStep,
     FiltrationTrace,
     TraceAudit,
-    answer_q1_q2,
     run_filtration,
     run_filtration_random,
     trace_to_dict,
@@ -71,7 +68,6 @@ from .partitions import (
 from .positions import (
     dim_triple,
     falcon_compose,
-    induced_flag_quot,
     induced_flag_sub,
     rappel_delta,
     schubert_position,
@@ -79,11 +75,8 @@ from .positions import (
 from .semistability import (
     ParabolicWeights,
     SlopeViolation,
-    WitnessReport,
-    check_witness,
     clincher,
     find_violations,
-    is_generically_semistable,
     slope,
     total_slope,
 )
@@ -105,11 +98,9 @@ __all__ = [
     "CohomologyClass",
     "class_product",
     "intersection_number",
-    "invariant_dim",
     "nonvanishing_positions",
     "problem_class",
     "schubert_class",
-    "unit_class",
     "DEFAULT_PRIME",
     "Field",
     "PrimeField",
@@ -119,7 +110,6 @@ __all__ = [
     "FiltrationStep",
     "FiltrationTrace",
     "TraceAudit",
-    "answer_q1_q2",
     "run_filtration",
     "run_filtration_random",
     "trace_to_dict",
@@ -151,17 +141,13 @@ __all__ = [
     "partitions_with",
     "dim_triple",
     "falcon_compose",
-    "induced_flag_quot",
     "induced_flag_sub",
     "rappel_delta",
     "schubert_position",
     "ParabolicWeights",
     "SlopeViolation",
-    "WitnessReport",
-    "check_witness",
     "clincher",
     "find_violations",
-    "is_generically_semistable",
     "slope",
     "total_slope",
     "SweepConfig",

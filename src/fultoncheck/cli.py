@@ -9,7 +9,8 @@ Subcommands:
   lr           one coefficient through both enumeration engines
 
 Exit codes: 0 all checks passed, 1 a counterexample or failed audit was
-found, 2 usage or configuration error.  The master seed comes from --seed,
+found, 2 usage or configuration error (including a report or checkpoint
+path that cannot be written).  The master seed comes from --seed,
 else the FULTONCHECK_SEED environment variable, else a fixed default; the
 report echoes which source was used.
 """
@@ -259,7 +260,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "lr":
             return _run_lr(args, seed, seed_source)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # OSError: a report or checkpoint path that cannot be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Sequence
 
 from .littlewood import lr_coefficient
-from .partitions import IndexSet, Partition, SchubertProblem, partition_to_index, partitions_with
+from .partitions import IndexSet, Partition, SchubertProblem, partitions_with
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,6 @@ class CohomologyClass:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-
-def unit_class(r: int, n: int) -> CohomologyClass:
-    return CohomologyClass.from_dict(r, n, {(): 1})
 
 
 def schubert_class(lam: Partition, r: int, n: int) -> CohomologyClass:
@@ -104,34 +99,8 @@ def intersection_number(problem: SchubertProblem) -> int:
     return problem_class(problem).coefficient(point)
 
 
-def invariant_dim(lams: Sequence[Partition], r: int) -> int:
-    """Dimension of the invariant subspace of the tensor product of the
-    irreducible SL(r) representations with highest weights `lams`."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    trimmed = [l.trimmed() for l in lams]
-    if not trimmed:
-        raise ValueError("need at least one weight")
-    for l in trimmed:
-        if l.length > r:
-            raise ValueError(f"weight {l.parts} has more than {r} rows")
-    total = sum(l.size for l in trimmed)
-    if total % r != 0:
-        return 0
-    m = total // r
-    if any(l.parts and l.parts[0] > m for l in trimmed):
-        return 0
-    if m == 0:
-        return 1
-    n = r + m
-    problem = SchubertProblem.from_partitions(trimmed, n, r)
-    return intersection_number(problem)
-
-
 @lru_cache(maxsize=None)
-def nonvanishing_positions(
-    d: int, r: int, s: int, max_codim: int | None = None
-) -> tuple[tuple[IndexSet, ...], ...]:
+def nonvanishing_positions(d: int, r: int, s: int) -> tuple[tuple[IndexSet, ...], ...]:
     """All s-tuples of d-element index sets in [r] whose Schubert classes have
     a nonzero product in H*(Gr(d, r)); these are exactly the position tuples
     realized by some d-dimensional subspace for generic flags."""
@@ -139,7 +108,7 @@ def nonvanishing_positions(
         raise ValueError("need 0 < d <= r")
     if s < 1:
         raise ValueError("need s >= 1")
-    cap = d * (r - d) if max_codim is None else min(max_codim, d * (r - d))
+    cap = d * (r - d)
     sets = [IndexSet(r, c) for c in combinations(range(1, r + 1), d)]
     out = []
     for tup in product(sets, repeat=s):

@@ -67,12 +67,6 @@ class PrimeField:
     def from_int(self, x: int) -> int:
         return x % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def neg(self, a: int) -> int:
         return -a % self.p
 
@@ -106,12 +100,6 @@ class RationalField:
 
     def from_int(self, x: int | Fraction) -> Fraction:
         return Fraction(x)
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
 
     def neg(self, a: Fraction) -> Fraction:
         return -a

@@ -31,7 +31,6 @@ from .homspace import (
     GenericDimResult,
     HomSystem,
     build_system,
-    generic_hom_dim,
     sample_generic,
     stabilized_min,
 )
@@ -590,30 +589,6 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
 
     ok = all(checks.values())
     return TraceAudit(ok=ok, checks=checks, details=details, note=trace.note)
-
-
-def answer_q1_q2(
-    problem: SchubertProblem,
-    rng: Random,
-    fld: Field,
-    trials: int = DEFAULT_TRIALS,
-) -> dict:
-    """Generic emptiness and dimension of the open intersection.
-
-    The generic solution-space dimension answers the dimension question; the
-    intersection is generically nonempty exactly when that dimension equals
-    the expected dimension.
-    """
-    result = generic_hom_dim(problem, rng, fld, trials=trials)
-    expected = problem.expected_dim()
-    return {
-        "problem": problem.text(),
-        "generic_intersection_dim": result.dim,
-        "expected_dim": expected,
-        "generically_nonempty": result.dim == expected,
-        "trials_agreed": result.agreed,
-        "samples": list(result.samples),
-    }
 
 
 def _entry_to_json(value, fld: Field):

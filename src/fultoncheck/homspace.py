@@ -184,19 +184,19 @@ def stabilized_min(
     draw: Callable[[], int],
     trials: int,
     context: str,
-    max_total: int = MAX_TOTAL_TRIALS,
 ) -> GenericDimResult:
     """Sample integer dimensions until the generic (minimal) value stabilizes.
 
     Accepts when the most recent `trials` samples all equal the running
     minimum. The first `trials` samples agreeing is the normal case; any
-    disagreement triggers fresh samples up to `max_total`, after which a hard
-    error names the instance rather than letting an unstable value through.
+    disagreement triggers fresh samples, up to `MAX_TOTAL_TRIALS` in all,
+    after which a hard error names the instance rather than letting an
+    unstable value through.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     samples: list[int] = []
-    for k in range(max_total):
+    for _ in range(MAX_TOTAL_TRIALS):
         samples.append(draw())
         if len(samples) >= trials:
             tail = samples[-trials:]

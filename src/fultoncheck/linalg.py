@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .field import Field, PrimeField, RationalField
+from .field import Field, PrimeField
 from .rowred import rref_frac, rref_mod
 
 MAX_SAMPLE_ATTEMPTS = 100
@@ -74,9 +74,6 @@ class Matrix:
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
-    def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def take_columns(self, idx: Iterable[int]) -> "Matrix":
         idx = list(idx)
         return Matrix(self.field, self.nrows, len(idx), tuple(tuple(row[j] for j in idx) for row in self.rows))
@@ -119,18 +116,15 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
 
-    def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols, tuple(tuple(f.neg(x) for x in row) for row in self.rows))
-
     def is_zero(self) -> bool:
         zero = self.field.zero
         return all(x == zero for row in self.rows for x in row)
 
-    def _rref(self) -> tuple["Matrix", tuple[int, ...]]:
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        """The reduced row echelon form and its pivot columns, computed once."""
         # Cached in the instance dict directly: unlike
         # `functools.cached_property`, this takes no lock on first access.
-        cached = self.__dict__.get("_rref_cache")
+        cached = self.__dict__.get("_echelon")
         if cached is not None:
             return cached
         f = self.field
@@ -139,21 +133,18 @@ class Matrix:
             red, piv = rref_mod(work, f.p)
         else:
             red, piv = rref_frac(work)
-        cached = self.__dict__["_rref_cache"] = (
+        cached = self.__dict__["_echelon"] = (
             Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in red)),
             tuple(piv),
         )
         return cached
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        return self._rref()
-
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(self.rref()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns span the null space {x : self @ x = 0}; rank-nullity holds."""
-        red, piv = self._rref()
+        red, piv = self.rref()
         f = self.field
         pivset = set(piv)
         free = [j for j in range(self.ncols) if j not in pivset]
@@ -177,21 +168,6 @@ class Matrix:
         if len(piv) < self.nrows or any(pc >= self.nrows for pc in piv):
             raise LinAlgError("matrix is singular")
         return red.take_columns(range(self.nrows, 2 * self.nrows))
-
-    def solve(self, rhs: "Matrix") -> "Matrix":
-        """One exact solution X of self @ X = rhs (free variables set to 0)."""
-        if rhs.nrows != self.nrows:
-            raise LinAlgError("solve shape mismatch")
-        aug = self.hstack(rhs)
-        red, piv = aug.rref()
-        if any(pc >= self.ncols for pc in piv):
-            raise LinAlgError("inconsistent linear system")
-        f = self.field
-        out = [[f.zero] * rhs.ncols for _ in range(self.ncols)]
-        for k, pc in enumerate(piv):
-            for j in range(rhs.ncols):
-                out[pc][j] = red.rows[k][self.ncols + j]
-        return Matrix(f, self.ncols, rhs.ncols, tuple(tuple(r) for r in out))
 
 
 @dataclass(frozen=True)
@@ -228,16 +204,6 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
         return self.basis.hstack(other.basis).rank() == self.dim
-
-    def coords_of(self, vectors: Matrix) -> Matrix:
-        """Coordinates of `vectors` (columns, ambient coords) in this basis."""
-        return self.basis.solve(vectors)
-
-
-def intersect_dim(a: Subspace, b: Subspace) -> int:
-    if a.ambient_dim != b.ambient_dim:
-        raise LinAlgError("ambient dimension mismatch")
-    return a.dim + b.dim - a.basis.hstack(b.basis).rank()
 
 
 def contained_in(small: Matrix, big: Matrix) -> bool:

@@ -217,10 +217,3 @@ def partitions_with(size: int, max_length: int, max_part: int | None = None) -> 
 
     for parts in rec(size, max_length, cap):
         yield Partition(parts)
-
-
-def partitions_up_to(max_size: int, max_length: int, max_part: int | None = None) -> list[Partition]:
-    out: list[Partition] = []
-    for size in range(max_size + 1):
-        out.extend(partitions_with(size, max_length, max_part))
-    return out

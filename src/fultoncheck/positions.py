@@ -5,7 +5,7 @@ set of levels u where dim(V ∩ E_u) jumps. Induced flags come with explicit
 coordinates: on V, an ordered basis adapted to the jump levels, expressed in
 V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
 a fixed complement basis chosen once per call. `quotient_flagged` builds every
-quotient flag; `induced_flag_quot` is its one-flag form.
+quotient flag.
 """
 
 from __future__ import annotations
@@ -181,9 +181,3 @@ def quotient_flagged(space: FlaggedSpace, basis: Matrix) -> tuple[FlaggedSpace, 
         cols = f.matrix.take_columns([a - 1 for a in alpha])
         flags.append(Flag(proj @ cols))
     return FlaggedSpace(space.dim - basis.ncols, tuple(flags)), proj, comp
-
-
-def induced_flag_quot(e: Flag, v: Subspace) -> Flag:
-    """The induced flag of `e` on W/V, as built by `quotient_flagged`."""
-    quot, _, _ = quotient_flagged(FlaggedSpace(e.n, (e,)), v.basis)
-    return quot.flags[0]

@@ -7,8 +7,7 @@ is generically semistable when no admissible subspace has slope exceeding the
 total slope. For generic flags, "admissible" means exactly: position tuples K
 whose Schubert class product on Gr(d, r) is nonzero — only those positions
 are realized by actual subspaces, which is how the universal quantifier over
-subspaces becomes a finite check. Non-generic flags are handled only through
-explicit witness subspaces.
+subspaces becomes a finite check.
 
 All slope comparisons are exact rationals; nothing here floats.
 """
@@ -19,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import nonvanishing_positions
-from .linalg import Flag, LinAlgError, Subspace
 from .partitions import IndexSet, SchubertProblem
-from .positions import schubert_position
 
 
 @dataclass(frozen=True)
@@ -57,21 +54,6 @@ class ParabolicWeights:
             self.r, tuple(tuple(factor * x for x in row) for row in self.rows)
         )
 
-    def text(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.rows)
-
-    @classmethod
-    def parse(cls, text: str) -> "ParabolicWeights":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append(tuple(int(x) for x in line.split(",")))
-        if not rows:
-            raise ValueError("empty weight table")
-        return cls(len(rows[0]), tuple(rows))
-
     @classmethod
     def from_problem(cls, problem: SchubertProblem) -> "ParabolicWeights":
         """The weight table w^j_a = n - r + a - i^j_a of a position problem."""
@@ -79,23 +61,6 @@ class ParabolicWeights:
             problem.r,
             tuple(ix.to_partition().padded(problem.r).parts for ix in problem.index_sets),
         )
-
-
-@dataclass(frozen=True)
-class ParabolicSpace:
-    """An r-dimensional subspace with s flags on it and a weight table."""
-
-    space: Subspace
-    flags: tuple[Flag, ...]
-    weights: ParabolicWeights
-
-    def __post_init__(self) -> None:
-        r = self.space.dim
-        if self.weights.r != r or self.weights.s != len(self.flags):
-            raise ValueError("weight table shape does not match the flags")
-        for f in self.flags:
-            if f.n != r:
-                raise ValueError("flag is not on the weighted space")
 
 
 def slope(positions: tuple[IndexSet, ...], weights: ParabolicWeights) -> Fraction:
@@ -129,8 +94,9 @@ class SlopeViolation:
     slope_total: Fraction
 
 
-def find_violations(weights: ParabolicWeights, stop_at_first: bool = False) -> list[SlopeViolation]:
-    """All (or the first) nonvanishing position tuples of excessive slope.
+def find_violations(weights: ParabolicWeights) -> list[SlopeViolation]:
+    """All nonvanishing position tuples of excessive slope; empty exactly when
+    the weights are generically semistable.
 
     Comparisons are done on cross-multiplied integers; Fraction would also be
     exact, but keeping the comparison integral makes that explicit.
@@ -154,48 +120,7 @@ def find_violations(weights: ParabolicWeights, stop_at_first: bool = False) -> l
                         slope_total=mu_total,
                     )
                 )
-                if stop_at_first:
-                    return out
     return out
-
-
-def is_generically_semistable(weights: ParabolicWeights) -> bool:
-    """True when every realizable subspace position respects the total slope.
-
-    Realizability at generic flags is exactly nonvanishing of the class
-    product of the position tuple, checked over all proper dimensions.
-    """
-    return not find_violations(weights, stop_at_first=True)
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    positions: tuple[IndexSet, ...]
-    slope_sub: Fraction
-    slope_total: Fraction
-    destabilizing: bool
-
-
-def check_witness(pv: ParabolicSpace, sub: Subspace) -> WitnessReport:
-    """Slope test for one explicit nonzero subspace of the weighted space."""
-    if sub.ambient_dim != pv.space.ambient_dim:
-        raise LinAlgError("witness lives in a different ambient space")
-    if sub.dim < 1:
-        raise LinAlgError("witness subspace is zero")
-    try:
-        coords = pv.space.coords_of(sub.basis)
-    except LinAlgError as exc:
-        raise LinAlgError("witness subspace is not inside the weighted space") from exc
-    inner = Subspace(coords)
-    positions = tuple(schubert_position(inner, f) for f in pv.flags)
-    mu_sub = slope(positions, pv.weights)
-    mu_total = total_slope(pv.weights)
-    return WitnessReport(
-        positions=positions,
-        slope_sub=mu_sub,
-        slope_total=mu_total,
-        destabilizing=mu_sub > mu_total,
-    )
 
 
 def clincher(problem: SchubertProblem, positions: tuple[IndexSet, ...]) -> int:

@@ -209,8 +209,44 @@ def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
-def _write_checkpoint(path: str, data: dict) -> None:
-    write_text(path, json.dumps(data, sort_keys=True) + "\n")
+def _load_checkpoint(
+    path: str, fingerprint: str, n_items: int, fresh_state: dict
+) -> tuple[int, int, list[dict], dict] | None:
+    """The (next_index, failures, counterexamples, state) saved at `path`.
+
+    A missing file, a file that is not JSON, another fingerprint, or any field
+    of the wrong type or out of range gives None, and the sweep starts over:
+    a checkpoint never makes a sweep skip instances it has not checked.  The
+    state must have the keys of `fresh_state`, each holding an int or a value
+    of its fresh type (the sweeps' counters are ints, or None before a first
+    value).
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            saved = json.load(fh)
+    except ValueError:
+        return None
+    if not isinstance(saved, dict) or saved.get("fingerprint") != fingerprint:
+        return None
+    next_index = saved.get("next_index")
+    failures = saved.get("failures")
+    counterexamples = saved.get("counterexamples")
+    state = saved.get("state")
+    if (
+        type(next_index) is int
+        and 0 <= next_index <= n_items
+        and type(failures) is int
+        and 0 <= failures <= next_index
+        and isinstance(counterexamples, list)
+        and (failures == 0) == (not counterexamples)
+        and isinstance(state, dict)
+        and state.keys() == fresh_state.keys()
+        and all(type(state[k]) in (int, type(v)) for k, v in fresh_state.items())
+    ):
+        return next_index, failures, counterexamples, state
+    return None
 
 
 def _run_sweep(
@@ -231,20 +267,21 @@ def _run_sweep(
     start_index = 0
     failures = 0
     counterexamples: list[dict] = []
+    if cfg.checkpoint:
+        saved = _load_checkpoint(cfg.checkpoint, fingerprint, len(items), state)
+        if saved is not None:
+            start_index, failures, counterexamples, state = saved
 
-    if cfg.checkpoint and os.path.exists(cfg.checkpoint):
-        with open(cfg.checkpoint, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        next_index = saved.get("next_index")
-        if (
-            saved.get("fingerprint") == fingerprint
-            and isinstance(next_index, int)
-            and 0 <= next_index <= len(items)
-        ):
-            start_index = next_index
-            failures = saved["failures"]
-            counterexamples = saved["counterexamples"]
-            state = saved["state"]
+    def save(next_index: int) -> None:
+        data = {
+            "fingerprint": fingerprint,
+            "command": command,
+            "next_index": next_index,
+            "failures": failures,
+            "counterexamples": counterexamples,
+            "state": state,
+        }
+        write_text(cfg.checkpoint, json.dumps(data, sort_keys=True) + "\n")
 
     for index in range(start_index, len(items)):
         records = check(index, items[index], state)
@@ -253,30 +290,10 @@ def _run_sweep(
             counterexamples.extend(records)
         done = index + 1
         if cfg.checkpoint and done % CHECKPOINT_EVERY == 0:
-            _write_checkpoint(
-                cfg.checkpoint,
-                {
-                    "fingerprint": fingerprint,
-                    "command": command,
-                    "next_index": done,
-                    "failures": failures,
-                    "counterexamples": counterexamples,
-                    "state": state,
-                },
-            )
+            save(done)
 
     if cfg.checkpoint:
-        _write_checkpoint(
-            cfg.checkpoint,
-            {
-                "fingerprint": fingerprint,
-                "command": command,
-                "next_index": len(items),
-                "failures": failures,
-                "counterexamples": counterexamples,
-                "state": state,
-            },
-        )
+        save(len(items))
 
     return len(items), failures, counterexamples, state
 

@@ -5,19 +5,17 @@ import pytest
 from fultoncheck.cohomology import (
     class_product,
     intersection_number,
-    invariant_dim,
     nonvanishing_positions,
     problem_class,
     schubert_class,
-    unit_class,
 )
-from fultoncheck.partitions import IndexSet, Partition, SchubertProblem
+from fultoncheck.partitions import Partition, SchubertProblem
 
 P = Partition.parse
 
 
 def test_unit_class_is_neutral():
-    one = unit_class(2, 4)
+    one = schubert_class(P("0"), 2, 4)
     x = schubert_class(P("2,1"), 2, 4)
     assert class_product(one, x).as_dict() == x.as_dict()
 
@@ -94,11 +92,19 @@ def test_partition_outside_the_rectangle_is_refused():
 
 
 def test_invariant_dimensions_small_cases():
-    assert invariant_dim([P("1"), P("1")], 2) == 1
-    assert invariant_dim([P("1"), P("1"), P("1")], 2) == 0
-    assert invariant_dim([P("2"), P("1"), P("1")], 2) == 1
-    assert invariant_dim([P("1")] * 4, 2) == 2
-    assert invariant_dim([P("2,1")] * 3, 3) == 2
+    # SL(r) invariants of a tensor product of irreducibles with total weight
+    # r * m are counted by the intersection number on Gr(r, r + m).
+    cases = [
+        (["1", "1"], 2, 1),
+        (["2", "1", "1"], 2, 1),
+        (["1"] * 4, 2, 2),
+        (["2,1"] * 3, 3, 2),
+    ]
+    for lams, r, expected in cases:
+        parts = [P(text) for text in lams]
+        n = r + sum(lam.size for lam in parts) // r
+        problem = SchubertProblem.from_partitions(parts, n, r)
+        assert intersection_number(problem) == expected
 
 
 def test_nonvanishing_positions_excludes_zero_products():
@@ -114,7 +120,8 @@ def test_nonvanishing_positions_full_dimension_is_everything():
 
 
 def test_nonvanishing_positions_caps_total_codimension():
-    # d = 1 inside r = 2, s = 2, with a codimension cap of 0: only the pair
-    # of bottom positions survives.
-    got = list(nonvanishing_positions(1, 2, 2, max_codim=0))
-    assert [tuple(k.text() for k in t) for t in got] == [("2@2", "2@2")]
+    # A product of total codimension above dim Gr(d, r) = d(r - d) vanishes.
+    for d, r, s in [(1, 2, 2), (1, 3, 3), (2, 4, 3)]:
+        got = nonvanishing_positions(d, r, s)
+        assert got
+        assert all(sum(k.codim() for k in t) <= d * (r - d) for t in got)

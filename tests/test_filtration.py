@@ -4,19 +4,17 @@ import dataclasses
 import json
 import random
 
-import pytest
-
 from fultoncheck.field import field_from_name
 from fultoncheck.filtration import (
     TERMINATION_INJECTIVE,
     TERMINATION_KERNEL_VANISHED,
     TERMINATION_NO_MAPS,
     TERMINATION_TANGENT_ZERO,
-    answer_q1_q2,
     run_filtration_random,
     trace_to_dict,
     verify_trace,
 )
+from fultoncheck.homspace import generic_hom_dim
 from fultoncheck.partitions import IndexSet, SchubertProblem
 from fultoncheck.sweeps import rng_for
 
@@ -217,35 +215,32 @@ def test_audit_rejects_wrong_hom_dim():
 # ---------------------------------------------------------------------------
 
 
+# The intersection is generically nonempty exactly when the generic map-space
+# dimension equals the expected dimension.
+
+
 def test_answers_for_solvable_zero_dim_problem():
     prob = SchubertProblem.parse("2,4@4;2,4@4;2,4@4;2,4@4")
-    out = answer_q1_q2(prob, random.Random(3), PF)
-    assert out["generically_nonempty"] is True
-    assert out["generic_intersection_dim"] == 0
-    assert out["expected_dim"] == 0
+    assert generic_hom_dim(prob, random.Random(3), PF).dim == 0
+    assert prob.expected_dim() == 0
 
 
 def test_answers_for_unsolvable_zero_dim_problem():
     prob = SchubertProblem.parse("1,4@4;2,3@4")
-    out = answer_q1_q2(prob, random.Random(3), PF)
-    assert out["generically_nonempty"] is False
-    assert out["generic_intersection_dim"] == 1
-    assert out["expected_dim"] == 0
+    assert generic_hom_dim(prob, random.Random(3), PF).dim == 1
+    assert prob.expected_dim() == 0
 
 
 def test_answers_for_open_cell():
     prob = SchubertProblem.parse("3,4@4")
-    out = answer_q1_q2(prob, random.Random(3), PF)
-    assert out["generically_nonempty"] is True
-    assert out["generic_intersection_dim"] == 4
+    assert generic_hom_dim(prob, random.Random(3), PF).dim == 4
+    assert prob.expected_dim() == 4
 
 
 def test_answers_for_overdetermined_problem():
     prob = SchubertProblem.parse("1,4@4;1,4@4;1,4@4")
-    out = answer_q1_q2(prob, random.Random(3), PF)
-    assert out["generically_nonempty"] is False
-    assert out["generic_intersection_dim"] == 0
-    assert out["expected_dim"] == -2
+    assert generic_hom_dim(prob, random.Random(3), PF).dim == 0
+    assert prob.expected_dim() == -2
 
 
 def test_trace_seed_helper_matches_direct_runs():

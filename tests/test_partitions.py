@@ -12,7 +12,6 @@ from fultoncheck.partitions import (
     SchubertProblem,
     all_index_sets,
     partition_to_index,
-    partitions_up_to,
     partitions_with,
 )
 
@@ -73,11 +72,6 @@ def test_partitions_with_enumeration():
     assert [p.parts for p in partitions_with(2, 0)] == []
     total = sum(1 for _ in partitions_with(8, 8))
     assert total == 22  # number of partitions of 8
-
-
-def test_partitions_up_to_counts():
-    got = partitions_up_to(4, 2)
-    assert len(got) == 1 + 1 + 2 + 2 + 3
 
 
 # ---------------------------------------------------------------------------

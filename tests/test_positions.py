@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fultoncheck.field import PrimeField, RationalField, field_from_name
+from fultoncheck.field import RationalField, field_from_name
 from fultoncheck.linalg import (
     Flag,
     LinAlgError,
@@ -20,7 +20,6 @@ from fultoncheck.positions import (
     FlaggedSpace,
     dim_triple,
     falcon_compose,
-    induced_flag_quot,
     induced_flag_sub,
     positions_in,
     quotient_flagged,
@@ -107,28 +106,24 @@ def test_quotient_map_identities():
 def test_induced_quotient_flag_of_coordinate_line():
     e = Flag.standard(QF, 3)
     v = Subspace(Matrix.from_columns(QF, [[1, 0, 0]]))
-    q = induced_flag_quot(e, v)
-    assert q.n == 2
-    # images of e2, e3 under projection along e1 give the standard flag
-    assert q.matrix.is_invertible()
     quot, proj, comp = quotient_flagged(FlaggedSpace(3, (e,)), v.basis)
     assert (proj @ v.basis).is_zero()
-    assert quot.flags[0].matrix.rows == q.matrix.rows
+    # images of e2, e3 under projection along e1 give the standard flag
+    assert quot.flags[0].matrix.rows == Matrix.identity(QF, 2).rows
 
 
 def test_induced_quotient_flag_of_zero_space_is_original():
     e = Flag.standard(QF, 3)
-    v = Subspace.zero(QF, 3)
-    q = induced_flag_quot(e, v)
-    assert q.matrix.rows == e.matrix.rows
+    quot, _, _ = quotient_flagged(FlaggedSpace(3, (e,)), Matrix.zeros(QF, 3, 0))
+    assert quot.flags[0].matrix.rows == e.matrix.rows
 
 
 def test_induced_quotient_flag_rejects_ambient_mismatch():
-    v = Subspace(Matrix.from_columns(QF, [[1, 0, 0, 0]]))
+    line = Matrix.from_columns(QF, [[1, 0, 0, 0]])
     with pytest.raises(LinAlgError):
-        induced_flag_quot(Flag.standard(QF, 3), v)
+        quotient_flagged(FlaggedSpace(3, (Flag.standard(QF, 3),)), line)
     with pytest.raises(LinAlgError):
-        quotient_flagged(FlaggedSpace(3, ()), v.basis)
+        quotient_flagged(FlaggedSpace(3, ()), line)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +224,6 @@ def test_flagged_space_restrict_and_quotient():
         assert (proj @ basis).is_zero()
         assert (proj @ comp).rows == Matrix.identity(field, n - r).rows
         for f, q in zip(flags, quot.flags):
-            assert q.matrix.rows == induced_flag_quot(f, Subspace(basis)).matrix.rows
             # step b of the quotient flag is the image of E_{alpha(b)}, all of it
             alpha = schubert_position(Subspace(basis), f).complement().elements
             for b, level in enumerate(alpha, start=1):

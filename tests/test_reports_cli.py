@@ -35,6 +35,19 @@ from fultoncheck.sweeps import (
 
 
 # ---------------------------------------------------------------------------
+# Package exports
+# ---------------------------------------------------------------------------
+
+
+def test_package_exports_resolve_once():
+    import fultoncheck
+
+    assert len(fultoncheck.__all__) == len(set(fultoncheck.__all__))
+    missing = [name for name in fultoncheck.__all__ if not hasattr(fultoncheck, name)]
+    assert missing == []
+
+
+# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -200,12 +213,17 @@ def test_fulton_sweep_small_fixture():
 
 
 def test_crosscheck_checkpoint_resume_is_byte_identical(tmp_path):
-    ck = str(tmp_path / "ck.json")
-    cfg = SweepConfig(r_max=2, n_max=4, s_max=2, seed=5, checkpoint=ck)
-    first = cmd_crosscheck(cfg)
-    assert os.path.exists(ck)
-    resumed = cmd_crosscheck(cfg)
-    assert strip_volatile(first) == strip_volatile(resumed)
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=2, n_max=4, s_max=2, seed=5, checkpoint=str(ck))
+    first = strip_volatile(cmd_crosscheck(cfg))
+    assert ck.exists()
+    assert strip_volatile(cmd_crosscheck(cfg)) == first
+    # A mid-sweep checkpoint whose state counters are malformed is ignored.
+    saved = json.loads(ck.read_text())
+    restart = {**saved, "next_index": 3, "failures": 0, "counterexamples": []}
+    for state in ({}, {**saved["state"], "with_maps": "x"}, {**saved["state"], "with_maps": None}):
+        ck.write_text(json.dumps({**restart, "state": state}))
+        assert strip_volatile(cmd_crosscheck(cfg)) == first, state
 
 
 def test_checkpoint_with_other_config_is_ignored(tmp_path):
@@ -231,13 +249,32 @@ def test_checkpoint_with_forged_next_index_is_ignored(tmp_path, monkeypatch):
             return 2
         return real(mu, nu, lam)
 
-    # A forged checkpoint must not let a sweep pass with nothing checked.
+    # A forged checkpoint must not let a sweep pass with nothing checked,
+    # skip an instance, or crash: each of these is ignored like a stale one.
     monkeypatch.setattr(sweeps, "lr_coefficient", corrupted)
     fresh = strip_volatile(cmd_fulton(SweepConfig(r_max=2, size_max=4)))
     assert fresh["ok"] is False
-    for forged in (10**9, -1, "3"):
-        ck.write_text(json.dumps({**saved, "next_index": forged}))
-        assert strip_volatile(cmd_fulton(cfg)) == fresh
+    planted = {"failures": 1, "counterexamples": [{"kind": "planted"}]}
+    without_failures = {k: v for k, v in saved.items() if k != "failures"}
+    forgeries = [
+        {**saved, "next_index": 10**9},
+        {**saved, "next_index": -1},
+        {**saved, "next_index": "3"},
+        {**saved, **planted, "next_index": True},
+        [saved],
+        without_failures,
+        {**saved, "failures": "x"},
+        {**saved, "failures": -1},
+        {**saved, "failures": saved["next_index"] + 1},
+        {**saved, "counterexamples": {}},
+        {**saved, "counterexamples": [{"kind": "planted"}]},
+        {**saved, "state": {"planted": 1}},
+    ]
+    for forged in forgeries:
+        ck.write_text(json.dumps(forged))
+        assert strip_volatile(cmd_fulton(cfg)) == fresh, forged
+    ck.write_text("{not json")
+    assert strip_volatile(cmd_fulton(cfg)) == fresh
 
 
 def test_checkpoint_for_other_instances_is_ignored(tmp_path, monkeypatch):
@@ -354,6 +391,23 @@ def test_cli_rejects_bad_flags(capsys):
     assert cli.main(["fulton", "--no-such-flag"]) == 2
     assert cli.main([]) == 2
     assert cli.main(["fulton", "--r-max", "0"]) == 2
+
+
+def test_cli_unwritable_paths_are_usage_errors(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    sweep = ["fulton", "--r-max", "1", "--size-max", "2"]
+    for extra in (
+        ["--out", str(tmp_path)],
+        ["--out", str(blocker / "rep.json")],
+        ["--checkpoint", str(tmp_path)],
+        ["--checkpoint", str(blocker / "ck.json")],
+    ):
+        assert cli.main(sweep + extra) == 2, extra
+        assert capsys.readouterr().err.startswith("error: ")
+    argv = ["filtration", "--problem", "1,4@4;2,3@4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_csv_output(capsys):
