@@ -8,27 +8,30 @@ Subcommands:
   filtration   run and audit the kernel filtration for one problem
   lr           one coefficient through both enumeration engines
 
+`COMMANDS` names the flags each subcommand reads, and it takes no others;
+every subcommand also takes --seed, --out and --format.  Defaults come from
+`SweepConfig()`, and a report records the settings its command does not read
+at those defaults.  The master seed comes from --seed, else the
+FULTONCHECK_SEED environment variable, else a fixed default; the report
+echoes which source was used.
+
 Exit codes: 0 all checks passed, 1 a counterexample or failed audit was
-found, 2 usage or configuration error (including a report or checkpoint
-path that cannot be written).  The master seed comes from --seed,
-else the FULTONCHECK_SEED environment variable, else a fixed default; the
-report echoes which source was used.
+found, 2 usage or configuration error.  An --out or --checkpoint path that is
+a directory, or whose parent directory does not exist, is refused before any
+instance runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .field import field_from_name
-from .filtration import (
-    FiltrationError,
-    run_filtration_random,
-    trace_to_dict,
-    verify_trace,
-)
+from .filtration import FiltrationError, run_filtration_random, trace_to_dict, verify_trace
 from .homspace import GenericityError
 from .linalg import SamplingError
 from .littlewood import lr_coefficient, lr_coefficient_pieri
@@ -45,12 +48,9 @@ from .sweeps import (
     rng_for,
 )
 
-_SWEEPS = {
-    "fulton": cmd_fulton,
-    "saturation": cmd_saturation,
-    "crosscheck": cmd_crosscheck,
-    "semistable": cmd_semistable,
-}
+_DEFAULTS = SweepConfig()
+# Flags whose destination is a `SweepConfig` field; the seed is resolved apart.
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SweepConfig)} - {"seed"}
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -60,29 +60,138 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--r-max", type=int, default=2, dest="r_max",
-                        help="largest subspace dimension / partition length")
-    parser.add_argument("--size-max", type=int, default=6, dest="size_max",
-                        help="largest total partition size for coefficient sweeps")
-    parser.add_argument("--n-list", type=_parse_int_list, default=(2,), dest="n_list",
-                        help="comma-separated scaling factors, e.g. 2,3")
-    parser.add_argument("--n-max", type=int, default=5, dest="n_max",
-                        help="largest ambient dimension for intersection sweeps")
-    parser.add_argument("--s-max", type=int, default=3, dest="s_max",
-                        help="largest number of conditions per problem")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (falls back to FULTONCHECK_SEED, then default)")
-    parser.add_argument("--trials", type=int, default=3,
-                        help="consecutive agreeing samples required for generic values")
-    parser.add_argument("--field", default="prime",
-                        help="coefficient field: prime, prime:P, or rational")
-    parser.add_argument("--out", default=None,
-                        help="write the report to this path instead of stdout")
-    parser.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt",
-                        help="report format")
-    parser.add_argument("--checkpoint", default=None,
-                        help="checkpoint file for resumable sweeps")
+_FLAGS = {
+    "--r-max": dict(type=int, default=_DEFAULTS.r_max,
+                    help="largest subspace dimension / partition length"),
+    "--size-max": dict(type=int, default=_DEFAULTS.size_max,
+                       help="largest total partition size for coefficient sweeps"),
+    "--n-list": dict(type=_parse_int_list, default=_DEFAULTS.n_list,
+                     help="comma-separated scaling factors, e.g. 2,3"),
+    "--n-max": dict(type=int, default=_DEFAULTS.n_max,
+                    help="largest ambient dimension for intersection sweeps"),
+    "--s-max": dict(type=int, default=_DEFAULTS.s_max,
+                    help="largest number of conditions per problem"),
+    "--trials": dict(type=int, default=_DEFAULTS.trials,
+                     help="consecutive agreeing samples required for generic values"),
+    "--field": dict(default=_DEFAULTS.field_name, dest="field_name",
+                    help="coefficient field: prime, prime:P, or rational"),
+    "--checkpoint": dict(default=_DEFAULTS.checkpoint,
+                         help="checkpoint file for resumable sweeps"),
+    "--problem": dict(required=True,
+                      help='problem text, e.g. "1,4@4;2,3@4" for two conditions in C^4'),
+    "--mu": dict(type=Partition.parse, required=True, help='first factor, e.g. "2,1"'),
+    "--nu": dict(type=Partition.parse, required=True, help='second factor, e.g. "2,1"'),
+    "--lam": dict(type=Partition.parse, required=True, help='target shape, e.g. "3,2,1"'),
+    # Every subcommand takes these: every report records its seed, and any
+    # report can be written to a file in either format.
+    "--seed": dict(type=int, default=None,
+                   help="master seed (falls back to FULTONCHECK_SEED, then default)"),
+    "--out": dict(default=None, help="write the report to this path instead of stdout"),
+    "--format": dict(choices=["json", "csv"], default="json", dest="fmt",
+                     help="report format"),
+}
+_REPORT_FLAGS = ("--seed", "--out", "--format")
+
+
+def _run_filtration(args: argparse.Namespace, cfg: SweepConfig, seed_source: str) -> dict:
+    started = time.perf_counter()
+    problem = SchubertProblem.parse(args.problem)
+    fld = field_from_name(cfg.field_name)
+    extra = None
+    try:
+        trace = run_filtration_random(
+            problem,
+            rng_for(cfg.seed, f"filtration:{problem.text()}"),
+            fld,
+            trials=cfg.trials,
+            seed=cfg.seed,
+        )
+        audit = verify_trace(trace)
+    except (GenericityError, FiltrationError, SamplingError) as exc:
+        counterexamples = [{"kind": "run_error", "problem": problem.text(),
+                            "error": str(exc)}]
+    else:
+        extra = {"trace": trace_to_dict(trace, audit)}
+        counterexamples = [] if audit.ok else [
+            {
+                "kind": "trace_audit_failed",
+                "problem": problem.text(),
+                "failed_checks": [k for k, v in audit.checks.items() if not v],
+            }
+        ]
+    return make_report(
+        command="filtration",
+        config={"problem": problem.text(), "trials": cfg.trials, "field": cfg.field_name},
+        field_name=cfg.field_name,
+        seed=cfg.seed,
+        seed_source=seed_source,
+        instances=1,
+        failures=len(counterexamples),
+        counterexamples=counterexamples,
+        extra=extra,
+        wall_time_s=time.perf_counter() - started,
+    )
+
+
+def _run_lr(args: argparse.Namespace, cfg: SweepConfig, seed_source: str) -> dict:
+    started = time.perf_counter()
+    mu, nu, lam = args.mu, args.nu, args.lam
+    by_tableau = lr_coefficient(mu, nu, lam)
+    by_pieri = lr_coefficient_pieri(mu, nu, lam)
+    counterexamples = [] if by_tableau == by_pieri else [
+        {
+            "kind": "engine_mismatch",
+            "mu": mu.text(),
+            "nu": nu.text(),
+            "lam": lam.text(),
+            "tableau_engine": by_tableau,
+            "pieri_engine": by_pieri,
+        }
+    ]
+    return make_report(
+        command="lr",
+        config={"mu": mu.text(), "nu": nu.text(), "lam": lam.text()},
+        field_name=cfg.field_name,
+        seed=cfg.seed,
+        seed_source=seed_source,
+        instances=1,
+        failures=len(counterexamples),
+        counterexamples=counterexamples,
+        extra={"coefficient": by_tableau, "tableau_engine": by_tableau,
+               "pieri_engine": by_pieri},
+        wall_time_s=time.perf_counter() - started,
+    )
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]
+    run: Callable[[argparse.Namespace, SweepConfig, str], dict]
+
+
+_SCALING_FLAGS = ("--r-max", "--size-max", "--n-list", "--checkpoint")
+
+# The sweep entries look `cmd_*` up when they run, so a wrapper installed on
+# this module (as `perfbench/tracing.py` installs one) is the one called.
+COMMANDS = {
+    "fulton": Command("check that multiplicity one is preserved under scaling",
+                      _SCALING_FLAGS,
+                      lambda args, cfg, src: cmd_fulton(cfg, seed_source=src)),
+    "saturation": Command("check that vanishing is preserved under scaling",
+                          _SCALING_FLAGS,
+                          lambda args, cfg, src: cmd_saturation(cfg, seed_source=src)),
+    "crosscheck": Command("compare intersection numbers with generic map-space ranks",
+                          ("--r-max", "--n-max", "--s-max", "--trials", "--field",
+                           "--checkpoint"),
+                          lambda args, cfg, src: cmd_crosscheck(cfg, seed_source=src)),
+    "semistable": Command("check parabolic semistability on solvable problems",
+                          ("--r-max", "--n-max", "--s-max", "--checkpoint"),
+                          lambda args, cfg, src: cmd_semistable(cfg, seed_source=src)),
+    "filtration": Command("run and audit the kernel filtration for one problem",
+                          ("--problem", "--trials", "--field"), _run_filtration),
+    "lr": Command("compute one coefficient with both engines",
+                  ("--mu", "--nu", "--lam"), _run_lr),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,27 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification sweeps for Schubert-calculus identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in [
-        ("fulton", "check that multiplicity one is preserved under scaling"),
-        ("saturation", "check that vanishing is preserved under scaling"),
-        ("crosscheck", "compare intersection numbers with generic map-space ranks"),
-        ("semistable", "check parabolic semistability on solvable problems"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-
-    p = sub.add_parser("filtration", help="run and audit the kernel filtration for one problem")
-    _add_common(p)
-    p.add_argument("--problem", required=True,
-                   help='problem text, e.g. "1,4@4;2,3@4" for two conditions in C^4')
-
-    p = sub.add_parser("lr", help="compute one coefficient with both engines")
-    _add_common(p)
-    p.add_argument("--mu", type=Partition.parse, required=True, help='first factor, e.g. "2,1"')
-    p.add_argument("--nu", type=Partition.parse, required=True, help='second factor, e.g. "2,1"')
-    p.add_argument("--lam", type=Partition.parse, required=True, help='target shape, e.g. "3,2,1"')
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in (*command.flags, *_REPORT_FLAGS):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -127,6 +219,17 @@ def _resolve_seed(args: argparse.Namespace) -> tuple[int, str]:
     return DEFAULT_SEED, "default"
 
 
+def _check_target(flag: str, path: str | None) -> None:
+    """Refuse a report or checkpoint path that cannot be written, before any work."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path}: {parent} is not an existing directory")
+
+
 def _emit(report: dict, args: argparse.Namespace) -> None:
     text = to_json_str(report) if args.fmt == "json" else to_csv_str(report)
     if args.out:
@@ -135,137 +238,25 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _run_filtration(args: argparse.Namespace, seed: int, seed_source: str) -> int:
-    started = time.perf_counter()
-    problem = SchubertProblem.parse(args.problem)
-    fld = field_from_name(args.field)
-    config = {
-        "problem": problem.text(),
-        "trials": args.trials,
-        "field": args.field,
-    }
-    try:
-        trace = run_filtration_random(
-            problem,
-            rng_for(seed, f"filtration:{problem.text()}"),
-            fld,
-            trials=args.trials,
-            seed=seed,
-        )
-        audit = verify_trace(trace)
-    except (GenericityError, FiltrationError, SamplingError) as exc:
-        report = make_report(
-            command="filtration",
-            config=config,
-            field_name=args.field,
-            seed=seed,
-            seed_source=seed_source,
-            instances=1,
-            failures=1,
-            counterexamples=[{"kind": "run_error", "problem": problem.text(),
-                              "error": str(exc)}],
-            extra=None,
-            wall_time_s=time.perf_counter() - started,
-        )
-        _emit(report, args)
-        return 1
-    counterexamples = []
-    if not audit.ok:
-        counterexamples.append(
-            {
-                "kind": "trace_audit_failed",
-                "problem": problem.text(),
-                "failed_checks": [k for k, v in audit.checks.items() if not v],
-            }
-        )
-    report = make_report(
-        command="filtration",
-        config=config,
-        field_name=args.field,
-        seed=seed,
-        seed_source=seed_source,
-        instances=1,
-        failures=0 if audit.ok else 1,
-        counterexamples=counterexamples,
-        extra={"trace": trace_to_dict(trace, audit)},
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(report, args)
-    return 0 if audit.ok else 1
-
-
-def _run_lr(args: argparse.Namespace, seed: int, seed_source: str) -> int:
-    started = time.perf_counter()
-    mu, nu, lam = args.mu, args.nu, args.lam
-    by_tableau = lr_coefficient(mu, nu, lam)
-    by_pieri = lr_coefficient_pieri(mu, nu, lam)
-    ok = by_tableau == by_pieri
-    counterexamples = []
-    if not ok:
-        counterexamples.append(
-            {
-                "kind": "engine_mismatch",
-                "mu": mu.text(),
-                "nu": nu.text(),
-                "lam": lam.text(),
-                "tableau_engine": by_tableau,
-                "pieri_engine": by_pieri,
-            }
-        )
-    report = make_report(
-        command="lr",
-        config={"mu": mu.text(), "nu": nu.text(), "lam": lam.text()},
-        field_name=args.field,
-        seed=seed,
-        seed_source=seed_source,
-        instances=1,
-        failures=0 if ok else 1,
-        counterexamples=counterexamples,
-        extra={"coefficient": by_tableau, "tableau_engine": by_tableau,
-               "pieri_engine": by_pieri},
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(report, args)
-    return 0 if ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
+        _check_target("--out", args.out)
+        _check_target("--checkpoint", getattr(args, "checkpoint", None))
         seed, seed_source = _resolve_seed(args)
-
-        if args.command in _SWEEPS:
-            cfg = SweepConfig(
-                r_max=args.r_max,
-                size_max=args.size_max,
-                n_list=tuple(args.n_list),
-                n_max=args.n_max,
-                s_max=args.s_max,
-                seed=seed,
-                trials=args.trials,
-                field_name=args.field,
-                checkpoint=args.checkpoint,
-            )
-            report = _SWEEPS[args.command](cfg, seed_source=seed_source)
-            _emit(report, args)
-            return 0 if report["ok"] else 1
-
-        if args.command == "filtration":
-            return _run_filtration(args, seed, seed_source)
-
-        if args.command == "lr":
-            return _run_lr(args, seed, seed_source)
+        given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+        cfg = SweepConfig(**given, seed=seed)
+        report = COMMANDS[args.command].run(args, cfg, seed_source)
+        _emit(report, args)
     except (ConfigError, ValueError, OSError) as exc:
         # OSError: a report or checkpoint path that cannot be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    raise AssertionError(f"unhandled command: {args.command}")
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -219,81 +219,49 @@ def run_filtration(
             falcon_compose(prev_amb[j], rel_positions[j]) for j in range(s)
         )
 
-        if d == 0:
-            # The previous descent map was injective: the chain ends in the
-            # zero subspace, recorded as a genuine final level.
-            steps.append(
-                FiltrationStep(
-                    level=level,
-                    dim=0,
-                    rel_positions=rel_positions,
-                    amb_positions=amb_positions,
-                    tangent_dim=0,
-                    basis_in_parent=basis_in_parent,
-                    basis_in_ambient=basis_in_ambient,
-                    psi=None,
+        tangent_dim, psi = 0, None
+        if d > 0:
+            sub_space = restrict_flagged(parent_space, basis_in_parent)
+            quot_space, _, comp = quotient_flagged(parent_space, basis_in_parent)
+            rel_problem = SchubertProblem(parent_space.dim, d, rel_positions)
+            tangent = build_system(rel_problem, sub_space.flags, quot_space.flags)
+            tangent_dim = tangent.dim
+            if tangent_dim > 0:
+                psi, _ = _generic_kernel_element(
+                    tangent,
+                    rng,
+                    trials,
+                    context=f"level-{level} descent for {problem.text()}",
                 )
-            )
-            return finish(
-                phi=phi,
-                steps=steps,
-                termination=TERMINATION_KERNEL_VANISHED,
-                terminal_dim=0,
-                terminal_positions=amb_positions,
-                etas=etas,
-            )
-
-        sub_space = restrict_flagged(parent_space, basis_in_parent)
-        quot_space, _, comp = quotient_flagged(parent_space, basis_in_parent)
-        rel_problem = SchubertProblem(parent_space.dim, d, rel_positions)
-        tangent = build_system(rel_problem, sub_space.flags, quot_space.flags)
-
-        if tangent.dim == 0:
-            steps.append(
-                FiltrationStep(
-                    level=level,
-                    dim=d,
-                    rel_positions=rel_positions,
-                    amb_positions=amb_positions,
-                    tangent_dim=0,
-                    basis_in_parent=basis_in_parent,
-                    basis_in_ambient=basis_in_ambient,
-                    psi=None,
-                )
-            )
-            return finish(
-                phi=phi,
-                steps=steps,
-                termination=TERMINATION_TANGENT_ZERO,
-                terminal_dim=d,
-                terminal_positions=amb_positions,
-                etas=etas,
-            )
-
-        psi, _ = _generic_kernel_element(
-            tangent,
-            rng,
-            trials,
-            context=f"level-{level} descent for {problem.text()}",
-        )
-        next_dim = psi.ncols - psi.rank()
-        if next_dim >= d:
-            raise FiltrationError(
-                f"descent failed to shrink the subspace at level {level} "
-                f"for {problem.text()}"
-            )
+                if psi.ncols - psi.rank() >= d:
+                    raise FiltrationError(
+                        f"descent failed to shrink the subspace at level {level} "
+                        f"for {problem.text()}"
+                    )
         steps.append(
             FiltrationStep(
                 level=level,
                 dim=d,
                 rel_positions=rel_positions,
                 amb_positions=amb_positions,
-                tangent_dim=tangent.dim,
+                tangent_dim=tangent_dim,
                 basis_in_parent=basis_in_parent,
                 basis_in_ambient=basis_in_ambient,
                 psi=psi,
             )
         )
+        if psi is None:
+            # Either the previous descent map was injective (d == 0: the
+            # chain ends in the zero subspace, recorded as a genuine final
+            # level) or no constrained tangent map is left to descend with.
+            return finish(
+                phi=phi,
+                steps=steps,
+                termination=TERMINATION_KERNEL_VANISHED if d == 0 else TERMINATION_TANGENT_ZERO,
+                terminal_dim=d,
+                terminal_positions=amb_positions,
+                etas=etas,
+            )
         eta_prev = eta_prev @ comp @ psi
         etas.append(eta_prev)
         parent_space = sub_space

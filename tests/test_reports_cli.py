@@ -393,21 +393,84 @@ def test_cli_rejects_bad_flags(capsys):
     assert cli.main(["fulton", "--r-max", "0"]) == 2
 
 
-def test_cli_unwritable_paths_are_usage_errors(tmp_path, capsys):
+def test_cli_unwritable_paths_are_usage_errors(tmp_path, capsys, monkeypatch):
+    from fultoncheck.littlewood import lr_coefficient as real
+
+    calls = []
+
+    def counted(mu, nu, lam):
+        calls.append((mu, nu, lam))
+        return real(mu, nu, lam)
+
+    monkeypatch.setattr(sweeps, "lr_coefficient", counted)
     blocker = tmp_path / "file"
     blocker.write_text("")
+    missing = tmp_path / "missing"
     sweep = ["fulton", "--r-max", "1", "--size-max", "2"]
     for extra in (
         ["--out", str(tmp_path)],
         ["--out", str(blocker / "rep.json")],
+        ["--out", str(missing / "rep.json")],
         ["--checkpoint", str(tmp_path)],
         ["--checkpoint", str(blocker / "ck.json")],
+        ["--checkpoint", str(missing / "ck.json")],
     ):
         assert cli.main(sweep + extra) == 2, extra
         assert capsys.readouterr().err.startswith("error: ")
-    argv = ["filtration", "--problem", "1,4@4;2,3@4", "--out", str(tmp_path)]
+        assert calls == [], extra  # refused before the first instance ran
+        assert not missing.exists(), extra
+    for target in (tmp_path, missing / "rep.json"):
+        argv = ["filtration", "--problem", "1,4@4;2,3@4", "--out", str(target)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.exists()
+    # The same sweep with a writable target runs and consults the engine.
+    assert cli.main(sweep + ["--out", str(tmp_path / "rep.json")]) == 0
+    assert calls
+
+
+# Every (command, flag) pair the command never reads: each is refused.
+_UNREAD_FLAGS = {
+    "fulton": ("--n-max", "--s-max", "--trials", "--field"),
+    "saturation": ("--n-max", "--s-max", "--trials", "--field"),
+    "crosscheck": ("--size-max", "--n-list"),
+    "semistable": ("--size-max", "--n-list", "--trials", "--field"),
+    "filtration": ("--r-max", "--size-max", "--n-list", "--n-max", "--s-max", "--checkpoint"),
+    "lr": ("--r-max", "--size-max", "--n-list", "--n-max", "--s-max", "--trials", "--field",
+           "--checkpoint"),
+}
+_REQUIRED = {
+    "filtration": ["--problem", "1,4@4;2,3@4"],
+    "lr": ["--mu", "1", "--nu", "1", "--lam", "2"],
+}
+_FLAG_VALUES = {
+    "--r-max": "2", "--size-max": "3", "--n-list": "2", "--n-max": "4", "--s-max": "2",
+    "--trials": "3", "--field": "prime", "--checkpoint": "ck.json",
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command, flags in _UNREAD_FLAGS.items() for flag in flags],
+)
+def test_cli_refuses_flags_the_command_does_not_read(command, flag, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_REQUIRED.get(command, []), flag, _FLAG_VALUES[flag]]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fulton", "saturation", "crosscheck", "semistable"])
+def test_cli_sweep_defaults_are_sweep_config_defaults(command, capsys, monkeypatch):
+    """With no flags, a sweep runs and records exactly `SweepConfig()`'s settings."""
+    monkeypatch.delenv("FULTONCHECK_SEED", raising=False)
+    code, out = _run_cli(capsys, [command])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["config"] == SweepConfig(seed=sweeps.DEFAULT_SEED).as_dict()
+    assert rep["field"] == SweepConfig().field_name
 
 
 def test_cli_csv_output(capsys):
