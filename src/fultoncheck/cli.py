@@ -72,7 +72,8 @@ _FLAGS = {
     "--s-max": dict(type=int, default=_DEFAULTS.s_max,
                     help="largest number of conditions per problem"),
     "--trials": dict(type=int, default=_DEFAULTS.trials,
-                     help="consecutive agreeing samples required for generic values"),
+                     help="consecutive agreeing samples required for a generic value "
+                          "that no sample certifies at its proven floor"),
     "--field": dict(default=_DEFAULTS.field_name, dest="field_name",
                     help="coefficient field: prime, prime:P, or rational"),
     "--checkpoint": dict(default=_DEFAULTS.checkpoint,
@@ -194,12 +195,27 @@ COMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Refuses flags its subcommand does not take, under its own usage line.
+
+    A plain subparser hands leftover arguments to the top-level parser, whose
+    error would print the top-level usage instead of the subcommand's flags.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fultoncheck",
         description="Exact verification sweeps for Schubert-calculus identities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag in (*command.flags, *_REPORT_FLAGS):

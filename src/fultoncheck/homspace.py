@@ -12,9 +12,15 @@ nested step conditions reduce to one condition per flag generator, giving
 exactly sum_j codim(I^j) constraint rows; the dimension of the solution space
 is therefore always at least the expected dimension of the problem.
 
-Generic dimensions are estimated by sampling random flag tuples and taking the
-minimum (kernel dimension is upper-semicontinuous, so every sample is an upper
-bound attained generically).
+Generic dimensions come from sampling random flag tuples and taking the
+minimum. Kernel dimension is upper-semicontinuous, so every sample is an upper
+bound, attained generically: a sample's kernel dimension over F_p is never
+below the generic dimension over C. That in turn is never below
+max(0, expected_dim), since the system has exactly total-codim rows. A sample
+that lands on this floor therefore proves the generic value (the result is
+`certified`), and sampling stops there; only values above the floor rest on
+`trials` agreeing samples. A sample below the floor can only come from a
+broken solver and raises `GenericityError`.
 """
 
 from __future__ import annotations
@@ -176,28 +182,49 @@ def sample_generic(system: HomSystem, rng: Random) -> Matrix:
 @dataclass(frozen=True)
 class GenericDimResult:
     dim: int
-    agreed: bool  # True when the first `trials` samples already coincided
+    agreed: bool  # True when no sample disagreed: the first one was certified,
+    # or the first `trials` coincided
     samples: tuple[int, ...]
+    certified: bool = False  # True when a sample hit the proven floor
 
 
 def stabilized_min(
     draw: Callable[[], int],
     trials: int,
     context: str,
+    floor: int | None = None,
 ) -> GenericDimResult:
-    """Sample integer dimensions until the generic (minimal) value stabilizes.
+    """Sample integer dimensions until the generic (minimal) value is settled.
 
-    Accepts when the most recent `trials` samples all equal the running
-    minimum. The first `trials` samples agreeing is the normal case; any
-    disagreement triggers fresh samples, up to `MAX_TOTAL_TRIALS` in all,
-    after which a hard error names the instance rather than letting an
-    unstable value through.
+    With a `floor` (a proven lower bound on the generic value), a sample
+    equal to it settles the value at once: the result is `certified` and no
+    further draw is made. A sample below the floor is impossible for a
+    correct solver, so it raises `GenericityError` naming the instance.
+
+    Otherwise the value is accepted when the most recent `trials` samples all
+    equal the running minimum. The first `trials` samples agreeing is the
+    normal case; any disagreement triggers fresh samples, up to
+    `MAX_TOTAL_TRIALS` in all, after which a hard error names the instance
+    rather than letting an unstable value through.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     samples: list[int] = []
     for _ in range(MAX_TOTAL_TRIALS):
-        samples.append(draw())
+        sample = draw()
+        samples.append(sample)
+        if floor is not None and sample <= floor:
+            if sample < floor:
+                raise GenericityError(
+                    f"dimension sample {sample} is below the proven floor {floor} "
+                    f"for {context}: {samples}"
+                )
+            return GenericDimResult(
+                dim=sample,
+                agreed=len(samples) == 1,
+                samples=tuple(samples),
+                certified=True,
+            )
         if len(samples) >= trials:
             tail = samples[-trials:]
             if all(x == tail[0] for x in tail) and tail[0] == min(samples):
@@ -228,12 +255,19 @@ def generic_hom_dim(
 ) -> GenericDimResult:
     """Dimension of the constrained map space at generic flags.
 
-    Each sample draws fresh random flag tuples and solves the system exactly;
-    the generic value is the stabilized minimum across samples.
+    Each sample draws fresh random flag tuples and solves the system exactly.
+    The floor is max(0, expected_dim): a sample there is the generic value,
+    certified, and ends the sampling; otherwise the generic value is the
+    stabilized minimum across samples.
     """
 
     def draw() -> int:
         subs, quots = random_flag_tuples(problem, rng, field)
         return build_system(problem, subs, quots, audit=False).dim
 
-    return stabilized_min(draw, trials, context=f"problem {problem.text()}")
+    return stabilized_min(
+        draw,
+        trials,
+        context=f"problem {problem.text()}",
+        floor=max(0, problem.expected_dim()),
+    )

@@ -29,6 +29,13 @@ class SamplingError(RuntimeError):
     """Random sampling failed to produce a full-rank object within the cap."""
 
 
+def _reduce(field: Field, work: list[list]) -> tuple[list[list], list[int]]:
+    """RREF of a fresh work list (consumed) and its pivot columns."""
+    if isinstance(field, PrimeField):
+        return rref_mod(work, field.p)
+    return rref_frac(work)
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable matrix; `rows` is a tuple of row tuples of field elements."""
@@ -128,11 +135,7 @@ class Matrix:
         if cached is not None:
             return cached
         f = self.field
-        work = [list(row) for row in self.rows]
-        if isinstance(f, PrimeField):
-            red, piv = rref_mod(work, f.p)
-        else:
-            red, piv = rref_frac(work)
+        red, piv = _reduce(f, [list(row) for row in self.rows])
         cached = self.__dict__["_echelon"] = (
             Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in red)),
             tuple(piv),
@@ -161,13 +164,21 @@ class Matrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
     def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
+        """The inverse, read off one reduction of a fresh `[M | I]` work list."""
+        n = self.nrows
+        if n != self.ncols:
             raise LinAlgError("inverse of non-square matrix")
-        aug = self.hstack(Matrix.identity(self.field, self.nrows))
-        red, piv = aug.rref()
-        if len(piv) < self.nrows or any(pc >= self.nrows for pc in piv):
+        f = self.field
+        one, zero = f.one, f.zero
+        work = []
+        for i, row in enumerate(self.rows):
+            unit = [zero] * n
+            unit[i] = one
+            work.append([*row, *unit])
+        red, piv = _reduce(f, work)
+        if len(piv) < n or any(pc >= n for pc in piv):
             raise LinAlgError("matrix is singular")
-        return red.take_columns(range(self.nrows, 2 * self.nrows))
+        return Matrix(f, n, n, tuple(tuple(row[n:]) for row in red))
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,47 @@ def test_singular_matrix_has_no_inverse():
         m.inverse()
 
 
+def test_inverse_of_empty_matrix():
+    for field in (PF, QF):
+        empty = Matrix(field, 0, 0, ())
+        assert empty.inverse() == empty
+
+
+def test_inverse_refuses_singular_and_nonsquare():
+    for field in (field_from_name("prime:2"), PF, QF):
+        for rows in ([[0]], [[1, 1], [1, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+                     [[1, 0]], [[1], [0]]):
+            with pytest.raises(LinAlgError):
+                Matrix.from_rows(field, rows).inverse()
+    with pytest.raises(LinAlgError):
+        Matrix(PF, 0, 2, ()).inverse()
+
+
+@pytest.mark.parametrize("name", ["prime:2", "prime:101", "rational"])
+def test_inverse_matches_augmented_rref_route(name):
+    """`inverse` agrees with reducing `hstack(m, I)` through `Matrix.rref`."""
+    field = field_from_name(name)
+    rng = random.Random(17)
+    seen = {"invertible": 0, "singular": 0}
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = list(rows[0])  # force a singular matrix
+        m = Matrix.from_rows(field, rows)
+        red, piv = m.hstack(Matrix.identity(field, n)).rref()
+        if len(piv) == n and all(pc < n for pc in piv):
+            inv = m.inverse()
+            assert inv == red.take_columns(range(n, 2 * n))
+            assert m @ inv == Matrix.identity(field, n)
+            seen["invertible"] += 1
+        else:
+            with pytest.raises(LinAlgError):
+                m.inverse()
+            seen["singular"] += 1
+    assert min(seen.values()) > 0
+
+
 # ---------------------------------------------------------------------------
 # Matrices: properties
 # ---------------------------------------------------------------------------

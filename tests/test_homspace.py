@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from fultoncheck.cohomology import intersection_number
 from fultoncheck.field import field_from_name
 from fultoncheck.homspace import (
+    GenericDimResult,
     GenericityError,
     HomAuditError,
     audit_system,
@@ -19,6 +21,7 @@ from fultoncheck.homspace import (
 )
 from fultoncheck.linalg import contained_in, random_flag
 from fultoncheck.partitions import SchubertProblem
+from fultoncheck.sweeps import enumerate_problems, rng_for
 
 PF = field_from_name("prime")
 
@@ -134,11 +137,30 @@ def test_repeated_flag_specialization_increases_dimension():
 
 
 def test_generic_hom_dim_reports_samples():
+    # Generic dimension 2 equals expected_dim, the floor: one sample proves it.
     res = generic_hom_dim(SchubertProblem.parse("2,4@4;2,4@4"), random.Random(1), PF)
     assert res.dim == 2
     assert res.agreed
-    assert len(res.samples) == 3
-    assert all(s == 2 for s in res.samples)
+    assert res.samples == (2,)
+    assert res.certified
+
+
+def test_generic_hom_dim_above_the_floor_needs_agreeing_samples():
+    problem = SchubertProblem.parse("1,4@4;2,3@4")
+    assert max(0, problem.expected_dim()) == 0
+    res = generic_hom_dim(problem, random.Random(1), PF, trials=3)
+    assert res.dim == 1
+    assert res.samples == (1, 1, 1)
+    assert not res.certified
+
+
+def test_positive_problems_are_certified_by_one_sample():
+    positive = [p for p in enumerate_problems(2, 5, 3) if intersection_number(p) > 0]
+    assert positive
+    for problem in positive:
+        res = generic_hom_dim(problem, rng_for(101, f"hom:{problem.text()}"), PF)
+        assert res.samples == (0,), problem.text()
+        assert res.certified and res.dim == 0
 
 
 def test_stabilized_min_accepts_late_stabilization():
@@ -147,18 +169,59 @@ def test_stabilized_min_accepts_late_stabilization():
     assert res.dim == 3
     assert not res.agreed
     assert res.samples == (5, 3, 3, 3)
+    assert not res.certified  # without a floor nothing is certified
 
 
 def test_stabilized_min_agrees_immediately():
     feed = iter([2, 2, 2])
     res = stabilized_min(lambda: next(feed), trials=3, context="synthetic")
-    assert res.dim == 2 and res.agreed
+    assert res.dim == 2 and res.agreed and not res.certified
 
 
 def test_stabilized_min_raises_when_never_stable():
     feed = iter(range(100, 0, -1))
     with pytest.raises(GenericityError):
         stabilized_min(lambda: next(feed), trials=3, context="synthetic")
+
+
+def _counting(values):
+    calls = []
+    feed = iter(values)
+
+    def draw():
+        calls.append(None)
+        return next(feed)
+
+    return draw, calls
+
+
+def test_stabilized_min_stops_at_the_floor():
+    draw, calls = _counting([2, 2, 2])
+    res = stabilized_min(draw, trials=3, context="synthetic", floor=2)
+    assert len(calls) == 1
+    assert res == GenericDimResult(dim=2, agreed=True, samples=(2,), certified=True)
+
+
+def test_stabilized_min_reaches_the_floor_late():
+    draw, calls = _counting([5, 4, 4, 1, 7])
+    res = stabilized_min(draw, trials=3, context="synthetic", floor=1)
+    assert len(calls) == 4
+    assert res.dim == 1 and res.certified and not res.agreed
+    assert res.samples == (5, 4, 4, 1)
+
+
+def test_stabilized_min_above_the_floor_still_needs_trials():
+    draw, calls = _counting([3, 3, 3, 0])
+    res = stabilized_min(draw, trials=3, context="synthetic", floor=1)
+    assert len(calls) == 3
+    assert res == GenericDimResult(dim=3, agreed=True, samples=(3, 3, 3), certified=False)
+
+
+def test_stabilized_min_below_the_floor_is_a_fault():
+    draw, calls = _counting([3, 1, 2])
+    with pytest.raises(GenericityError, match="below the proven floor 2 for synthetic"):
+        stabilized_min(draw, trials=3, context="synthetic", floor=2)
+    assert len(calls) == 2
 
 
 def test_audit_catches_planted_violation():

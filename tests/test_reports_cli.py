@@ -458,7 +458,10 @@ def test_cli_refuses_flags_the_command_does_not_read(command, flag, tmp_path, ca
     monkeypatch.chdir(tmp_path)
     argv = [command, *_REQUIRED.get(command, []), flag, _FLAG_VALUES[flag]]
     assert cli.main(argv) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    # The usage line is the subcommand's, which lists the flags it does take.
+    assert err.startswith(f"usage: fultoncheck {command} ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -553,9 +556,25 @@ def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
 
 
 def test_cli_crosscheck_small_prime_reports_run_errors(tmp_path, capsys):
-    out_path = tmp_path / "rep.json"
+    # Over F_3, `2@4;3@4` reaches its dimension floor 0 at some sample, which
+    # certifies the generic value, so this range has no run_error at all.
+    out_path = tmp_path / "small.json"
     code = cli.main(
         ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3",
+         "--field", "prime:3", "--seed", "1", "--out", str(out_path)]
+    )
+    assert code == 1
+    rep = json.loads(out_path.read_text())
+    assert rep["counts"]["instances"] == 69
+    assert not [c for c in rep["counterexamples"] if c["kind"] == "run_error"]
+    assert "2@4;3@4" not in {
+        c["problem"] for c in rep["counterexamples"]
+        if c["kind"] in ("run_error", "count_rank_mismatch")
+    }
+
+    out_path = tmp_path / "rep.json"
+    code = cli.main(
+        ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "4",
          "--field", "prime:3", "--seed", "1", "--out", str(out_path)]
     )
     err = capsys.readouterr().err
@@ -563,9 +582,9 @@ def test_cli_crosscheck_small_prime_reports_run_errors(tmp_path, capsys):
     assert "Traceback" not in err
     rep = json.loads(out_path.read_text())
     assert rep["ok"] is False
-    assert rep["counts"]["instances"] == 69
-    # Over F_3 some samples never stabilize (run_error); others settle on a
-    # non-generic value, which the other checks report.
+    assert rep["counts"]["instances"] == 114
+    # Over F_3 some samples above the floor never stabilize (run_error);
+    # others settle on a non-generic value, which the other checks report.
     errors = [c for c in rep["counterexamples"] if c["kind"] == "run_error"]
+    assert errors
     assert all(set(c) == {"kind", "index", "problem", "error"} for c in errors)
-    assert "2@4;3@4" in {c["problem"] for c in errors}
