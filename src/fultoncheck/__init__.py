@@ -68,7 +68,6 @@ from .partitions import (
 from .positions import (
     dim_triple,
     falcon_compose,
-    induced_flag_sub,
     rappel_delta,
     schubert_position,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "partitions_with",
     "dim_triple",
     "falcon_compose",
-    "induced_flag_sub",
     "rappel_delta",
     "schubert_position",
     "ParabolicWeights",

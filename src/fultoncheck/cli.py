@@ -266,6 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         seed, seed_source = _resolve_seed(args)
         given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
         cfg = SweepConfig(**given, seed=seed)
+        cfg.validate()
         report = COMMANDS[args.command].run(args, cfg, seed_source)
         _emit(report, args)
     except (ConfigError, ValueError, OSError) as exc:

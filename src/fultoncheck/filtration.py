@@ -31,20 +31,13 @@ from .homspace import (
     GenericDimResult,
     HomSystem,
     build_system,
+    random_flag_tuples,
     sample_generic,
     stabilized_min,
 )
-from .linalg import Flag, Matrix
+from .linalg import Flag, Matrix, contained_in
 from .partitions import IndexSet, SchubertProblem
-from .positions import (
-    FlaggedSpace,
-    dim_triple,
-    falcon_compose,
-    positions_in,
-    quotient_flagged,
-    rappel_delta,
-    restrict_flagged,
-)
+from .positions import FlaggedSpace, dim_triple, falcon_compose, positions_in, rappel_delta
 
 TERMINATION_NO_MAPS = "no_maps"
 TERMINATION_INJECTIVE = "injective"
@@ -214,15 +207,13 @@ def run_filtration(
             )
         d = basis_in_parent.ncols
         basis_in_ambient = parent_basis_ambient @ basis_in_parent
-        rel_positions = positions_in(parent_space, basis_in_parent)
+        rel_positions, sub_space, quot_space, comp = parent_space.cut(basis_in_parent)
         amb_positions = tuple(
             falcon_compose(prev_amb[j], rel_positions[j]) for j in range(s)
         )
 
         tangent_dim, psi = 0, None
         if d > 0:
-            sub_space = restrict_flagged(parent_space, basis_in_parent)
-            quot_space, _, comp = quotient_flagged(parent_space, basis_in_parent)
             rel_problem = SchubertProblem(parent_space.dim, d, rel_positions)
             tangent = build_system(rel_problem, sub_space.flags, quot_space.flags)
             tangent_dim = tangent.dim
@@ -279,8 +270,6 @@ def run_filtration_random(
     seed: int | None = None,
 ) -> FiltrationTrace:
     """Sample fresh flag tuples, then run the recursion at them."""
-    from .homspace import random_flag_tuples
-
     subs, quots = random_flag_tuples(problem, rng, fld)
     return run_filtration(problem, subs, quots, rng, trials=trials, seed=seed)
 
@@ -413,19 +402,18 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
     geo_ok = True
     geo_msg = ""
     try:
-        space = FlaggedSpace(r, trace.sub_flags)
+        ambient = space = FlaggedSpace(r, trace.sub_flags)
         for step in trace.steps:
-            rel = positions_in(space, step.basis_in_parent)
+            rel, space, _, _ = space.cut(step.basis_in_parent)
             if rel != step.rel_positions:
                 geo_ok = False
                 geo_msg = f"level {step.level}: relative positions differ"
                 break
-            amb = positions_in(FlaggedSpace(r, trace.sub_flags), step.basis_in_ambient)
+            amb = positions_in(ambient, step.basis_in_ambient)
             if amb != step.amb_positions:
                 geo_ok = False
                 geo_msg = f"level {step.level}: ambient positions differ"
                 break
-            space = restrict_flagged(space, step.basis_in_parent)
     except Exception as exc:  # exact arithmetic: any failure is a real defect
         geo_ok = False
         geo_msg = f"replay error: {exc}"
@@ -451,8 +439,6 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
     cont_msg = ""
     if trace.etas:
         field = trace.etas[0].field
-        from .linalg import contained_in
-
         m = problem.n - r
         for u, eta in enumerate(trace.etas):
             amb_basis = (

@@ -103,17 +103,14 @@ class Matrix:
         if self.ncols != other.nrows or self.field != other.field:
             raise LinAlgError("matmul shape or field mismatch")
         f = self.field
+        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         if isinstance(f, PrimeField):
             p = f.p
-            bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
             out = tuple(
                 tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
                 for row in self.rows
             )
-            if not self.rows:
-                out = ()
             return Matrix(f, self.nrows, other.ncols, out)
-        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         out = tuple(
             tuple(sum((x * y for x, y in zip(row, col)), f.zero) for col in bt)
             for row in self.rows

@@ -4,8 +4,9 @@ The position of a d-dimensional V with respect to a complete flag E is the
 set of levels u where dim(V ∩ E_u) jumps. Induced flags come with explicit
 coordinates: on V, an ordered basis adapted to the jump levels, expressed in
 V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
-a fixed complement basis chosen once per call. `quotient_flagged` builds every
-quotient flag.
+a fixed complement basis chosen once per call. `FlaggedSpace.cut` builds every
+induced flag, reading positions, sub flag and quotient flag off one jump
+profile per flag.
 """
 
 from __future__ import annotations
@@ -46,19 +47,6 @@ def schubert_position(v: Subspace, e: Flag) -> IndexSet:
     coords = e.inverse @ v.basis
     items = _bottom_pivot_profile(coords)
     return IndexSet(e.n, tuple(level for level, _ in items))
-
-
-def induced_flag_sub(e: Flag, v: Subspace) -> Flag:
-    """The flag E_a(V) = E_{i_a} ∩ V on V, in the coordinates of V's basis.
-
-    Column a of the result is the a-th adapted jump vector.
-    """
-    if v.ambient_dim != e.n:
-        raise LinAlgError("subspace and flag ambient dimensions differ")
-    coords = e.inverse @ v.basis
-    items = _bottom_pivot_profile(coords)
-    cols = [coeff for _, coeff in items]
-    return Flag(Matrix.from_columns(v.field, cols, nrows=v.dim))
 
 
 def _complement_columns(basis: Matrix) -> list[int]:
@@ -151,33 +139,39 @@ class FlaggedSpace:
     def s(self) -> int:
         return len(self.flags)
 
+    def cut(
+        self, basis: Matrix
+    ) -> tuple[tuple[IndexSet, ...], "FlaggedSpace", "FlaggedSpace", Matrix]:
+        """Cut the space along V = span(basis): (positions, sub, quot, comp).
+
+        `positions` holds the position I of V against each flag E. `sub`
+        carries E_a(V) = E_{i_a} ∩ V in the coordinates of `basis`. `quot`
+        carries on W/V the flag whose step b is the image of E_{alpha(b)},
+        alpha = [n] \\ I, in the coordinates of the complement basis `comp`
+        (the projection is the one `quotient_map` returns). All three come
+        from one jump profile per flag.
+        """
+        if basis.nrows != self.dim:
+            raise LinAlgError("subspace and flag ambient dimensions differ")
+        v = Subspace(basis)
+        proj, comp = quotient_map(v)
+        positions, subs, quots = [], [], []
+        for f in self.flags:
+            items = _bottom_pivot_profile(f.inverse @ basis)
+            pos = IndexSet(self.dim, tuple(level for level, _ in items))
+            positions.append(pos)
+            subs.append(Flag(Matrix.from_columns(v.field, [c for _, c in items], nrows=v.dim)))
+            alpha = pos.complement().elements
+            quots.append(Flag(proj @ f.matrix.take_columns([a - 1 for a in alpha])))
+        return (
+            tuple(positions),
+            FlaggedSpace(v.dim, tuple(subs)),
+            FlaggedSpace(self.dim - v.dim, tuple(quots)),
+            comp,
+        )
+
 
 def positions_in(space: FlaggedSpace, basis: Matrix) -> tuple[IndexSet, ...]:
+    """Positions of span(basis) against each flag of the space."""
     v = Subspace(basis)
     return tuple(schubert_position(v, f) for f in space.flags)
-
-
-def restrict_flagged(space: FlaggedSpace, basis: Matrix) -> FlaggedSpace:
-    """Induced flags on the subspace spanned by `basis` (its columns become
-    the coordinate system of the restricted space)."""
-    v = Subspace(basis)
-    return FlaggedSpace(basis.ncols, tuple(induced_flag_sub(f, v) for f in space.flags))
-
-
-def quotient_flagged(space: FlaggedSpace, basis: Matrix) -> tuple[FlaggedSpace, Matrix, Matrix]:
-    """Induced flags on the quotient by V = span(basis); returns (quotient space,
-    projection, complement basis), with the projection written in complement
-    coordinates. Flag b of W/V is the image of E_{alpha(b)}, alpha = [n] \\ I,
-    where I is the position of V against E. This is the only routine that
-    builds quotient flags.
-    """
-    if basis.nrows != space.dim:
-        raise LinAlgError("subspace and flag ambient dimensions differ")
-    v = Subspace(basis)
-    proj, comp = quotient_map(v)
-    flags = []
-    for f in space.flags:
-        alpha = schubert_position(v, f).complement().elements
-        cols = f.matrix.take_columns([a - 1 for a in alpha])
-        flags.append(Flag(proj @ cols))
-    return FlaggedSpace(space.dim - basis.ncols, tuple(flags)), proj, comp

@@ -23,9 +23,9 @@ from fultoncheck.partitions import (
     partitions_with,
 )
 from fultoncheck.positions import (
+    FlaggedSpace,
     dim_triple,
     falcon_compose,
-    induced_flag_sub,
     rappel_delta,
     schubert_position,
 )
@@ -194,17 +194,16 @@ def test_criterion_6_chain_identities_hold_exactly(criterion_lines):
         w = Subspace(v.basis @ c)
         flags = [random_flag(PF, n, rng) for _ in range(s)]
         i_sets = tuple(schubert_position(v, e) for e in flags)
-        k_sets = tuple(
-            schubert_position(w_in_v, induced_flag_sub(e, v)) for e in flags
-        )
+        cut_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
+        k_sets = tuple(schubert_position(w_in_v, l) for l in inner.flags)
         direct = tuple(schubert_position(w, e) for e in flags)
         composed = tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets))
         ledger = dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)
         checked += 1
-        if composed != direct or not ledger:
+        if cut_sets != i_sets or composed != direct or not ledger:
             bad += 1
     ok = checked == 1000 and bad == 0
-    detail = f"{checked} random flagged chains: {bad} violations of composition or dimension ledger"
+    detail = f"{checked} random flagged chains: {bad} violations of position, composition or dimension ledger"
     assert _record(criterion_lines, 6, ok, detail)
 
 

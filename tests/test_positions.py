@@ -20,12 +20,9 @@ from fultoncheck.positions import (
     FlaggedSpace,
     dim_triple,
     falcon_compose,
-    induced_flag_sub,
     positions_in,
-    quotient_flagged,
     quotient_map,
     rappel_delta,
-    restrict_flagged,
     schubert_position,
 )
 
@@ -84,7 +81,7 @@ def test_induced_flag_on_subspace_realizes_jumps():
         v = random_subspace(PF, n, r, rng)
         e = random_flag(PF, n, rng)
         pos = schubert_position(v, e)
-        l = induced_flag_sub(e, v)
+        l = FlaggedSpace(n, (e,)).cut(v.basis)[1].flags[0]
         # the a-th induced step, sent back to ambient coordinates, lies in
         # the Schubert level where the a-th jump happens
         for a in range(1, r + 1):
@@ -106,7 +103,9 @@ def test_quotient_map_identities():
 def test_induced_quotient_flag_of_coordinate_line():
     e = Flag.standard(QF, 3)
     v = Subspace(Matrix.from_columns(QF, [[1, 0, 0]]))
-    quot, proj, comp = quotient_flagged(FlaggedSpace(3, (e,)), v.basis)
+    _, _, quot, comp = FlaggedSpace(3, (e,)).cut(v.basis)
+    proj, comp_again = quotient_map(v)
+    assert comp == comp_again
     assert (proj @ v.basis).is_zero()
     # images of e2, e3 under projection along e1 give the standard flag
     assert quot.flags[0].matrix.rows == Matrix.identity(QF, 2).rows
@@ -114,16 +113,16 @@ def test_induced_quotient_flag_of_coordinate_line():
 
 def test_induced_quotient_flag_of_zero_space_is_original():
     e = Flag.standard(QF, 3)
-    quot, _, _ = quotient_flagged(FlaggedSpace(3, (e,)), Matrix.zeros(QF, 3, 0))
+    _, _, quot, _ = FlaggedSpace(3, (e,)).cut(Matrix.zeros(QF, 3, 0))
     assert quot.flags[0].matrix.rows == e.matrix.rows
 
 
 def test_induced_quotient_flag_rejects_ambient_mismatch():
     line = Matrix.from_columns(QF, [[1, 0, 0, 0]])
     with pytest.raises(LinAlgError):
-        quotient_flagged(FlaggedSpace(3, (Flag.standard(QF, 3),)), line)
+        FlaggedSpace(3, (Flag.standard(QF, 3),)).cut(line)
     with pytest.raises(LinAlgError):
-        quotient_flagged(FlaggedSpace(3, ()), line)
+        FlaggedSpace(3, ()).cut(line)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +192,9 @@ def test_chain_identity_on_random_subspace_chains():
         w_in_v = Subspace(c)
         w = Subspace(v.basis @ c)
         flags = [random_flag(PF, n, rng) for _ in range(s)]
-        i_sets = tuple(schubert_position(v, e) for e in flags)
-        induced = [induced_flag_sub(e, v) for e in flags]
-        k_sets = tuple(schubert_position(w_in_v, l) for l in induced)
+        i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
+        assert i_sets == tuple(schubert_position(v, e) for e in flags)
+        k_sets = tuple(schubert_position(w_in_v, l) for l in inner.flags)
         direct = tuple(schubert_position(w, e) for e in flags)
         assert tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets)) == direct
         assert dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)
@@ -213,13 +212,14 @@ def test_flagged_space_restrict_and_quotient():
         flags = tuple(random_flag(field, n, rng) for _ in range(2))
         space = FlaggedSpace(n, flags)
         basis = random_subspace(field, n, r, rng).basis
-        inner = restrict_flagged(space, basis)
+        positions, inner, quot, comp = space.cut(basis)
         assert inner.dim == r
         assert inner.s == 2
-        assert positions_in(space, basis) == tuple(
+        assert positions == positions_in(space, basis) == tuple(
             schubert_position(Subspace(basis), f) for f in flags
         )
-        quot, proj, comp = quotient_flagged(space, basis)
+        proj, comp_again = quotient_map(Subspace(basis))
+        assert comp == comp_again
         assert quot.dim == n - r
         assert (proj @ basis).is_zero()
         assert (proj @ comp).rows == Matrix.identity(field, n - r).rows
@@ -230,3 +230,49 @@ def test_flagged_space_restrict_and_quotient():
                 image = proj @ f.step(level)
                 assert image.rank() == b
                 assert contained_in(image, q.step(b))
+
+
+def _oracle_positions(basis: Matrix, e: Flag) -> tuple[int, ...]:
+    """Jumps of dim(V ∩ E_u) = d + u - rank([V | E_u]), by ranks alone."""
+    d = basis.ncols
+    dims = [d + u - basis.hstack(e.step(u)).rank() for u in range(e.n + 1)]
+    return tuple(u for u in range(1, e.n + 1) if dims[u] > dims[u - 1])
+
+
+@pytest.mark.parametrize("field_name", ["prime", "prime:2", "rational"])
+def test_cut_agrees_with_rank_oracle(field_name):
+    """Positions, sub flags and quotient flags of `cut`, checked by ranks."""
+    field = field_from_name(field_name)
+    rng = random.Random(909)
+    special = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        d = rng.randint(0, n)
+        s = rng.randint(1, 3)
+        flags = tuple(random_flag(field, n, rng) for _ in range(s))
+        # Take at least half of the basis columns V can fit inside the step
+        # E_j of the first flag from E_j, so V often sits in a special position.
+        j = rng.randint(0, n)
+        k = rng.randint((min(d, j) + 1) // 2, min(d, j))
+        while True:
+            inside = flags[0].step(j) @ random_matrix(field, j, k, rng)
+            basis = inside.hstack(random_matrix(field, n, d - k, rng))
+            if basis.rank() == d:
+                break
+        positions, sub, quot, comp = FlaggedSpace(n, flags).cut(basis)
+        proj, comp_again = quotient_map(Subspace(basis))
+        assert comp == comp_again
+        assert (sub.dim, sub.s, quot.dim, quot.s) == (d, s, n - d, s)
+        generic = tuple(range(n - d + 1, n + 1))
+        special += any(pos.elements != generic for pos in positions)
+        for e, pos, l, q in zip(flags, positions, sub.flags, quot.flags):
+            assert pos.elements == _oracle_positions(basis, e)
+            for a, level in enumerate(pos.elements, start=1):
+                step_amb = basis @ l.step(a)
+                assert step_amb.rank() == a
+                assert contained_in(step_amb, e.step(level))
+            for b, level in enumerate(pos.complement().elements, start=1):
+                image = proj @ e.step(level)
+                assert image.rank() == b
+                assert contained_in(image, q.step(b))
+    assert special >= 30

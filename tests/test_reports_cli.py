@@ -429,6 +429,20 @@ def test_cli_unwritable_paths_are_usage_errors(tmp_path, capsys, monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize(
+    "problem", ["1,4@4;1,4@4", "2,4@4;2,4@4;2,4@4;2,4@4", "1,4@4;2,3@4"]
+)
+def test_cli_filtration_validates_its_config(problem, trials, tmp_path, capsys):
+    # The first two problems have no maps, so the sampler never reads
+    # `trials`; the setting is refused before the run all the same.
+    out = tmp_path / "rep.json"
+    argv = ["filtration", "--problem", problem, "--trials", trials, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: trials must be at least 1\n"
+    assert not out.exists()
+
+
 # Every (command, flag) pair the command never reads: each is refused.
 _UNREAD_FLAGS = {
     "fulton": ("--n-max", "--s-max", "--trials", "--field"),
