@@ -16,9 +16,10 @@ FULTONCHECK_SEED environment variable, else a fixed default; the report
 echoes which source was used.
 
 Exit codes: 0 all checks passed, 1 a counterexample or failed audit was
-found, 2 usage or configuration error.  An --out or --checkpoint path that is
-a directory, or whose parent directory does not exist, is refused before any
-instance runs.
+found, 2 usage or configuration error.  An --out or --checkpoint path naming
+an existing non-regular file (a directory, FIFO or device), or whose parent
+directory does not exist, is refused before any instance runs.  A symbolic
+link is written through: the file it names gets the output.
 """
 
 from __future__ import annotations
@@ -239,9 +240,9 @@ def _check_target(flag: str, path: str | None) -> None:
     """Refuse a report or checkpoint path that cannot be written, before any work."""
     if not path:
         return
-    if os.path.isdir(path):
-        raise ConfigError(f"{flag} {path} is a directory")
-    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.exists(path) and not os.path.isfile(path):  # the rename would replace it
+        raise ConfigError(f"{flag} {path} is not a regular file")
+    parent = os.path.dirname(os.path.realpath(path))
     if not os.path.isdir(parent):
         raise ConfigError(f"{flag} {path}: {parent} is not an existing directory")
 

@@ -1,9 +1,9 @@
 """Exact coefficient fields: a prime field F_p and the rationals.
 
 All arithmetic is exact. The prime field is the workhorse (default modulus
-2^31 - 1; residues are Python ints, so any prime works). Inverses use the
-built-in modular inverse `pow(a, -1, p)`. The rational field exists to audit
-prime-field results on small instances.
+2^31 - 1; any prime below PRIME_BOUND, where the primality test is proven
+exact, is accepted). Inverses use the built-in modular inverse `pow(a, -1, p)`.
+The rational field exists to audit prime-field results on small instances.
 """
 
 from __future__ import annotations
@@ -14,14 +14,17 @@ from random import Random
 
 DEFAULT_PRIME = 2**31 - 1
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster, Math. Comp. 86, 2017): below it the test is exact.
+PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin to the bases `_MR_BASES`, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -49,6 +52,8 @@ class PrimeField:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
+        if self.p >= PRIME_BOUND:
+            raise ValueError(f"modulus {self.p} too large: primality is decided only below {PRIME_BOUND}")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

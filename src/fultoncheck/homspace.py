@@ -42,7 +42,9 @@ class HomAuditError(RuntimeError):
 
 
 class GenericityError(RuntimeError):
-    """Sampled dimensions never stabilized; the generic value is undecided."""
+    """The generic value is undecided: the sampled dimensions never
+    stabilized, or a sample fell below the proven floor, which a correct
+    solver cannot produce."""
 
 
 @dataclass(frozen=True)

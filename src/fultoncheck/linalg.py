@@ -1,8 +1,11 @@
 """Exact linear algebra over a prime field or the rationals.
 
-Matrices are immutable; columns are the vectors. Rank, kernel and inverse
-come from the one exact reduced row echelon form in `rowred` (first-nonzero
-pivoting, no tolerances anywhere), cached per matrix. Random flags are
+Matrices are immutable; columns are the vectors. Rank, kernel and
+containment come from the one exact reduced row echelon form in `rowred`
+(first-nonzero pivoting, no tolerances anywhere), cached per matrix. Every
+question that needs the row operations themselves (inverse, the coefficients
+of a jump profile, a quotient map) reads them off one routine,
+`Matrix.echelon_transform`, which reduces `[M | I]` once. Random flags are
 ordered bases with uniform field entries, resampled until invertible, and are
 deterministic functions of the supplied RNG state.
 """
@@ -160,11 +163,14 @@ class Matrix:
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-    def inverse(self) -> "Matrix":
-        """The inverse, read off one reduction of a fresh `[M | I]` work list."""
-        n = self.nrows
-        if n != self.ncols:
-            raise LinAlgError("inverse of non-square matrix")
+    def echelon_transform(self) -> tuple[tuple[int, ...], "Matrix"]:
+        """One reduction of `[M | I]`: its pivot columns and its right block T.
+
+        T is invertible and T @ M = rref(M). The pivots below `ncols` are
+        those of M; a pivot q >= ncols says the standard vector e_{q - ncols}
+        completes the span of M and the vectors before it.
+        """
+        n, m = self.nrows, self.ncols
         f = self.field
         one, zero = f.one, f.zero
         work = []
@@ -173,9 +179,17 @@ class Matrix:
             unit[i] = one
             work.append([*row, *unit])
         red, piv = _reduce(f, work)
-        if len(piv) < n or any(pc >= n for pc in piv):
+        return tuple(piv), Matrix(f, n, n, tuple(tuple(row[m:]) for row in red))
+
+    def inverse(self) -> "Matrix":
+        """The inverse: the T of `echelon_transform` when M is invertible."""
+        n = self.nrows
+        if n != self.ncols:
+            raise LinAlgError("inverse of non-square matrix")
+        piv, t = self.echelon_transform()
+        if piv != tuple(range(n)):
             raise LinAlgError("matrix is singular")
-        return Matrix(f, n, n, tuple(tuple(row[n:]) for row in red))
+        return t
 
 
 @dataclass(frozen=True)
@@ -209,18 +223,14 @@ class Subspace:
         return cls(Matrix.identity(field, n))
 
     def contains(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise LinAlgError("ambient dimension mismatch")
-        return self.basis.hstack(other.basis).rank() == self.dim
+        """Containment of `other`; a different ambient space raises `LinAlgError`."""
+        return contained_in(other.basis, self.basis)
 
 
 def contained_in(small: Matrix, big: Matrix) -> bool:
-    """True when every column of `small` lies in the column span of `big`."""
-    if small.ncols == 0:
-        return True
-    if big.ncols == 0:
-        return small.is_zero()
-    return big.hstack(small).rank() == big.rank()
+    """True when every column of `small` lies in the column span of `big`:
+    one reduction of `[big | small]` puts no pivot in `small`'s columns."""
+    return all(q < big.ncols for q in big.hstack(small).rref()[1])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The position of a d-dimensional V with respect to a complete flag E is the
 set of levels u where dim(V ∩ E_u) jumps. Induced flags come with explicit
 coordinates: on V, an ordered basis adapted to the jump levels, expressed in
 V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
-a fixed complement basis chosen once per call. `FlaggedSpace.cut` builds every
+a fixed complement basis chosen once per call. A jump profile and a quotient
+map are one `Matrix.echelon_transform` each. `FlaggedSpace.cut` builds every
 induced flag, reading positions, sub flag and quotient flag off one jump
 profile per flag.
 """
@@ -21,23 +22,16 @@ def _bottom_pivot_profile(c: Matrix) -> list[tuple[int, tuple]]:
     """Column-reduce `c` so the lowest nonzero rows are distinct.
 
     Returns pairs (lowest_row_1based, coefficient_vector) sorted by level;
-    the coefficient vectors express the reduced columns in the original
-    columns and form an invertible transformation.
+    the coefficient vectors, rows of the `echelon_transform` of `c` flipped,
+    express the reduced columns in the original ones and are invertible.
     """
     n, r = c.nrows, c.ncols
     if r == 0:
         return []
-    flipped = c.reverse_rows().transpose()  # r x n
-    aug = flipped.hstack(Matrix.identity(c.field, r))
-    red, piv = aug.rref()
+    piv, t = c.reverse_rows().transpose().echelon_transform()
     if len(piv) != r or any(q >= n for q in piv):
         raise LinAlgError("subspace coordinates are rank deficient")
-    items = []
-    for k, q in enumerate(piv):
-        coeff = red.rows[k][n:]
-        items.append((n - q, coeff))
-    items.sort(key=lambda t: t[0])
-    return items
+    return sorted(((n - q, t.rows[k]) for k, q in enumerate(piv)), key=lambda item: item[0])
 
 
 def schubert_position(v: Subspace, e: Flag) -> IndexSet:
@@ -49,37 +43,18 @@ def schubert_position(v: Subspace, e: Flag) -> IndexSet:
     return IndexSet(e.n, tuple(level for level, _ in items))
 
 
-def _complement_columns(basis: Matrix) -> list[int]:
-    """Standard basis vectors completing the columns of `basis`, greedily."""
-    n = basis.nrows
-    aug = basis.hstack(Matrix.identity(basis.field, n))
-    _, piv = aug.rref()
-    d = basis.ncols
-    chosen = [q - d for q in piv if q >= d]
-    if len(chosen) != n - d:
-        raise LinAlgError("complement completion failed")
-    return chosen
-
-
 def quotient_map(v: Subspace) -> tuple[Matrix, Matrix]:
     """A projection P: ambient -> W/V in complement coordinates.
 
-    Returns (P, C) where C's columns are the chosen complement basis and
-    P @ v.basis = 0, P @ C = identity.
+    Returns (P, C): C's columns are the standard vectors completing v.basis
+    greedily, and P @ v.basis = 0, P @ C = identity, so P is rows d: of
+    [v.basis | C]^-1. One `echelon_transform` gives both: C from the pivots
+    past v.basis, P from the rows of T below d = v.dim.
     """
-    n, d = v.ambient_dim, v.dim
-    field = v.field
-    chosen = _complement_columns(v.basis)
-    comp_cols = []
-    for c in chosen:
-        col = [field.zero] * n
-        col[c] = field.one
-        comp_cols.append(col)
-    comp = Matrix.from_columns(field, comp_cols, nrows=n)
-    full = v.basis.hstack(comp)
-    inv = full.inverse()
-    proj = Matrix(field, n - d, n, inv.rows[d:])
-    return proj, comp
+    d = v.dim
+    piv, t = v.basis.echelon_transform()
+    comp = Matrix.identity(v.field, v.ambient_dim).take_columns(q - d for q in piv[d:])
+    return Matrix(v.field, v.ambient_dim - d, v.ambient_dim, t.rows[d:]), comp
 
 
 def falcon_compose(i_set: IndexSet, k_set: IndexSet) -> IndexSet:

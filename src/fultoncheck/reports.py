@@ -112,10 +112,12 @@ def write_text(path: str, text: str) -> None:
     """Atomic write: the target never holds a partial document.
 
     The file gets the mode a plain `open` would give it (0o666 less the
-    umask), not the 0o600 of the temporary file it is written through.  The
+    umask), not the 0o600 of the temporary file it is written through.  A
+    symbolic link is kept: the file it resolves to gets the document.  The
     parent directory must exist; none is created.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fultoncheck-")
     try:
         with os.fdopen(fd, "w") as handle:

@@ -12,6 +12,7 @@ from fultoncheck.field import (
     DEFAULT_PRIME,
     PrimeField,
     RationalField,
+    _is_prime,
     field_from_name,
 )
 from fultoncheck.linalg import (
@@ -31,6 +32,10 @@ from fultoncheck.rowred import rref_frac, rref_mod
 PF = PrimeField(DEFAULT_PRIME)
 QF = RationalField()
 MERSENNE_61 = 2**61 - 1
+# The least strong pseudoprimes to the first 12 and 13 prime bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+FIELD_NAMES = ["prime", "prime:2", "prime:3", "rational"]
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +56,23 @@ def test_prime_field_inverse_of_zero_fails():
     f = PrimeField(7)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+def test_prime_field_refuses_strong_pseudoprimes():
+    assert PSI_12 == 399165290221 * 798330580441
+    for n in (PSI_12, PSI_13):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+    assert PrimeField(MERSENNE_61).p == MERSENNE_61
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 20000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, limit, i))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 def test_rational_field_basics():
@@ -202,6 +224,28 @@ def test_inverse_matches_augmented_rref_route(name):
     assert min(seen.values()) > 0
 
 
+@pytest.mark.parametrize("name", FIELD_NAMES)
+def test_echelon_transform_reads_rref_off_one_reduction(name):
+    """T is invertible, T @ M = rref(M), and the pivots inside M are M's own."""
+    field = field_from_name(name)
+    rng = random.Random(23)
+    deficient = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 10)
+        rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])  # force a rank-deficient matrix
+        m = Matrix.from_rows(field, rows, ncols=ncols)
+        piv, t = m.echelon_transform()
+        red, m_piv = m.rref()
+        assert t.is_invertible()
+        assert t @ m == red
+        assert tuple(q for q in piv if q < ncols) == m_piv
+        assert len(piv) == nrows  # the identity block completes the rank
+        deficient += len(m_piv) < min(nrows, ncols)
+    assert deficient > 0
+
+
 # ---------------------------------------------------------------------------
 # Matrices: properties
 # ---------------------------------------------------------------------------
@@ -322,6 +366,8 @@ def test_subspace_contains_and_coords():
     assert (v.basis @ coords).rows == w.basis.rows
     outside = Subspace(Matrix.from_columns(QF, [[1, 0, 0]]))
     assert not v.contains(outside)
+    with pytest.raises(LinAlgError):
+        v.contains(Subspace.full(QF, 2))
 
 
 def test_contained_in_edge_cases():
@@ -330,6 +376,21 @@ def test_contained_in_edge_cases():
     assert contained_in(zero_cols, a)
     assert not contained_in(a, zero_cols)
     assert contained_in(Matrix.zeros(QF, 2, 1), zero_cols)
+
+
+@pytest.mark.parametrize("name", ["prime:2", "prime:3"])
+def test_contained_in_agrees_with_rank(name):
+    field = field_from_name(name)
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        big = random_matrix(field, n, rng.randint(0, 5), rng)
+        small = random_matrix(field, n, rng.randint(0, 5), rng)
+        expected = big.hstack(small).rank() == big.rank()
+        assert contained_in(small, big) == expected
+        seen[expected] += 1
+    assert min(seen.values()) > 50
 
 
 def test_standard_flag_steps():

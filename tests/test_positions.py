@@ -100,6 +100,29 @@ def test_quotient_map_identities():
         assert (proj @ comp).rows == Matrix.identity(PF, n - d).rows
 
 
+@pytest.mark.parametrize("field_name", ["prime", "prime:2", "prime:3", "rational"])
+def test_quotient_map_is_the_bottom_of_the_inverse(field_name):
+    """P is the unique map killing V and fixing C: rows d: of [V | C]^-1."""
+    field = field_from_name(field_name)
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        d = rng.randint(0, n)
+        rows = [[0] * d if rng.random() < 0.3 else [rng.randint(-2, 2) for _ in range(d)]
+                for _ in range(n)]  # zero rows make the completion nontrivial
+        basis = Matrix.from_rows(field, rows, ncols=d)
+        if basis.rank() < d:
+            continue
+        proj, comp = quotient_map(Subspace(basis))
+        for j in range(comp.ncols):  # standard basis vectors
+            assert sorted(comp.column(j)) == [field.zero] * (n - 1) + [field.one]
+        inv = basis.hstack(comp).inverse()
+        assert proj.rows == inv.rows[d:]
+        checked += 1
+    assert checked > 30
+
+
 def test_induced_quotient_flag_of_coordinate_line():
     e = Flag.standard(QF, 3)
     v = Subspace(Matrix.from_columns(QF, [[1, 0, 0]]))

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import stat
 from itertools import combinations_with_replacement
 
 import pytest
@@ -427,6 +428,36 @@ def test_cli_unwritable_paths_are_usage_errors(tmp_path, capsys, monkeypatch):
     # The same sweep with a writable target runs and consults the engine.
     assert cli.main(sweep + ["--out", str(tmp_path / "rep.json")]) == 0
     assert calls
+
+
+def test_cli_refuses_a_fifo_target(tmp_path, capsys):
+    for flag in ("--out", "--checkpoint"):
+        fifo = tmp_path / f"pipe{flag}"
+        os.mkfifo(fifo)
+        assert cli.main(["fulton", "--r-max", "1", "--size-max", "2", flag, str(fifo)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_cli_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert cli.main(["fulton", "--r-max", "1", "--size-max", "2", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["command"] == "fulton"
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
+@pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])
+def test_cli_refuses_a_strong_pseudoprime_modulus(modulus, tmp_path, capsys):
+    out_path = tmp_path / "rep.json"
+    argv = ["crosscheck", "--r-max", "2", "--n-max", "4", "--s-max", "3",
+            "--field", f"prime:{modulus}", "--seed", "1", "--out", str(out_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
