@@ -6,8 +6,8 @@ coordinates: on V, an ordered basis adapted to the jump levels, expressed in
 V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
 a fixed complement basis chosen once per call. A jump profile and a quotient
 map are one `Matrix.echelon_transform` each. `FlaggedSpace.cut` builds every
-induced flag, reading positions, sub flag and quotient flag off one jump
-profile per flag.
+induced flag of the filtration run off one jump profile per flag; the trace
+audit shares none of this, re-deriving positions from ranks.
 """
 
 from __future__ import annotations
@@ -144,9 +144,3 @@ class FlaggedSpace:
             FlaggedSpace(self.dim - v.dim, tuple(quots)),
             comp,
         )
-
-
-def positions_in(space: FlaggedSpace, basis: Matrix) -> tuple[IndexSet, ...]:
-    """Positions of span(basis) against each flag of the space."""
-    v = Subspace(basis)
-    return tuple(schubert_position(v, f) for f in space.flags)

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from .cohomology import intersection_number, nonvanishing_positions
 from .field import Field, field_from_name
 from .filtration import FiltrationError, run_filtration_random, trace_to_dict, verify_trace
-from .homspace import DEFAULT_TRIALS, GenericityError, generic_hom_dim
+from .homspace import DEFAULT_TRIALS, GenericityError, HomAuditError, generic_hom_dim
 from .linalg import SamplingError
 from .littlewood import lr_coefficient as _lr_tableau
 from .partitions import (
@@ -391,8 +391,9 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
 
     For every expected-dimension-zero problem in range: the intersection
     number is positive iff the generic map-space dimension is zero.  Whenever
-    the map space is nonzero, additionally run the kernel filtration and audit
-    the resulting trace.
+    the map space is nonzero, additionally run the kernel filtration, audit
+    the resulting trace, and require the trace's exact map-space dimension to
+    equal the generic one.
     """
     cfg.validate()
     started = time.perf_counter()
@@ -434,6 +435,10 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                 )
                 audit = verify_trace(trace)
                 state["traces_audited"] += 1
+                if trace.hom_dim != result.dim:
+                    records.append({"kind": "hom_dim_mismatch", "index": index,
+                                    "problem": problem.text(), "generic_hom_dim": result.dim,
+                                    "trace_hom_dim": trace.hom_dim})
                 if not audit.ok:
                     records.append(
                         {
@@ -444,8 +449,9 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                             "trace": trace_to_dict(trace, audit),
                         }
                     )
-        except (GenericityError, FiltrationError, SamplingError) as exc:
-            # A field too small for genericity fails the instance, not the sweep.
+        except (GenericityError, FiltrationError, SamplingError, HomAuditError) as exc:
+            # A field too small for genericity, or a solved map that breaks a
+            # containment, fails the instance, not the sweep.
             records.append(
                 {
                     "kind": "run_error",

@@ -15,6 +15,7 @@ from fultoncheck.filtration import (
     verify_trace,
 )
 from fultoncheck.homspace import generic_hom_dim
+from fultoncheck.linalg import Matrix
 from fultoncheck.partitions import IndexSet, SchubertProblem
 from fultoncheck.sweeps import rng_for
 
@@ -201,6 +202,60 @@ def test_audit_rejects_corrupted_terminal_positions():
     audit = verify_trace(bad)
     assert not audit.ok
     assert not audit.checks["positions_geometric"] or not audit.checks["rank_formula"]
+
+
+def test_audit_rejects_positions_from_a_planted_top_pivot_profile(monkeypatch):
+    # The run reads its positions off `_bottom_pivot_profile`; the audit must
+    # not, or a wrong profile would agree with itself.
+    from fultoncheck import positions
+
+    def top_pivot_profile(c):
+        if c.ncols == 0:
+            return []
+        piv, t = c.transpose().echelon_transform()
+        return sorted(((q + 1, t.rows[k]) for k, q in enumerate(piv)), key=lambda item: item[0])
+
+    monkeypatch.setattr(positions, "_bottom_pivot_profile", top_pivot_profile)
+    audit = verify_trace(_trace("1,4@4;2,3@4"))
+    assert not audit.checks["positions_geometric"]
+    assert "ambient positions differ" in audit.details["positions_geometric"]
+
+
+def test_audit_rejects_an_ambient_basis_that_does_not_compose():
+    # Twice the true basis spans the same line, so only the composition
+    # basis_in_ambient == parent @ basis_in_parent can tell.
+    tr = _trace("1,4@4;2,3@4")
+    step = tr.steps[0]
+    doubled = step.basis_in_ambient @ Matrix.from_rows(PF, [[2]])
+    bad = dataclasses.replace(tr, steps=(dataclasses.replace(step, basis_in_ambient=doubled),))
+    audit = verify_trace(bad)
+    assert not audit.checks["positions_geometric"]
+    assert "parent @ basis_in_parent" in audit.details["positions_geometric"]
+    assert audit.checks["position_chain"]
+
+
+def test_audit_rejects_a_dependent_basis():
+    tr = _trace("1,4@4;2,3@4")
+    step = tr.steps[0]
+    zero = Matrix.zeros(PF, 2, 1)
+    bad = dataclasses.replace(
+        tr, steps=(dataclasses.replace(step, basis_in_parent=zero, basis_in_ambient=zero),)
+    )
+    audit = verify_trace(bad)
+    assert not audit.checks["positions_geometric"]
+    assert "dependent" in audit.details["positions_geometric"]
+
+
+def test_audit_rejects_corrupted_relative_positions():
+    tr = _trace("1,4@4;2,3@4")
+    step = tr.steps[0]
+    swapped = tuple(reversed(step.rel_positions))
+    assert swapped != step.rel_positions
+    bad = dataclasses.replace(tr, steps=(dataclasses.replace(step, rel_positions=swapped),))
+    audit = verify_trace(bad)
+    assert not audit.ok
+    assert not audit.checks["position_chain"]
+    assert audit.checks["positions_geometric"]
 
 
 def test_audit_rejects_wrong_hom_dim():

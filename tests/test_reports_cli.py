@@ -633,3 +633,58 @@ def test_cli_crosscheck_small_prime_reports_run_errors(tmp_path, capsys):
     errors = [c for c in rep["counterexamples"] if c["kind"] == "run_error"]
     assert errors
     assert all(set(c) == {"kind", "index", "problem", "error"} for c in errors)
+
+
+def _plant_kernel_fault(monkeypatch):
+    """Add 1 to one entry in the first row of every nonempty kernel basis."""
+    from fultoncheck.linalg import Matrix
+
+    real = Matrix.kernel_basis
+
+    def faulty(self):
+        ker = real(self)
+        if ker.nrows == 0 or ker.ncols == 0:
+            return ker
+        first = (ker.field.from_int(ker.rows[0][0] + 1), *ker.rows[0][1:])
+        return Matrix(ker.field, ker.nrows, ker.ncols, (first, *ker.rows[1:]))
+
+    monkeypatch.setattr(Matrix, "kernel_basis", faulty)
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--r-max", "2", "--n-max", "4", "--s-max", "3"],
+    ["filtration", "--problem", "1,4@4;2,3@4"],
+])
+def test_cli_failed_system_audit_is_a_counterexample(argv, tmp_path, capsys, monkeypatch):
+    _plant_kernel_fault(monkeypatch)
+    out_path = tmp_path / "rep.json"
+    code = cli.main([*argv, "--seed", "5", "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    rep = json.loads(out_path.read_text())
+    assert rep["ok"] is False
+    assert any(c["kind"] == "run_error" and "solved map violates" in c["error"]
+               for c in rep["counterexamples"])
+
+
+def test_crosscheck_rejects_an_inflated_positive_dimension(tmp_path, monkeypatch):
+    import dataclasses
+
+    real = sweeps.generic_hom_dim
+
+    def inflated(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, dim=result.dim + 1) if result.dim else result
+
+    monkeypatch.setattr(sweeps, "generic_hom_dim", inflated)
+    out_path = tmp_path / "rep.json"
+    code = cli.main(["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3",
+                     "--seed", "5", "--out", str(out_path)])
+    assert code == 1
+    rep = json.loads(out_path.read_text())
+    kinds = {c["kind"] for c in rep["counterexamples"]}
+    assert kinds == {"hom_dim_mismatch"}
+    for c in rep["counterexamples"]:
+        assert c["generic_hom_dim"] == c["trace_hom_dim"] + 1
+    assert len(rep["counterexamples"]) == rep["extra"]["traces_audited"]
