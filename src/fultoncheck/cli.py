@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 from .field import field_from_name
 from .filtration import FiltrationError, run_filtration_random, trace_to_dict, verify_trace
 from .homspace import GenericityError, HomAuditError
-from .linalg import SamplingError
+from .linalg import LinAlgError, SamplingError
 from .littlewood import lr_coefficient, lr_coefficient_pieri
 from .partitions import Partition, SchubertProblem
 from .reports import make_report, to_csv_str, to_json_str, write_text
@@ -109,7 +109,7 @@ def _run_filtration(args: argparse.Namespace, cfg: SweepConfig, seed_source: str
             seed=cfg.seed,
         )
         audit = verify_trace(trace)
-    except (GenericityError, FiltrationError, SamplingError, HomAuditError) as exc:
+    except (GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError) as exc:
         counterexamples = [{"kind": "run_error", "problem": problem.text(),
                             "error": str(exc)}]
     else:

@@ -45,6 +45,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def least_prime_from(n: int) -> int:
+    """The least prime >= n, for n below PRIME_BOUND."""
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """Arithmetic in Z/pZ; elements are ints in [0, p)."""
@@ -86,6 +93,11 @@ class PrimeField:
     def sample(self, rng: Random) -> int:
         return rng.randrange(self.p)
 
+    @property
+    def sample_size(self) -> int:
+        """The number of values `sample` draws from, uniformly."""
+        return self.p
+
 
 @dataclass(frozen=True)
 class RationalField:
@@ -121,6 +133,10 @@ class RationalField:
         # Mirrors the prime-field sampling stream so that a fixed seed yields
         # the same integer matrix in either mode.
         return Fraction(rng.randrange(DEFAULT_PRIME))
+
+    @property
+    def sample_size(self) -> int:
+        return DEFAULT_PRIME
 
 
 Field = PrimeField | RationalField

@@ -12,29 +12,46 @@ nested step conditions reduce to one condition per flag generator, giving
 exactly sum_j codim(I^j) constraint rows; the dimension of the solution space
 is therefore always at least the expected dimension of the problem.
 
-Generic dimensions come from sampling random flag tuples and taking the
-minimum. Kernel dimension is upper-semicontinuous, so every sample is an upper
-bound, attained generically: a sample's kernel dimension over F_p is never
-below the generic dimension over C. That in turn is never below
-max(0, expected_dim), since the system has exactly total-codim rows. A sample
-that lands on this floor therefore proves the generic value (the result is
-`certified`), and sampling stops there; only values above the floor rest on
-`trials` agreeing samples. A sample below the floor can only come from a
-broken solver and raises `GenericityError`.
+Generic dimensions come from sampling flag tuples and taking the minimum.
+The rows read only each sub flag's basis F^j and each quotient flag's
+inverse (G^j)^-1, so `generic_hom_dim` draws both directly in the open
+Bruhat cell: uniform lower unitriangular matrices, with no inversion and no
+singular retry (lower unitriangular matrices form a group, so (G^j)^-1 is
+uniform in the cell exactly when G^j is). The product of these cells is dense
+in the product of flag varieties, so the generic value is unchanged. Kernel
+dimension is upper-semicontinuous, so every sample is an upper bound,
+attained generically: a sample's kernel dimension over F_p is never below the
+generic dimension over C. That in turn is never below max(0, expected_dim),
+since the system has exactly total-codim rows. A sample that lands on this
+floor therefore proves the generic value (the result is `certified`), and
+sampling stops there; only values above the floor rest on `trials` agreeing
+samples. A sample below the floor can only come from a broken solver and
+raises `GenericityError`.
+
+In chart coordinates every constraint entry is the product of one entry of F^j
+and one of (G^j)^-1, so it has degree at most 2, and a rank-rho minor degree
+at most 2 rho. By Schwartz-Zippel (Schwartz, J. ACM 27, 1980), one sample
+with entries uniform in a set of size p misses the rank the chart reaches
+generically over the field with probability at most 2 rho / p (`miss_bound`;
+over Q the sample set has 2^31 - 1 elements). `crosscheck` refuses a field
+whose bound exceeds `MAX_MISS_BOUND` over its range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 from typing import Callable
 
 from .field import Field
-from .linalg import Flag, Matrix, contained_in, random_flag, random_nonzero_combination
+from .linalg import Flag, Matrix, contained_in, random_flag, random_nonzero_combination, random_unitriangular
 from .partitions import SchubertProblem
 
 DEFAULT_TRIALS = 3
 MAX_TOTAL_TRIALS = 10
+# The largest accepted chance that one chart sample misses the generic rank.
+MAX_MISS_BOUND = Fraction(1, 10**6)
 
 
 class HomAuditError(RuntimeError):
@@ -92,13 +109,7 @@ def build_system(
     quot_flags: tuple[Flag, ...],
     audit: bool = True,
 ) -> HomSystem:
-    """Assemble and solve the constraint system at the given flags.
-
-    One row per (condition j, flag generator a, missing quotient coordinate t):
-    the a-th flag vector f^j_a must map into the span of the first i^j_a - a
-    quotient flag vectors, i.e. its coordinates t >= i^j_a - a in the G^j basis
-    vanish. Rows are emitted in (j, a, t) order for determinism.
-    """
+    """Assemble and solve the constraint system at the given flags."""
     r = problem.r
     m = problem.n - problem.r
     s = problem.s
@@ -114,21 +125,9 @@ def build_system(
         if g.n != m or g.matrix.field != field:
             raise ValueError("quotient flag has wrong dimension or field")
 
-    ncols = m * r
-    mul = field.mul
-    rows: list[tuple] = []
-    for j in range(s):
-        i_set = problem.index_sets[j].elements
-        d_inv = quot_flags[j].inverse  # coordinates in the G^j basis
-        f_mat = sub_flags[j].matrix
-        for a in range(1, r + 1):
-            level = i_set[a - 1] - a  # allowed quotient step for this generator
-            f_col = [f_mat.rows[v][a - 1] for v in range(r)]
-            for t in range(level, m):
-                # Row t of D^-1 (x) f_a: entry u * r + v is D^-1[t][u] * f_a[v].
-                rows.append(tuple(mul(du, fv) for du in d_inv.rows[t] for fv in f_col))
-
-    matrix = Matrix(field, len(rows), ncols, tuple(rows))
+    matrix = constraint_matrix(
+        problem, tuple(f.matrix for f in sub_flags), tuple(g.inverse for g in quot_flags)
+    )
     rank = matrix.rank()
     kernel = matrix.kernel_basis()
     system = HomSystem(
@@ -138,12 +137,38 @@ def build_system(
         quot_flags=quot_flags,
         matrix=matrix,
         rank=rank,
-        dim=ncols - rank,
+        dim=matrix.ncols - rank,
         kernel=kernel,
     )
     if audit:
         audit_system(system)
     return system
+
+
+def constraint_matrix(
+    problem: SchubertProblem, sub_mats: tuple[Matrix, ...], quot_invs: tuple[Matrix, ...]
+) -> Matrix:
+    """The constraint rows for sub flag bases F^j and quotient flag inverses (G^j)^-1.
+
+    One row per (condition j, flag generator a, missing quotient coordinate t):
+    the a-th flag vector f^j_a must map into the span of the first i^j_a - a
+    quotient flag vectors, i.e. its coordinates t >= i^j_a - a in the G^j basis
+    vanish. Rows are emitted in (j, a, t) order for determinism.
+    """
+    r, m = problem.r, problem.n - problem.r
+    field = sub_mats[0].field
+    mul = field.mul
+    rows: list[tuple] = []
+    for j in range(problem.s):
+        i_set = problem.index_sets[j].elements
+        d_inv, f_mat = quot_invs[j], sub_mats[j]
+        for a in range(1, r + 1):
+            level = i_set[a - 1] - a  # allowed quotient step for this generator
+            f_col = [f_mat.rows[v][a - 1] for v in range(r)]
+            for t in range(level, m):
+                # Row t of D^-1 (x) f_a: entry u * r + v is D^-1[t][u] * f_a[v].
+                rows.append(tuple(mul(du, fv) for du in d_inv.rows[t] for fv in f_col))
+    return Matrix(field, len(rows), m * r, tuple(rows))
 
 
 def audit_system(system: HomSystem) -> None:
@@ -249,6 +274,12 @@ def random_flag_tuples(
     return subs, quots
 
 
+def miss_bound(rho: int, field: Field) -> Fraction:
+    """Schwartz-Zippel bound 2 rho / p on one chart sample missing a generic
+    rank rho, p being the number of values a field sample draws from."""
+    return Fraction(2 * rho, field.sample_size)
+
+
 def generic_hom_dim(
     problem: SchubertProblem,
     rng: Random,
@@ -257,15 +288,19 @@ def generic_hom_dim(
 ) -> GenericDimResult:
     """Dimension of the constrained map space at generic flags.
 
-    Each sample draws fresh random flag tuples and solves the system exactly.
-    The floor is max(0, expected_dim): a sample there is the generic value,
-    certified, and ends the sampling; otherwise the generic value is the
-    stabilized minimum across samples.
+    Each sample draws every sub flag basis and every quotient flag inverse as
+    a fresh uniform lower unitriangular matrix and takes the exact rank of the
+    constraint matrix. The floor is max(0, expected_dim): a sample there is
+    the generic value, certified, and ends the sampling; otherwise the
+    generic value is the stabilized minimum across samples.
     """
 
+    r, m = problem.r, problem.n - problem.r
+
     def draw() -> int:
-        subs, quots = random_flag_tuples(problem, rng, field)
-        return build_system(problem, subs, quots, audit=False).dim
+        subs = tuple(random_unitriangular(field, r, rng) for _ in range(problem.s))
+        quot_invs = tuple(random_unitriangular(field, m, rng) for _ in range(problem.s))
+        return r * m - constraint_matrix(problem, subs, quot_invs).rank()
 
     return stabilized_min(
         draw,

@@ -6,7 +6,9 @@ containment come from the one exact reduced row echelon form in `rowred`
 question that needs the row operations themselves (inverse, the coefficients
 of a jump profile, a quotient map) reads them off one routine,
 `Matrix.echelon_transform`, which reduces `[M | I]` once. Random flags are
-ordered bases with uniform field entries, resampled until invertible, and are
+ordered bases with uniform field entries, resampled until invertible; random
+lower unitriangular matrices (`random_unitriangular`, the open Bruhat cell of
+the flag variety) need neither an inversion nor a retry. Both are
 deterministic functions of the supplied RNG state.
 """
 
@@ -277,6 +279,16 @@ def random_matrix(field: Field, nrows: int, ncols: int, rng: Random) -> Matrix:
         ncols,
         tuple(tuple(field.sample(rng) for _ in range(ncols)) for _ in range(nrows)),
     )
+
+
+def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:
+    """Uniform lower unitriangular matrix, drawn row by row below the diagonal;
+    deterministic given the RNG state."""
+    one, zero = field.one, field.zero
+    return Matrix(field, n, n, tuple(
+        tuple(field.sample(rng) if j < i else one if j == i else zero for j in range(n))
+        for i in range(n)
+    ))
 
 
 def random_flag(field: Field, n: int, rng: Random, max_attempts: int = MAX_SAMPLE_ATTEMPTS) -> Flag:

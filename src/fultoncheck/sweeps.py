@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import time
@@ -19,10 +20,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .cohomology import intersection_number, nonvanishing_positions
-from .field import Field, field_from_name
+from .field import Field, field_from_name, least_prime_from
 from .filtration import FiltrationError, run_filtration_random, trace_to_dict, verify_trace
-from .homspace import DEFAULT_TRIALS, GenericityError, HomAuditError, generic_hom_dim
-from .linalg import SamplingError
+from .homspace import (
+    DEFAULT_TRIALS,
+    MAX_MISS_BOUND,
+    GenericityError,
+    HomAuditError,
+    generic_hom_dim,
+    miss_bound,
+)
+from .linalg import LinAlgError, SamplingError
 from .littlewood import lr_coefficient as _lr_tableau
 from .partitions import (
     IndexSet,
@@ -394,11 +402,23 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     the map space is nonzero, additionally run the kernel filtration, audit
     the resulting trace, and require the trace's exact map-space dimension to
     equal the generic one.
+
+    A field whose per-sample miss bound 2 rho / p (rho the largest r(n - r)
+    in range) exceeds `MAX_MISS_BOUND` raises `ConfigError` before any
+    instance runs: its samples could report a false counterexample.
     """
     cfg.validate()
     started = time.perf_counter()
     fld = cfg.field()
     items = list(enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max))
+    rho = max(problem.r * (problem.n - problem.r) for problem in items)
+    if miss_bound(rho, fld) > MAX_MISS_BOUND:
+        raise ConfigError(
+            f"field {fld.name} is too small for this range: one sample misses the "
+            f"generic rank with probability up to 2*rho/p = {2 * rho}/{fld.sample_size} "
+            f"(rho = {rho}), above {float(MAX_MISS_BOUND):g}; the smallest prime "
+            f"accepted is prime:{least_prime_from(math.ceil(2 * rho / MAX_MISS_BOUND))}"
+        )
     state = {"with_maps": 0, "traces_audited": 0, "intersection_positive": 0}
 
     def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
@@ -449,9 +469,11 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                             "trace": trace_to_dict(trace, audit),
                         }
                     )
-        except (GenericityError, FiltrationError, SamplingError, HomAuditError) as exc:
-            # A field too small for genericity, or a solved map that breaks a
-            # containment, fails the instance, not the sweep.
+        except (GenericityError, FiltrationError, SamplingError, HomAuditError,
+                LinAlgError) as exc:
+            # Samples that never stabilize, a solved map that breaks a
+            # containment, or any other solver fault fails the instance, not
+            # the sweep.
             records.append(
                 {
                     "kind": "run_error",

@@ -14,6 +14,7 @@ from fultoncheck.field import (
     RationalField,
     _is_prime,
     field_from_name,
+    least_prime_from,
 )
 from fultoncheck.linalg import (
     Flag,
@@ -73,6 +74,18 @@ def test_is_prime_agrees_with_a_sieve():
         if sieve[i]:
             sieve[i * i::i] = [False] * len(range(i * i, limit, i))
     assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_least_prime_from():
+    assert [least_prime_from(n) for n in (0, 2, 8, 24, 12_000_000)] == [2, 2, 11, 29, 12_000_017]
+    assert all(not _is_prime(n) for n in range(12_000_000, 12_000_017))
+
+
+def test_sample_size_counts_the_values_a_sample_draws_from():
+    assert PrimeField(13).sample_size == 13
+    assert PF.sample_size == QF.sample_size == DEFAULT_PRIME
+    rng = random.Random(2)
+    assert {PrimeField(5).sample(rng) for _ in range(200)} == set(range(5))
 
 
 def test_rational_field_basics():

@@ -3,7 +3,8 @@
 The fixtures under `fixtures/golden/` are stripped reports. Filtration
 traces hold every sampled flag, map and basis, so they pin the RNG stream
 and the result of each exact reduction, over both fields. The sweep reports
-pin the verdict counts and the `extra` counters of every sweep command.
+pin the verdict counts and the `extra` counters of every sweep command;
+crosscheck is pinned over both fields.
 """
 
 import json
@@ -42,6 +43,16 @@ def test_crosscheck_report_matches_golden(tmp_path):
     got = _stripped_report(
         tmp_path,
         ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3", "--seed", "5"],
+    )
+    assert got == want
+
+
+def test_crosscheck_rational_report_matches_golden(tmp_path):
+    want = (GOLDEN / "crosscheck-r2-n5-s3-seed5-rational.json").read_text()
+    got = _stripped_report(
+        tmp_path,
+        ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3", "--seed", "5",
+         "--field", "rational"],
     )
     assert got == want
 

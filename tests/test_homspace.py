@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,20 +11,24 @@ from fultoncheck.field import field_from_name
 from fultoncheck.homspace import (
     GenericDimResult,
     GenericityError,
+    MAX_MISS_BOUND,
     HomAuditError,
     audit_system,
     build_system,
+    constraint_matrix,
     generic_hom_dim,
+    miss_bound,
     random_flag_tuples,
     sample_generic,
     stabilized_min,
     unvec,
 )
-from fultoncheck.linalg import contained_in, random_flag
+from fultoncheck.linalg import Flag, Matrix, contained_in, random_flag, random_unitriangular
 from fultoncheck.partitions import SchubertProblem
 from fultoncheck.sweeps import enumerate_problems, rng_for
 
 PF = field_from_name("prime")
+QQ = field_from_name("rational")
 
 
 def _system_for(text: str, seed: int):
@@ -161,6 +166,78 @@ def test_positive_problems_are_certified_by_one_sample():
         res = generic_hom_dim(problem, rng_for(101, f"hom:{problem.text()}"), PF)
         assert res.samples == (0,), problem.text()
         assert res.certified and res.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# Chart draws: lower unitriangular sub bases and quotient inverses
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [PF, QQ], ids=["prime", "rational"])
+def test_random_unitriangular_is_unit_lower_triangular_and_deterministic(field):
+    rng = random.Random(4)
+    rng.random()  # any state will do; the draw depends on it alone
+    state = rng.getstate()
+    n = 5
+    m = random_unitriangular(field, n, rng)
+    after = rng.getstate()
+    for i in range(n):
+        assert m.rows[i][i] == field.one
+        assert all(m.rows[i][j] == field.zero for j in range(i + 1, n))
+    rng.setstate(state)
+    assert random_unitriangular(field, n, rng) == m
+    assert rng.getstate() == after
+    # Exactly n(n-1)/2 entries are drawn, in row order below the diagonal.
+    rng.setstate(state)
+    below = [field.sample(rng) for _ in range(n * (n - 1) // 2)]
+    assert rng.getstate() == after
+    assert below == [m.rows[i][j] for i in range(n) for j in range(i)]
+
+
+@pytest.mark.parametrize("field", [PF, QQ], ids=["prime", "rational"])
+def test_build_system_rows_equal_the_chart_rows(field):
+    """Full flags (L, D) give the same constraint rows as the chart (L, D^-1)."""
+    problem = SchubertProblem.parse("2,4@5;2,4@5;1,3@5;2,5@5")
+    r, m = problem.r, problem.n - problem.r
+    rng = random.Random(6)
+    subs = tuple(random_unitriangular(field, r, rng) for _ in range(problem.s))
+    quot_invs = tuple(random_unitriangular(field, m, rng) for _ in range(problem.s))
+    system = build_system(
+        problem,
+        tuple(Flag(mat) for mat in subs),
+        tuple(Flag(d_inv.inverse()) for d_inv in quot_invs),
+    )
+    assert system.matrix == constraint_matrix(problem, subs, quot_invs)
+    assert system.matrix.nrows == problem.total_codim()
+
+
+def test_generic_hom_dim_builds_no_flag_and_inverts_nothing(monkeypatch):
+    import fultoncheck.homspace as homspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic_hom_dim must draw in the chart")
+
+    monkeypatch.setattr(Flag, "__post_init__", refuse)
+    monkeypatch.setattr(homspace, "random_flag", refuse)
+    for name in ("inverse", "echelon_transform", "kernel_basis"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    for text, want in [("1,4@4;2,3@4", 1), ("2,4@4;2,4@4", 2), ("2,4@4;2,4@4;2,4@4;2,4@4", 0)]:
+        assert generic_hom_dim(SchubertProblem.parse(text), random.Random(3), PF).dim == want
+
+
+def test_chart_dims_equal_dims_at_full_random_flags():
+    """The chart is dense: its generic value is the one full flags give."""
+    for problem in enumerate_problems(2, 5, 3):
+        chart = generic_hom_dim(problem, rng_for(7, f"hom:{problem.text()}"), QQ).dim
+        subs, quots = random_flag_tuples(problem, rng_for(8, problem.text()), QQ)
+        assert build_system(problem, subs, quots).dim == chart, problem.text()
+
+
+def test_miss_bound_is_two_rho_over_the_sample_set():
+    assert miss_bound(6, field_from_name("prime:13")) == Fraction(12, 13)
+    assert miss_bound(9, PF) == miss_bound(9, QQ) == Fraction(18, 2**31 - 1)
+    assert miss_bound(6, field_from_name("prime:12000017")) <= MAX_MISS_BOUND
+    assert miss_bound(6, field_from_name("prime:11999989")) > MAX_MISS_BOUND
 
 
 def test_stabilized_min_accepts_late_stabilization():

@@ -600,39 +600,31 @@ def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
     assert hit["coefficient"] == 1 and hit["coefficient_scaled"] == 3
 
 
-def test_cli_crosscheck_small_prime_reports_run_errors(tmp_path, capsys):
-    # Over F_3, `2@4;3@4` reaches its dimension floor 0 at some sample, which
-    # certifies the generic value, so this range has no run_error at all.
-    out_path = tmp_path / "small.json"
-    code = cli.main(
-        ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3",
-         "--field", "prime:3", "--seed", "1", "--out", str(out_path)]
-    )
-    assert code == 1
-    rep = json.loads(out_path.read_text())
-    assert rep["counts"]["instances"] == 69
-    assert not [c for c in rep["counterexamples"] if c["kind"] == "run_error"]
-    assert "2@4;3@4" not in {
-        c["problem"] for c in rep["counterexamples"]
-        if c["kind"] in ("run_error", "count_rank_mismatch")
-    }
+def test_cli_crosscheck_refuses_a_field_too_small_for_its_range(tmp_path, capsys):
+    # Over this range rho = max r(n - r) = 6, so a sample misses the generic
+    # rank with probability at most 12/p; 12/p <= 10^-6 needs p >= 12,000,000.
+    argv = ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3", "--seed", "7"]
+    for small in ("3", "11999989"):
+        out_path = tmp_path / f"small-{small}.json"
+        code = cli.main([*argv, "--field", f"prime:{small}", "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"error: field prime:{small} is too small for this range")
+        assert f"12/{small}" in err
+        assert "smallest prime accepted is prime:12000017" in err
+        assert not out_path.exists()
 
-    out_path = tmp_path / "rep.json"
-    code = cli.main(
-        ["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "4",
-         "--field", "prime:3", "--seed", "1", "--out", str(out_path)]
-    )
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "Traceback" not in err
-    rep = json.loads(out_path.read_text())
-    assert rep["ok"] is False
-    assert rep["counts"]["instances"] == 114
-    # Over F_3 some samples above the floor never stabilize (run_error);
-    # others settle on a non-generic value, which the other checks report.
-    errors = [c for c in rep["counterexamples"] if c["kind"] == "run_error"]
-    assert errors
-    assert all(set(c) == {"kind", "index", "problem", "error"} for c in errors)
+    reports = {}
+    for field in ("prime:12000017", "prime"):
+        out_path = tmp_path / f"{field}.json"
+        assert cli.main([*argv, "--field", field, "--out", str(out_path)]) == 0
+        assert capsys.readouterr().err == ""
+        reports[field] = json.loads(out_path.read_text())
+    for rep in reports.values():
+        assert rep["ok"] is True
+        assert rep["counts"] == {"instances": 69, "passes": 69, "failures": 0}
+    assert reports["prime:12000017"]["extra"] == reports["prime"]["extra"]
 
 
 def _plant_kernel_fault(monkeypatch):
@@ -666,6 +658,42 @@ def test_cli_failed_system_audit_is_a_counterexample(argv, tmp_path, capsys, mon
     assert rep["ok"] is False
     assert any(c["kind"] == "run_error" and "solved map violates" in c["error"]
                for c in rep["counterexamples"])
+
+
+def _plant_dependent_kernel(monkeypatch):
+    """Make the last column of every kernel basis with two or more columns a
+    copy of the first: the basis is then dependent."""
+    from fultoncheck.linalg import Matrix
+
+    real = Matrix.kernel_basis
+
+    def faulty(self):
+        ker = real(self)
+        if ker.ncols < 2:
+            return ker
+        rows = tuple((*row[:-1], row[0]) for row in ker.rows)
+        return Matrix(ker.field, ker.nrows, ker.ncols, rows)
+
+    monkeypatch.setattr(Matrix, "kernel_basis", faulty)
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--r-max", "3", "--n-max", "5", "--s-max", "2"],
+    ["filtration", "--problem", "1,2,5@5;2,3,5@5"],
+])
+def test_cli_solver_fault_is_a_run_error_not_a_usage_error(argv, tmp_path, capsys,
+                                                           monkeypatch):
+    _plant_dependent_kernel(monkeypatch)
+    out_path = tmp_path / "rep.json"
+    code = cli.main([*argv, "--seed", "101", "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ""  # no usage error, no traceback
+    rep = json.loads(out_path.read_text())
+    assert rep["ok"] is False
+    errors = [c for c in rep["counterexamples"] if c["kind"] == "run_error"]
+    assert errors
+    assert all(c["error"] == "subspace basis columns are dependent" for c in errors)
 
 
 def test_crosscheck_rejects_an_inflated_positive_dimension(tmp_path, monkeypatch):
