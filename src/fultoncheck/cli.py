@@ -1,6 +1,6 @@
-"""Command-line interface.
+"""Command-line interface: flag parsing and dispatch.
 
-Subcommands:
+Subcommands, each run by one `sweeps.cmd_*` function:
   fulton       sweep: a coefficient equals one iff all its scalings equal one
   saturation   sweep: a coefficient vanishes iff all its scalings vanish
   crosscheck   sweep: intersection numbers vs generic map-space dimensions
@@ -28,25 +28,20 @@ import argparse
 import dataclasses
 import os
 import sys
-import time
 from typing import Callable, NamedTuple
 
-from .field import field_from_name
-from .filtration import FiltrationError, run_filtration_random, trace_to_dict, verify_trace
-from .homspace import GenericityError, HomAuditError
-from .linalg import LinAlgError, SamplingError
-from .littlewood import lr_coefficient, lr_coefficient_pieri
 from .partitions import Partition, SchubertProblem
-from .reports import make_report, to_csv_str, to_json_str, write_text
+from .reports import to_csv_str, to_json_str, write_text
 from .sweeps import (
     DEFAULT_SEED,
     ConfigError,
     SweepConfig,
     cmd_crosscheck,
+    cmd_filtration,
     cmd_fulton,
+    cmd_lr,
     cmd_saturation,
     cmd_semistable,
-    rng_for,
 )
 
 _DEFAULTS = SweepConfig()
@@ -95,76 +90,6 @@ _FLAGS = {
 _REPORT_FLAGS = ("--seed", "--out", "--format")
 
 
-def _run_filtration(args: argparse.Namespace, cfg: SweepConfig, seed_source: str) -> dict:
-    started = time.perf_counter()
-    problem = SchubertProblem.parse(args.problem)
-    fld = field_from_name(cfg.field_name)
-    extra = None
-    try:
-        trace = run_filtration_random(
-            problem,
-            rng_for(cfg.seed, f"filtration:{problem.text()}"),
-            fld,
-            trials=cfg.trials,
-            seed=cfg.seed,
-        )
-        audit = verify_trace(trace)
-    except (GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError) as exc:
-        counterexamples = [{"kind": "run_error", "problem": problem.text(),
-                            "error": str(exc)}]
-    else:
-        extra = {"trace": trace_to_dict(trace, audit)}
-        counterexamples = [] if audit.ok else [
-            {
-                "kind": "trace_audit_failed",
-                "problem": problem.text(),
-                "failed_checks": [k for k, v in audit.checks.items() if not v],
-            }
-        ]
-    return make_report(
-        command="filtration",
-        config={"problem": problem.text(), "trials": cfg.trials, "field": cfg.field_name},
-        field_name=cfg.field_name,
-        seed=cfg.seed,
-        seed_source=seed_source,
-        instances=1,
-        failures=len(counterexamples),
-        counterexamples=counterexamples,
-        extra=extra,
-        wall_time_s=time.perf_counter() - started,
-    )
-
-
-def _run_lr(args: argparse.Namespace, cfg: SweepConfig, seed_source: str) -> dict:
-    started = time.perf_counter()
-    mu, nu, lam = args.mu, args.nu, args.lam
-    by_tableau = lr_coefficient(mu, nu, lam)
-    by_pieri = lr_coefficient_pieri(mu, nu, lam)
-    counterexamples = [] if by_tableau == by_pieri else [
-        {
-            "kind": "engine_mismatch",
-            "mu": mu.text(),
-            "nu": nu.text(),
-            "lam": lam.text(),
-            "tableau_engine": by_tableau,
-            "pieri_engine": by_pieri,
-        }
-    ]
-    return make_report(
-        command="lr",
-        config={"mu": mu.text(), "nu": nu.text(), "lam": lam.text()},
-        field_name=cfg.field_name,
-        seed=cfg.seed,
-        seed_source=seed_source,
-        instances=1,
-        failures=len(counterexamples),
-        counterexamples=counterexamples,
-        extra={"coefficient": by_tableau, "tableau_engine": by_tableau,
-               "pieri_engine": by_pieri},
-        wall_time_s=time.perf_counter() - started,
-    )
-
-
 class Command(NamedTuple):
     help: str
     flags: tuple[str, ...]
@@ -173,7 +98,7 @@ class Command(NamedTuple):
 
 _SCALING_FLAGS = ("--r-max", "--size-max", "--n-list", "--checkpoint")
 
-# The sweep entries look `cmd_*` up when they run, so a wrapper installed on
+# Every entry looks its `cmd_*` up when it runs, so a wrapper installed on
 # this module (as `perfbench/tracing.py` installs one) is the one called.
 COMMANDS = {
     "fulton": Command("check that multiplicity one is preserved under scaling",
@@ -190,9 +115,13 @@ COMMANDS = {
                           ("--r-max", "--n-max", "--s-max", "--checkpoint"),
                           lambda args, cfg, src: cmd_semistable(cfg, seed_source=src)),
     "filtration": Command("run and audit the kernel filtration for one problem",
-                          ("--problem", "--trials", "--field"), _run_filtration),
+                          ("--problem", "--trials", "--field"),
+                          lambda args, cfg, src: cmd_filtration(
+                              cfg, SchubertProblem.parse(args.problem), seed_source=src)),
     "lr": Command("compute one coefficient with both engines",
-                  ("--mu", "--nu", "--lam"), _run_lr),
+                  ("--mu", "--nu", "--lam"),
+                  lambda args, cfg, src: cmd_lr(cfg, args.mu, args.nu, args.lam,
+                                                seed_source=src)),
 }
 
 
@@ -267,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
         seed, seed_source = _resolve_seed(args)
         given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
         cfg = SweepConfig(**given, seed=seed)
-        cfg.validate()
         report = COMMANDS[args.command].run(args, cfg, seed_source)
         _emit(report, args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -2,8 +2,9 @@
 
 All arithmetic is exact. The prime field is the workhorse (default modulus
 2^31 - 1; any prime below PRIME_BOUND, where the primality test is proven
-exact, is accepted). Inverses use the built-in modular inverse `pow(a, -1, p)`.
-The rational field exists to audit prime-field results on small instances.
+exact, is accepted). The fields have no inverse: row reduction (`rowred`)
+inverts its pivots itself. The rational field exists to audit prime-field
+results on small instances.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
     def sample(self, rng: Random) -> int:
         return rng.randrange(self.p)
 
@@ -123,11 +119,6 @@ class RationalField:
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
-
-    def inv(self, a: Fraction) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
 
     def sample(self, rng: Random) -> Fraction:
         # Mirrors the prime-field sampling stream so that a fixed seed yields

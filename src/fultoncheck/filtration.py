@@ -281,6 +281,9 @@ class TraceAudit:
     details: dict[str, str] = dc_field(default_factory=dict)
     note: str = ""
 
+    def failed_checks(self) -> list[str]:
+        return [name for name, passed in self.checks.items() if not passed]
+
 
 def _intersection_in_sub_coords(amb_basis: Matrix, step_cols: Matrix) -> Matrix:
     """Coordinates (in the columns of amb_basis) of span(amb_basis) cap

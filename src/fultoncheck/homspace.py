@@ -11,6 +11,8 @@ sub space's coordinates. Because i^j_a - a is weakly increasing in a, the
 nested step conditions reduce to one condition per flag generator, giving
 exactly sum_j codim(I^j) constraint rows; the dimension of the solution space
 is therefore always at least the expected dimension of the problem.
+`build_system` always audits what it solves: `audit_system` re-checks every
+solution against the step containments through column spans, not the rows.
 
 Generic dimensions come from sampling flag tuples and taking the minimum.
 The rows read only each sub flag's basis F^j and each quotient flag's
@@ -34,7 +36,9 @@ at most 2 rho. By Schwartz-Zippel (Schwartz, J. ACM 27, 1980), one sample
 with entries uniform in a set of size p misses the rank the chart reaches
 generically over the field with probability at most 2 rho / p (`miss_bound`;
 over Q the sample set has 2^31 - 1 elements). `crosscheck` refuses a field
-whose bound exceeds `MAX_MISS_BOUND` over its range.
+whose bound exceeds `MAX_MISS_BOUND` over its range, and `filtration` one
+whose bound exceeds it at its problem's rho = r(n - r), a necessary condition
+only: the filtration samples full flags and has no proven bound of its own.
 """
 
 from __future__ import annotations
@@ -107,9 +111,9 @@ def build_system(
     problem: SchubertProblem,
     sub_flags: tuple[Flag, ...],
     quot_flags: tuple[Flag, ...],
-    audit: bool = True,
 ) -> HomSystem:
-    """Assemble and solve the constraint system at the given flags."""
+    """Assemble and solve the constraint system at the given flags, then
+    re-verify every solution with `audit_system`."""
     r = problem.r
     m = problem.n - problem.r
     s = problem.s
@@ -140,8 +144,7 @@ def build_system(
         dim=matrix.ncols - rank,
         kernel=kernel,
     )
-    if audit:
-        audit_system(system)
+    audit_system(system)
     return system
 
 

@@ -291,32 +291,32 @@ def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:
     ))
 
 
-def random_flag(field: Field, n: int, rng: Random, max_attempts: int = MAX_SAMPLE_ATTEMPTS) -> Flag:
+def random_flag(field: Field, n: int, rng: Random) -> Flag:
     """Uniform invertible ordered basis; deterministic given the RNG state."""
-    for _ in range(max_attempts):
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
         try:
             return Flag(random_matrix(field, n, n, rng))
         except LinAlgError:
             continue
-    raise SamplingError(f"no invertible {n}x{n} sample in {max_attempts} attempts")
+    raise SamplingError(f"no invertible {n}x{n} sample in {MAX_SAMPLE_ATTEMPTS} attempts")
 
 
-def random_subspace(field: Field, n: int, d: int, rng: Random, max_attempts: int = MAX_SAMPLE_ATTEMPTS) -> Subspace:
+def random_subspace(field: Field, n: int, d: int, rng: Random) -> Subspace:
     if not 0 <= d <= n:
         raise LinAlgError("subspace dimension outside [0, ambient]")
-    for _ in range(max_attempts):
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
         m = random_matrix(field, n, d, rng)
         if m.rank() == d:
             return Subspace(m)
-    raise SamplingError(f"no rank-{d} {n}x{d} sample in {max_attempts} attempts")
+    raise SamplingError(f"no rank-{d} {n}x{d} sample in {MAX_SAMPLE_ATTEMPTS} attempts")
 
 
-def random_nonzero_combination(columns: Matrix, rng: Random, max_attempts: int = MAX_SAMPLE_ATTEMPTS) -> Matrix:
+def random_nonzero_combination(columns: Matrix, rng: Random) -> Matrix:
     """A random field combination of the columns, resampled while zero."""
     field = columns.field
     if columns.ncols == 0:
         raise LinAlgError("no columns to combine")
-    for _ in range(max_attempts):
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
         coeffs = Matrix.from_columns(field, [[field.sample(rng) for _ in range(columns.ncols)]])
         combo = columns @ coeffs
         if not combo.is_zero():

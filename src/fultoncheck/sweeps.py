@@ -1,10 +1,13 @@
-"""Verification sweeps over families of coefficient and intersection problems.
+"""The command layer: each subcommand, from a validated config to its report.
 
 Each sweep enumerates a deterministic list of instances, checks one property
-per instance, and assembles a report.  Randomness is derived per instance from
-the master seed via a keyed hash, so sweeps can be checkpointed and resumed
-with byte-identical results: restarting at instance k draws exactly the same
-random streams as an uninterrupted run.
+per instance, and assembles a report; `filtration` and `lr` check one
+instance.  Randomness is derived per instance from the master seed via a
+keyed hash, so sweeps can be checkpointed and resumed with byte-identical
+results: restarting at instance k draws exactly the same random streams as an
+uninterrupted run.  A solver fault (`SOLVER_FAULTS`) fails its instance, not
+the run; a field too small to sample is refused (`_refuse_small_field`); and
+`_finish` assembles every report.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Callable, Iterator
 
 from .cohomology import intersection_number, nonvanishing_positions
 from .field import Field, field_from_name, least_prime_from
-from .filtration import FiltrationError, run_filtration_random, trace_to_dict, verify_trace
+from .filtration import FiltrationError, FiltrationTrace, TraceAudit, run_filtration_random
+from .filtration import trace_to_dict, verify_trace
 from .homspace import (
     DEFAULT_TRIALS,
     MAX_MISS_BOUND,
@@ -32,6 +36,7 @@ from .homspace import (
 )
 from .linalg import LinAlgError, SamplingError
 from .littlewood import lr_coefficient as _lr_tableau
+from .littlewood import lr_coefficient_pieri
 from .partitions import (
     IndexSet,
     Partition,
@@ -43,8 +48,13 @@ from .reports import make_report, write_text
 from .semistability import ParabolicWeights, clincher, find_violations
 
 # Module-level reference so tests can substitute a deliberately corrupted
-# coefficient routine and watch the sweep catch it.
+# coefficient routine and watch the sweeps and `lr` catch it.
 lr_coefficient = _lr_tableau
+
+# Samples that never stabilize, a solved map that breaks a containment, a
+# broken guarantee of the filtration recursion, a sampler that gives up, or
+# ill-posed exact linear algebra: each fails its instance, not the run.
+SOLVER_FAULTS = (GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError)
 
 DEFAULT_SEED = 1
 CHECKPOINT_EVERY = 10_000
@@ -56,7 +66,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Shared knobs for every sweep command."""
+    """Shared knobs for every command; an invalid setting raises `ConfigError`
+    on construction."""
 
     r_max: int = 2
     size_max: int = 6
@@ -68,7 +79,7 @@ class SweepConfig:
     field_name: str = "prime"
     checkpoint: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.r_max < 1:
             raise ConfigError("r_max must be at least 1")
         if self.size_max < 0:
@@ -306,19 +317,13 @@ def _run_sweep(
     return len(items), failures, counterexamples, state
 
 
-def _finish(
-    command: str,
-    cfg: SweepConfig,
-    seed_source: str,
-    instances: int,
-    failures: int,
-    counterexamples: list[dict],
-    extra: dict,
-    started: float,
-) -> dict:
+def _finish(command: str, config: dict, cfg: SweepConfig, seed_source: str, instances: int,
+            failures: int, counterexamples: list[dict], extra: dict | None,
+            started: float) -> dict:
+    """The report of one command run; `config` holds the settings it read."""
     return make_report(
         command=command,
-        config=cfg.as_dict(),
+        config=config,
         field_name=cfg.field_name,
         seed=cfg.seed,
         seed_source=seed_source,
@@ -330,8 +335,30 @@ def _finish(
     )
 
 
+def _refuse_small_field(fld: Field, rho: int) -> None:
+    """Raise `ConfigError` when one chart sample of rank up to `rho` may miss
+    the generic rank with probability above `MAX_MISS_BOUND` (the bound is
+    2 rho / p, `homspace.miss_bound`): it could report a false counterexample."""
+    if miss_bound(rho, fld) > MAX_MISS_BOUND:
+        raise ConfigError(
+            f"field {fld.name} is too small for this range: one sample misses the "
+            f"generic rank with probability up to 2*rho/p = {2 * rho}/{fld.sample_size} "
+            f"(rho = {rho}), above {float(MAX_MISS_BOUND):g}; the smallest prime "
+            f"accepted is prime:{least_prime_from(math.ceil(2 * rho / MAX_MISS_BOUND))}"
+        )
+
+
+def _audited_trace(
+    cfg: SweepConfig, fld: Field, problem: SchubertProblem, stream: str
+) -> tuple[FiltrationTrace, TraceAudit]:
+    """The kernel filtration at flags drawn from the named random stream, and its audit."""
+    rng = rng_for(cfg.seed, f"{stream}:{problem.text()}")
+    trace = run_filtration_random(problem, rng, fld, trials=cfg.trials, seed=cfg.seed)
+    return trace, verify_trace(trace)
+
+
 # ---------------------------------------------------------------------------
-# Sweep commands
+# Commands
 # ---------------------------------------------------------------------------
 
 
@@ -349,7 +376,6 @@ def _scaling_sweep(
     scaled coefficients too.  Each distinct partition is scaled once per
     factor, through a cache that lives for one call.
     """
-    cfg.validate()
     started = time.perf_counter()
     items = list(enumerate_triples(cfg.r_max, cfg.size_max))
     scale = functools.cache(Partition.scale)
@@ -377,7 +403,8 @@ def _scaling_sweep(
 
     instances, failures, cxs, state = _run_sweep(command, cfg, items, check, {})
     extra = {"triples": instances, "scalings": list(cfg.n_list)}
-    return _finish(command, cfg, seed_source, instances, failures, cxs, extra, started)
+    return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
+                   started)
 
 
 def cmd_fulton(cfg: SweepConfig, seed_source: str = "flag") -> dict:
@@ -403,22 +430,13 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     the resulting trace, and require the trace's exact map-space dimension to
     equal the generic one.
 
-    A field whose per-sample miss bound 2 rho / p (rho the largest r(n - r)
-    in range) exceeds `MAX_MISS_BOUND` raises `ConfigError` before any
-    instance runs: its samples could report a false counterexample.
+    A field too small for the range (`_refuse_small_field`, rho the largest
+    r(n - r) in range) is refused before any instance runs.
     """
-    cfg.validate()
     started = time.perf_counter()
     fld = cfg.field()
     items = list(enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max))
-    rho = max(problem.r * (problem.n - problem.r) for problem in items)
-    if miss_bound(rho, fld) > MAX_MISS_BOUND:
-        raise ConfigError(
-            f"field {fld.name} is too small for this range: one sample misses the "
-            f"generic rank with probability up to 2*rho/p = {2 * rho}/{fld.sample_size} "
-            f"(rho = {rho}), above {float(MAX_MISS_BOUND):g}; the smallest prime "
-            f"accepted is prime:{least_prime_from(math.ceil(2 * rho / MAX_MISS_BOUND))}"
-        )
+    _refuse_small_field(fld, max(problem.r * (problem.n - problem.r) for problem in items))
     state = {"with_maps": 0, "traces_audited": 0, "intersection_positive": 0}
 
     def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
@@ -446,14 +464,7 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                 )
             if result.dim > 0:
                 state["with_maps"] += 1
-                trace = run_filtration_random(
-                    problem,
-                    rng_for(cfg.seed, f"trace:{problem.text()}"),
-                    fld,
-                    trials=cfg.trials,
-                    seed=cfg.seed,
-                )
-                audit = verify_trace(trace)
+                trace, audit = _audited_trace(cfg, fld, problem, "trace")
                 state["traces_audited"] += 1
                 if trace.hom_dim != result.dim:
                     records.append({"kind": "hom_dim_mismatch", "index": index,
@@ -465,15 +476,11 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                             "kind": "trace_audit_failed",
                             "index": index,
                             "problem": problem.text(),
-                            "failed_checks": [k for k, v in audit.checks.items() if not v],
+                            "failed_checks": audit.failed_checks(),
                             "trace": trace_to_dict(trace, audit),
                         }
                     )
-        except (GenericityError, FiltrationError, SamplingError, HomAuditError,
-                LinAlgError) as exc:
-            # Samples that never stabilize, a solved map that breaks a
-            # containment, or any other solver fault fails the instance, not
-            # the sweep.
+        except SOLVER_FAULTS as exc:
             records.append(
                 {
                     "kind": "run_error",
@@ -486,7 +493,8 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
 
     instances, failures, cxs, state = _run_sweep(command := "crosscheck", cfg, items, check, state)
     extra = {"problems": instances, **state}
-    return _finish(command, cfg, seed_source, instances, failures, cxs, extra, started)
+    return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
+                   started)
 
 
 def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
@@ -497,7 +505,6 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     are generically semistable, every candidate subspace position has
     nonpositive clincher value, and the two statements agree with each other.
     """
-    cfg.validate()
     started = time.perf_counter()
     items = [
         problem
@@ -558,4 +565,45 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
 
     instances, failures, cxs, state = _run_sweep(command := "semistable", cfg, items, check, state)
     extra = {"problems": instances, **state}
-    return _finish(command, cfg, seed_source, instances, failures, cxs, extra, started)
+    return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
+                   started)
+
+
+def cmd_filtration(cfg: SweepConfig, problem: SchubertProblem, seed_source: str = "flag") -> dict:
+    """Run the kernel filtration for one problem at random flags and audit it.
+
+    The field is refused as in `crosscheck`, with rho = r(n - r): the chart
+    bound for one rank sample, applied to the filtration as a necessary
+    condition.  The filtration has no proven bound of its own.
+    """
+    started = time.perf_counter()
+    fld = cfg.field()
+    _refuse_small_field(fld, problem.r * (problem.n - problem.r))
+    extra = None
+    try:
+        trace, audit = _audited_trace(cfg, fld, problem, "filtration")
+    except SOLVER_FAULTS as exc:
+        cxs = [{"kind": "run_error", "problem": problem.text(), "error": str(exc)}]
+    else:
+        extra = {"trace": trace_to_dict(trace, audit)}
+        cxs = [] if audit.ok else [{"kind": "trace_audit_failed", "problem": problem.text(),
+                                    "failed_checks": audit.failed_checks()}]
+    config = {"problem": problem.text(), "trials": cfg.trials, "field": cfg.field_name}
+    return _finish("filtration", config, cfg, seed_source, 1, len(cxs), cxs, extra, started)
+
+
+def cmd_lr(
+    cfg: SweepConfig, mu: Partition, nu: Partition, lam: Partition, seed_source: str = "flag"
+) -> dict:
+    """Compute one coefficient with the tableau engine (the module global
+    `lr_coefficient`) and the Pieri engine, and require them to agree."""
+    started = time.perf_counter()
+    by_tableau = lr_coefficient(mu, nu, lam)
+    by_pieri = lr_coefficient_pieri(mu, nu, lam)
+    cxs = [] if by_tableau == by_pieri else [
+        {"kind": "engine_mismatch", "mu": mu.text(), "nu": nu.text(), "lam": lam.text(),
+         "tableau_engine": by_tableau, "pieri_engine": by_pieri}
+    ]
+    config = {"mu": mu.text(), "nu": nu.text(), "lam": lam.text()}
+    extra = {"coefficient": by_tableau, "tableau_engine": by_tableau, "pieri_engine": by_pieri}
+    return _finish("lr", config, cfg, seed_source, 1, len(cxs), cxs, extra, started)

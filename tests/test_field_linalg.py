@@ -17,6 +17,7 @@ from fultoncheck.field import (
     least_prime_from,
 )
 from fultoncheck.linalg import (
+    MAX_SAMPLE_ATTEMPTS,
     Flag,
     LinAlgError,
     Matrix,
@@ -49,14 +50,7 @@ def test_prime_field_basics():
     assert f.from_int(-1) == 6
     assert f.mul(3, 5) == 1
     assert f.neg(2) == 5
-    assert f.mul(f.inv(3), 3) == f.one
     assert f.name == "prime:7"
-
-
-def test_prime_field_inverse_of_zero_fails():
-    f = PrimeField(7)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
 
 
 def test_prime_field_refuses_strong_pseudoprimes():
@@ -91,7 +85,6 @@ def test_sample_size_counts_the_values_a_sample_draws_from():
 def test_rational_field_basics():
     f = RationalField()
     assert f.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
-    assert f.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert f.from_int(-4) == Fraction(-4)
 
 
@@ -185,8 +178,8 @@ def test_random_flag_gives_up_after_max_attempts(monkeypatch):
 
     monkeypatch.setattr(linalg, "random_matrix", singular)
     with pytest.raises(SamplingError):
-        random_flag(PF, 3, random.Random(0), max_attempts=7)
-    assert draws == [(3, 3)] * 7
+        random_flag(PF, 3, random.Random(0))
+    assert draws == [(3, 3)] * MAX_SAMPLE_ATTEMPTS
 
 
 def test_singular_matrix_has_no_inverse():

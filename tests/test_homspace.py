@@ -124,7 +124,7 @@ def test_special_flags_never_drop_below_generic():
     rng = random.Random(3)
     for _ in range(50):
         sub_flags, quot_flags = random_flag_tuples(problem, rng, PF)
-        sys = build_system(problem, sub_flags, quot_flags, audit=False)
+        sys = build_system(problem, sub_flags, quot_flags)
         assert sys.dim >= generic
 
 
@@ -135,7 +135,7 @@ def test_repeated_flag_specialization_increases_dimension():
     rng = random.Random(8)
     sub = random_flag(PF, 2, rng)
     quot = random_flag(PF, 2, rng)
-    sys = build_system(problem, (sub, sub), (quot, quot), audit=False)
+    sys = build_system(problem, (sub, sub), (quot, quot))
     generic = generic_hom_dim(problem, random.Random(2), PF).dim
     assert generic == 2
     assert sys.dim == 3

@@ -196,15 +196,11 @@ def test_problem_enumeration_order_matches_brute_force():
 
 
 def test_config_validation():
-    SweepConfig().validate()
-    with pytest.raises(ConfigError):
-        SweepConfig(r_max=0).validate()
-    with pytest.raises(ConfigError):
-        SweepConfig(n_list=()).validate()
-    with pytest.raises(ConfigError):
-        SweepConfig(field_name="octonions").validate()
-    with pytest.raises(ConfigError):
-        SweepConfig(trials=0).validate()
+    # A config validates itself on construction: an invalid one never exists.
+    SweepConfig()
+    for bad in ({"r_max": 0}, {"n_list": ()}, {"field_name": "octonions"}, {"trials": 0}):
+        with pytest.raises(ConfigError):
+            SweepConfig(**bad)
 
 
 def test_fulton_sweep_small_fixture():
@@ -600,6 +596,21 @@ def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
     assert hit["coefficient"] == 1 and hit["coefficient_scaled"] == 3
 
 
+def test_cli_lr_catches_a_planted_tableau_fault(capsys, monkeypatch):
+    from fultoncheck.littlewood import lr_coefficient as real
+
+    def corrupted(mu, nu, lam):
+        key = (mu.trimmed().parts, nu.trimmed().parts, lam.trimmed().parts)
+        return 1 if key == ((2, 1), (2, 1), (3, 2, 1)) else real(mu, nu, lam)
+
+    monkeypatch.setattr(sweeps, "lr_coefficient", corrupted)
+    code, out = _run_cli(capsys, ["lr", "--mu", "2,1", "--nu", "2,1", "--lam", "3,2,1"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["counterexamples"] == [{"kind": "engine_mismatch", "mu": "2,1", "nu": "2,1",
+                                       "lam": "3,2,1", "tableau_engine": 1, "pieri_engine": 2}]
+
+
 def test_cli_crosscheck_refuses_a_field_too_small_for_its_range(tmp_path, capsys):
     # Over this range rho = max r(n - r) = 6, so a sample misses the generic
     # rank with probability at most 12/p; 12/p <= 10^-6 needs p >= 12,000,000.
@@ -625,6 +636,27 @@ def test_cli_crosscheck_refuses_a_field_too_small_for_its_range(tmp_path, capsys
         assert rep["ok"] is True
         assert rep["counts"] == {"instances": 69, "passes": 69, "failures": 0}
     assert reports["prime:12000017"]["extra"] == reports["prime"]["extra"]
+
+
+def test_cli_filtration_refuses_a_field_too_small_for_its_problem(tmp_path, capsys):
+    # rho = r(n - r) = 4 here, so the chart bound 8/p <= 10^-6 needs
+    # p >= 8,000,000.  Over prime:13 seeds 6 and 8 used to report
+    # `trace_audit_failed` on this correct filtration.
+    argv = ["filtration", "--problem", "1,4@4;2,3@4;3,4@4"]
+    for seed in ("6", "8"):
+        out_path = tmp_path / f"small-{seed}.json"
+        code = cli.main([*argv, "--field", "prime:13", "--seed", seed, "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: field prime:13 is too small")
+        assert "8/13" in err and "smallest prime accepted is prime:8000009" in err
+        assert not out_path.exists()
+    for field in ("prime:8000009", "prime", "rational"):
+        out_path = tmp_path / f"{field}.json"
+        assert cli.main([*argv, "--field", field, "--seed", "6", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out_path.read_text())["ok"] is True
 
 
 def _plant_kernel_fault(monkeypatch):
