@@ -11,7 +11,6 @@ instance families.
 """
 
 from .cohomology import (
-    CohomologyClass,
     class_product,
     intersection_number,
     nonvanishing_positions,
@@ -94,7 +93,6 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohomologyClass",
     "class_product",
     "intersection_number",
     "nonvanishing_positions",

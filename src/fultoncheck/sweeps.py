@@ -362,6 +362,13 @@ def _audited_trace(
 # ---------------------------------------------------------------------------
 
 
+def _engine_mismatch(mu: Partition, nu: Partition, lam: Partition, by_tableau: int,
+                     by_pieri: int) -> dict:
+    """The record of a coefficient on which the tableau and Pieri engines disagree."""
+    return {"kind": "engine_mismatch", "mu": mu.text(), "nu": nu.text(), "lam": lam.text(),
+            "tableau_engine": by_tableau, "pieri_engine": by_pieri}
+
+
 def _scaling_sweep(
     cfg: SweepConfig,
     command: str,
@@ -375,6 +382,11 @@ def _scaling_sweep(
     at call time, so a substituted routine is the one under test, for the
     scaled coefficients too.  Each distinct partition is scaled once per
     factor, through a cache that lives for one call.
+
+    Neither predicate tells one coefficient c >= 2 from another, so a fault
+    that turns one such value into another would pass them; every base
+    coefficient c >= 2 is therefore re-derived by the Pieri engine, as `lr`
+    does, and a disagreement is an `engine_mismatch` record.
     """
     started = time.perf_counter()
     items = list(enumerate_triples(cfg.r_max, cfg.size_max))
@@ -384,6 +396,10 @@ def _scaling_sweep(
         mu, nu, lam = item
         c = lr_coefficient(mu, nu, lam)
         records = []
+        if c >= 2:
+            by_pieri = lr_coefficient_pieri(mu, nu, lam)
+            if by_pieri != c:
+                records.append({**_engine_mismatch(mu, nu, lam, c, by_pieri), "index": index})
         for factor in cfg.n_list:
             scaled = lr_coefficient(scale(mu, factor), scale(nu, factor), scale(lam, factor))
             if predicate(c) != predicate(scaled):
@@ -600,10 +616,7 @@ def cmd_lr(
     started = time.perf_counter()
     by_tableau = lr_coefficient(mu, nu, lam)
     by_pieri = lr_coefficient_pieri(mu, nu, lam)
-    cxs = [] if by_tableau == by_pieri else [
-        {"kind": "engine_mismatch", "mu": mu.text(), "nu": nu.text(), "lam": lam.text(),
-         "tableau_engine": by_tableau, "pieri_engine": by_pieri}
-    ]
+    cxs = [] if by_tableau == by_pieri else [_engine_mismatch(mu, nu, lam, by_tableau, by_pieri)]
     config = {"mu": mu.text(), "nu": nu.text(), "lam": lam.text()}
     extra = {"coefficient": by_tableau, "tableau_engine": by_tableau, "pieri_engine": by_pieri}
     return _finish("lr", config, cfg, seed_source, 1, len(cxs), cxs, extra, started)

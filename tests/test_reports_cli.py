@@ -596,6 +596,29 @@ def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
     assert hit["coefficient"] == 1 and hit["coefficient_scaled"] == 3
 
 
+@pytest.mark.parametrize("command", ["fulton", "saturation"])
+def test_scaling_sweeps_catch_a_fault_above_one(capsys, monkeypatch, command):
+    # c + 1 for every c >= 2 keeps "c == 1" and "c == 0" unchanged at every
+    # scaling, so only the Pieri re-check of the base coefficient sees it.
+    from fultoncheck.littlewood import lr_coefficient as real
+    from fultoncheck.littlewood import lr_coefficient_pieri
+
+    def corrupted(mu, nu, lam):
+        c = real(mu, nu, lam)
+        return c + 1 if c >= 2 else c
+
+    monkeypatch.setattr(sweeps, "lr_coefficient", corrupted)
+    code, out = _run_cli(capsys, [command, "--r-max", "3", "--size-max", "8"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["counts"]["failures"] == len(rep["counterexamples"]) > 0
+    for hit in rep["counterexamples"]:
+        assert hit["kind"] == "engine_mismatch"
+        mu, nu, lam = (Partition.parse(hit[key]) for key in ("mu", "nu", "lam"))
+        assert hit["pieri_engine"] == lr_coefficient_pieri(mu, nu, lam) >= 2
+        assert hit["tableau_engine"] == hit["pieri_engine"] + 1
+
+
 def test_cli_lr_catches_a_planted_tableau_fault(capsys, monkeypatch):
     from fultoncheck.littlewood import lr_coefficient as real
 
