@@ -30,6 +30,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+from .homspace import MAX_TOTAL_TRIALS
 from .partitions import Partition, SchubertProblem
 from .reports import to_csv_str, to_json_str, write_text
 from .sweeps import (
@@ -69,7 +70,8 @@ _FLAGS = {
                     help="largest number of conditions per problem"),
     "--trials": dict(type=int, default=_DEFAULTS.trials,
                      help="consecutive agreeing samples required for a generic value "
-                          "that no sample certifies at its proven floor"),
+                          "that no sample certifies at its proven floor "
+                          f"(at most {MAX_TOTAL_TRIALS}, the samples drawn per value)"),
     "--field": dict(default=_DEFAULTS.field_name, dest="field_name",
                     help="coefficient field: prime, prime:P, or rational"),
     "--checkpoint": dict(default=_DEFAULTS.checkpoint,

@@ -2,9 +2,9 @@
 
 All arithmetic is exact. The prime field is the workhorse (default modulus
 2^31 - 1; any prime below PRIME_BOUND, where the primality test is proven
-exact, is accepted). The fields have no inverse: row reduction (`rowred`)
-inverts its pivots itself. The rational field exists to audit prime-field
-results on small instances.
+exact, is accepted); the rational field audits it on small instances. Code
+that must tell the fields apart reads only `characteristic` (p, or 0 for Q).
+The fields have no inverse: row reduction (`rowred`) inverts its own pivots.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ class PrimeField:
         return f"prime:{self.p}"
 
     @property
+    def characteristic(self) -> int:
+        return self.p
+
+    @property
     def zero(self) -> int:
         return 0
 
@@ -98,6 +102,8 @@ class PrimeField:
 @dataclass(frozen=True)
 class RationalField:
     """Exact rational arithmetic via fractions.Fraction."""
+
+    characteristic = 0
 
     @property
     def name(self) -> str:

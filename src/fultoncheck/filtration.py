@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
 
-from .field import Field, PrimeField
+from .field import Field
 from .homspace import (
     DEFAULT_TRIALS,
     GenericDimResult,
@@ -554,7 +554,7 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
 
 
 def _entry_to_json(value, fld: Field):
-    if isinstance(fld, PrimeField):
+    if fld.characteristic:
         return int(value)
     frac = Fraction(value)
     return f"{frac.numerator}/{frac.denominator}"

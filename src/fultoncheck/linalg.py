@@ -1,15 +1,16 @@
 """Exact linear algebra over a prime field or the rationals.
 
-Matrices are immutable; columns are the vectors. Rank, kernel and
-containment come from the one exact reduced row echelon form in `rowred`
-(first-nonzero pivoting, no tolerances anywhere), cached per matrix. Every
-question that needs the row operations themselves (inverse, the coefficients
-of a jump profile, a quotient map) reads them off one routine,
-`Matrix.echelon_transform`, which reduces `[M | I]` once. Random flags are
-ordered bases with uniform field entries, resampled until invertible; random
-lower unitriangular matrices (`random_unitriangular`, the open Bruhat cell of
-the flag variety) need neither an inversion nor a retry. Both are
-deterministic functions of the supplied RNG state.
+Matrices are immutable; columns are the vectors. Of the field, the
+arithmetic reads only its `characteristic` p (0 for Q): products reduce mod
+p > 0, and rank, kernel and containment come from the one exact RREF
+`rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances), cached
+per matrix. Every question that needs the row operations themselves
+(inverse, the coefficients of a jump profile, a quotient map) reads them off
+one routine, `Matrix.echelon_transform`, which reduces `[M | I]` once. Random
+flags are ordered bases with uniform field entries, resampled until
+invertible; random lower unitriangular matrices (`random_unitriangular`, the
+open Bruhat cell of the flag variety) need neither an inversion nor a retry.
+Both are deterministic functions of the supplied RNG state.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .field import Field, PrimeField
-from .rowred import rref_frac, rref_mod
+from .field import Field
+from .rowred import rref_mod
 
 MAX_SAMPLE_ATTEMPTS = 100
 
@@ -32,13 +33,6 @@ class LinAlgError(ValueError):
 
 class SamplingError(RuntimeError):
     """Random sampling failed to produce a full-rank object within the cap."""
-
-
-def _reduce(field: Field, work: list[list]) -> tuple[list[list], list[int]]:
-    """RREF of a fresh work list (consumed) and its pivot columns."""
-    if isinstance(field, PrimeField):
-        return rref_mod(work, field.p)
-    return rref_frac(work)
 
 
 @dataclass(frozen=True)
@@ -108,16 +102,10 @@ class Matrix:
         if self.ncols != other.nrows or self.field != other.field:
             raise LinAlgError("matmul shape or field mismatch")
         f = self.field
+        p, zero = f.characteristic, f.zero
         bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        if isinstance(f, PrimeField):
-            p = f.p
-            out = tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-                for row in self.rows
-            )
-            return Matrix(f, self.nrows, other.ncols, out)
         out = tuple(
-            tuple(sum((x * y for x, y in zip(row, col)), f.zero) for col in bt)
+            tuple(s % p if p else s for s in (sum((x * y for x, y in zip(row, col)), zero) for col in bt))
             for row in self.rows
         )
         return Matrix(f, self.nrows, other.ncols, out)
@@ -137,7 +125,7 @@ class Matrix:
         if cached is not None:
             return cached
         f = self.field
-        red, piv = _reduce(f, [list(row) for row in self.rows])
+        red, piv = rref_mod([list(row) for row in self.rows], f.characteristic)
         cached = self.__dict__["_echelon"] = (
             Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in red)),
             tuple(piv),
@@ -180,7 +168,7 @@ class Matrix:
             unit = [zero] * n
             unit[i] = one
             work.append([*row, *unit])
-        red, piv = _reduce(f, work)
+        red, piv = rref_mod(work, f.characteristic)
         return tuple(piv), Matrix(f, n, n, tuple(tuple(row[m:]) for row in red))
 
     def inverse(self) -> "Matrix":

@@ -29,6 +29,7 @@ from .filtration import trace_to_dict, verify_trace
 from .homspace import (
     DEFAULT_TRIALS,
     MAX_MISS_BOUND,
+    MAX_TOTAL_TRIALS,
     GenericityError,
     HomAuditError,
     generic_hom_dim,
@@ -94,6 +95,10 @@ class SweepConfig:
             raise ConfigError("s_max must be at least 1")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.trials > MAX_TOTAL_TRIALS:
+            raise ConfigError(
+                f"trials must be at most {MAX_TOTAL_TRIALS}, the cap on samples per generic value"
+            )
         try:
             field_from_name(self.field_name)
         except ValueError as exc:
@@ -177,21 +182,32 @@ def enumerate_problems(
                     yield SchubertProblem(n, r, tuple(sets[i] for i in combo))
 
 
-def _multisets_with_sum(
-    weights: list[int], size: int, total: int, start: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing `size`-tuples of indices >= `start` into the nonnegative
-    `weights` whose weights sum to `total`, in lexicographic order."""
-    if size == 1:
-        for i in range(start, len(weights)):
-            if weights[i] == total:
-                yield (i,)
-        return
-    for i in range(start, len(weights)):
-        w = weights[i]
-        if w <= total:
-            for rest in _multisets_with_sum(weights, size - 1, total - w, i):
-                yield (i, *rest)
+def _multisets_with_sum(weights: list[int], size: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing `size`-tuples (size >= 1) of indices into the nonnegative
+    `weights` whose weights sum to `total`, in lexicographic order.
+
+    A depth-first search with an explicit stack, so that `size` is not bounded
+    by the recursion limit and each tuple costs O(size) to yield."""
+    n = len(weights)
+    combo = [0] * size  # combo[k]: the next index to try at position k
+    left = [total] * size  # left[k]: `total` minus the weights of combo[:k]
+    k = 0
+    while k >= 0:
+        i, need, last = combo[k], left[k], k == size - 1
+        while i < n and (weights[i] != need if last else weights[i] > need):
+            i += 1
+        if i == n:  # position k is exhausted: advance the one before it
+            k -= 1
+            if k >= 0:
+                combo[k] += 1
+        elif last:
+            combo[k] = i
+            yield tuple(combo)
+            combo[k] = i + 1
+        else:
+            combo[k] = combo[k + 1] = i
+            left[k + 1] = need - weights[i]
+            k += 1
 
 
 # ---------------------------------------------------------------------------

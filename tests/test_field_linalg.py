@@ -29,7 +29,7 @@ from fultoncheck.linalg import (
     random_nonzero_combination,
     random_subspace,
 )
-from fultoncheck.rowred import rref_frac, rref_mod
+from fultoncheck.rowred import rref_mod
 
 PF = PrimeField(DEFAULT_PRIME)
 QF = RationalField()
@@ -94,6 +94,14 @@ def test_field_from_name():
     assert field_from_name("rational").name == "rational"
     with pytest.raises(ValueError):
         field_from_name("galois:4")
+
+
+def test_characteristic_is_the_only_field_tag():
+    assert PrimeField(7).characteristic == 7
+    assert PF.characteristic == DEFAULT_PRIME
+    assert RationalField().characteristic == 0
+    # A class attribute, not a dataclass field: equality and repr ignore it.
+    assert RationalField() == QF and "characteristic" not in repr(QF)
 
 
 def test_field_sample_streams_match():
@@ -297,6 +305,22 @@ def test_rank_agrees_across_fields_on_500_matrices():
         assert Matrix.from_rows(PF, rows).rank() == Matrix.from_rows(QF, rows).rank()
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME])
+def test_product_mod_p_is_the_rational_product_reduced(p):
+    fp = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(100):
+        # An inner dimension of 0 gives the zero matrix of the outer shape.
+        m, k, n = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = [[rng.randint(-2 * p, 2 * p) for _ in range(k)] for _ in range(m)]
+        b = [[rng.randint(-2 * p, 2 * p) for _ in range(n)] for _ in range(k)]
+        over_q = Matrix.from_rows(QF, a, ncols=k) @ Matrix.from_rows(QF, b, ncols=n)
+        over_p = Matrix.from_rows(fp, a, ncols=k) @ Matrix.from_rows(fp, b, ncols=n)
+        assert (over_p.nrows, over_p.ncols) == (over_q.nrows, over_q.ncols) == (m, n)
+        assert all(type(x) is Fraction for row in over_q.rows for x in row)
+        assert over_p.rows == tuple(tuple(int(x) % p for x in row) for row in over_q.rows)
+
+
 # ---------------------------------------------------------------------------
 # Row reduction
 # ---------------------------------------------------------------------------
@@ -335,12 +359,28 @@ def test_rref_mod_agrees_with_rref_frac_mod_p(p):
     for _ in range(60):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
         a, target, pivots = _random_rref_pair(rng, nrows, ncols)
-        red_q, piv_q = rref_frac([[Fraction(x) for x in row] for row in a])
+        red_q, piv_q = rref_mod([[Fraction(x) for x in row] for row in a], 0)
         want = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in red_q]
         assert want == [[x % p for x in row] for row in target]
         red_p, piv_p = rref_mod([[x % p for x in row] for row in a], p)
         assert piv_p == piv_q == pivots
         assert red_p == want
+
+
+def test_rref_over_q_keeps_non_integer_fractions():
+    # By hand: scale row 0 by 3/2; subtract 1/3 of it from row 1 and all of
+    # it from row 2; scale row 1 by 4/3; clear column 2 with it. Row 2 = row
+    # 0 + row 1 vanishes, and column 0 holds no pivot.
+    q = Fraction
+    rows = [
+        [q(0), q(2, 3), q(1, 2), q(1)],
+        [q(0), q(1, 3), q(1), q(0)],
+        [q(0), q(1), q(3, 2), q(1)],
+    ]
+    red, piv = rref_mod(rows, 0)
+    assert piv == [1, 2]
+    assert red == [[0, 1, 0, 2], [0, 0, 1, q(-2, 3)], [0, 0, 0, 0]]
+    assert all(type(x) is Fraction for row in red for x in row)
 
 
 def test_rational_reduction_matches_modular_pivots():
@@ -349,7 +389,7 @@ def test_rational_reduction_matches_modular_pivots():
         nrows = rng.randint(1, 5)
         ncols = rng.randint(1, 5)
         rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        _, piv_q = rref_frac([[Fraction(x) for x in row] for row in rows])
+        _, piv_q = rref_mod([[Fraction(x) for x in row] for row in rows], 0)
         _, piv_p = rref_mod([[x % DEFAULT_PRIME for x in row] for row in rows], DEFAULT_PRIME)
         assert piv_q == piv_p
 

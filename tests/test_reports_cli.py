@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fultoncheck import cli, sweeps
+from fultoncheck.homspace import MAX_TOTAL_TRIALS
 from fultoncheck.partitions import (
     IndexSet,
     Partition,
@@ -193,6 +194,14 @@ def test_problem_enumeration_order_matches_brute_force():
                         brute.append(SchubertProblem(n, r, combo))
     assert len(brute) == 3021
     assert list(enumerate_problems(4, 7, 4)) == brute
+
+
+def test_problem_enumeration_takes_more_conditions_than_the_recursion_limit():
+    # On P^1 the only problem with s conditions is one point condition
+    # followed by s - 1 trivial ones.
+    probs = list(enumerate_problems(1, 2, 1500))
+    assert len(probs) == 1500
+    assert [len(p.index_sets) for p in probs] == list(range(1, 1501))
 
 
 def test_config_validation():
@@ -468,6 +477,26 @@ def test_cli_filtration_validates_its_config(problem, trials, tmp_path, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: trials must be at least 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["crosscheck", "--r-max", "2", "--n-max", "4", "--s-max", "3"],
+     ["filtration", "--problem", "1,4@4;2,3@4"]],
+    ids=["crosscheck", "filtration"],
+)
+def test_cli_caps_trials_at_the_samples_per_value(argv, tmp_path, capsys):
+    # More agreeing samples than `stabilized_min` ever draws could only end
+    # in a false `run_error`, so such a setting is refused up front.
+    out = tmp_path / "rep.json"
+    assert MAX_TOTAL_TRIALS == 10
+    assert cli.main([*argv, "--trials", "11", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: trials must be at most 10, the cap on samples per generic value\n"
+    )
+    assert not out.exists()
+    assert cli.main([*argv, "--trials", "10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ok"] is True
 
 
 # Every (command, flag) pair the command never reads: each is refused.
