@@ -48,8 +48,17 @@ def class_product(
 
 
 def problem_class(problem: SchubertProblem) -> dict[Partition, int]:
+    """The product of the problem's condition classes on Gr(r, n).
+
+    A codimension-0 condition has class sigma_empty = 1, so it is skipped and
+    the product starts from the first nontrivial condition's class; a problem
+    whose conditions are all trivial has class {empty: 1}.
+    """
     r, n = problem.r, problem.n
-    first, *rest = problem.partitions()
+    nontrivial = [lam for lam in problem.partitions() if lam.size]
+    if not nontrivial:
+        return {Partition(()): 1}
+    first, *rest = nontrivial
     acc = schubert_class(first, r, n)
     for lam in rest:
         acc = class_product(acc, schubert_class(lam, r, n), r, n)

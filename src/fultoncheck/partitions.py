@@ -185,6 +185,21 @@ class SchubertProblem:
     def expected_dim(self) -> int:
         return self.r * (self.n - self.r) - self.total_codim()
 
+    def core(self) -> "SchubertProblem":
+        """This problem without its codimension-0 conditions.
+
+        A trivial condition I = {n - r + 1, ..., n} has class sigma_empty = 1
+        and adds no constraint row (its level i_a - a is n - r for every a),
+        so the intersection number and the map space at given flags are the
+        core's.  The problem itself is returned when it has no trivial
+        condition, and also when every condition is trivial, since a problem
+        needs at least one condition.
+        """
+        kept = tuple(ix for ix in self.index_sets if ix.codim())
+        if not kept or len(kept) == len(self.index_sets):
+            return self
+        return SchubertProblem(self.n, self.r, kept)
+
     def text(self) -> str:
         return ";".join(ix.text() for ix in self.index_sets)
 

@@ -462,6 +462,15 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     the resulting trace, and require the trace's exact map-space dimension to
     equal the generic one.
 
+    Each check runs once per core (`SchubertProblem.core`), within one call:
+    a codimension-0 condition changes neither the intersection number nor the
+    constraint matrix, so a problem padded with such conditions reads its
+    core's verdicts, and its records carry its own `index` and `problem`.  The
+    core names the random streams, so a resumed sweep recomputes a core solved
+    before its checkpoint exactly.  `traces_audited` counts the problems
+    covered by an audited trace; `cores_traced` counts the problems with maps
+    that are their own core, that is, the traces an uninterrupted run computes.
+
     A field too small for the range (`_refuse_small_field`, rho the largest
     r(n - r) in range) is refused before any instance runs.
     """
@@ -469,17 +478,20 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     fld = cfg.field()
     items = list(enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max))
     _refuse_small_field(fld, max(problem.r * (problem.n - problem.r) for problem in items))
-    state = {"with_maps": 0, "traces_audited": 0, "intersection_positive": 0}
+    state = {"with_maps": 0, "traces_audited": 0, "intersection_positive": 0, "cores_traced": 0}
+    # Per core: the counters it adds and its records less `index` and
+    # `problem`.  No `FiltrationTrace` is kept; a trace is rendered into a
+    # record only when its audit failed.
+    solved: dict[SchubertProblem, tuple[dict[str, int], list[dict]]] = {}
 
-    def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
+    def solve(core: SchubertProblem) -> tuple[dict[str, int], list[dict]]:
+        number = intersection_number(core)
+        counts = {"intersection_positive": int(number > 0), "with_maps": 0, "traces_audited": 0}
         records = []
-        number = intersection_number(problem)
-        if number > 0:
-            state["intersection_positive"] += 1
         try:
             result = generic_hom_dim(
-                problem,
-                rng_for(cfg.seed, f"hom:{problem.text()}"),
+                core,
+                rng_for(cfg.seed, f"hom:{core.text()}"),
                 fld,
                 trials=cfg.trials,
             )
@@ -487,41 +499,40 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                 records.append(
                     {
                         "kind": "count_rank_mismatch",
-                        "index": index,
-                        "problem": problem.text(),
                         "intersection_number": number,
                         "generic_hom_dim": result.dim,
                         "samples": result.samples,
                     }
                 )
             if result.dim > 0:
-                state["with_maps"] += 1
-                trace, audit = _audited_trace(cfg, fld, problem, "trace")
-                state["traces_audited"] += 1
+                counts["with_maps"] = 1
+                trace, audit = _audited_trace(cfg, fld, core, "trace")
+                counts["traces_audited"] = 1
                 if trace.hom_dim != result.dim:
-                    records.append({"kind": "hom_dim_mismatch", "index": index,
-                                    "problem": problem.text(), "generic_hom_dim": result.dim,
+                    records.append({"kind": "hom_dim_mismatch", "generic_hom_dim": result.dim,
                                     "trace_hom_dim": trace.hom_dim})
                 if not audit.ok:
                     records.append(
                         {
                             "kind": "trace_audit_failed",
-                            "index": index,
-                            "problem": problem.text(),
                             "failed_checks": audit.failed_checks(),
                             "trace": trace_to_dict(trace, audit),
                         }
                     )
         except SOLVER_FAULTS as exc:
-            records.append(
-                {
-                    "kind": "run_error",
-                    "index": index,
-                    "problem": problem.text(),
-                    "error": str(exc),
-                }
-            )
-        return records
+            records.append({"kind": "run_error", "error": str(exc)})
+        return counts, records
+
+    def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
+        core = problem.core()
+        if core not in solved:
+            solved[core] = solve(core)
+        counts, records = solved[core]
+        for key, count in counts.items():
+            state[key] += count
+        if counts["with_maps"] and core == problem:
+            state["cores_traced"] += 1
+        return [{**record, "index": index, "problem": problem.text()} for record in records]
 
     instances, failures, cxs, state = _run_sweep(command := "crosscheck", cfg, items, check, state)
     extra = {"problems": instances, **state}

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fultoncheck import cli, sweeps
+from fultoncheck.cohomology import intersection_number
 from fultoncheck.homspace import MAX_TOTAL_TRIALS
 from fultoncheck.partitions import (
     IndexSet,
@@ -204,6 +205,17 @@ def test_problem_enumeration_takes_more_conditions_than_the_recursion_limit():
     assert [len(p.index_sets) for p in probs] == list(range(1, 1501))
 
 
+def test_every_core_precedes_its_padded_copies():
+    # A resumed crosscheck recomputes the cores it needs; `cores_traced`
+    # counts each traced core once because a core is enumerated before any
+    # copy of it padded with codimension-0 conditions.
+    for ranges in ((3, 6, 4), (3, 5, 4), (4, 7, 4)):
+        seen = set()
+        for problem in enumerate_problems(*ranges):
+            seen.add(problem)
+            assert problem.core() in seen, (ranges, problem.text())
+
+
 def test_config_validation():
     # A config validates itself on construction: an invalid one never exists.
     SweepConfig()
@@ -230,6 +242,39 @@ def test_crosscheck_checkpoint_resume_is_byte_identical(tmp_path):
     for state in ({}, {**saved["state"], "with_maps": "x"}, {**saved["state"], "with_maps": None}):
         ck.write_text(json.dumps({**restart, "state": state}))
         assert strip_volatile(cmd_crosscheck(cfg)) == first, state
+    # A restart between a core with maps and its first padded copy solves
+    # the core again, and the report, `cores_traced` included, is unchanged.
+    ck = tmp_path / "ck-cores.json"
+    cfg = SweepConfig(r_max=2, n_max=5, s_max=3, seed=5, checkpoint=str(ck))
+    items = list(enumerate_problems(2, 5, 3))
+    restart_at = next(i for i, p in enumerate(items)
+                      if p.core() != p and intersection_number(p.core()) == 0)
+    padded = items[restart_at]
+    assert (restart_at, padded.text()) == (28, "1,4@4;2,3@4;3,4@4")
+    assert items.index(padded.core()) < restart_at
+    uninterrupted = strip_volatile(cmd_crosscheck(SweepConfig(r_max=2, n_max=5, s_max=3, seed=5)))
+
+    class Interrupted(Exception):
+        pass
+
+    real_core = SchubertProblem.core
+
+    def interrupt_at_padded(self):
+        if self == padded:
+            raise Interrupted
+        return real_core(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SchubertProblem, "core", interrupt_at_padded)
+        patch.setattr(sweeps, "CHECKPOINT_EVERY", restart_at)
+        with pytest.raises(Interrupted):
+            cmd_crosscheck(cfg)
+    saved = json.loads(ck.read_text())
+    assert saved["next_index"] == restart_at
+    assert saved["state"]["cores_traced"] == saved["state"]["with_maps"] > 0
+    resumed = strip_volatile(cmd_crosscheck(cfg))
+    assert resumed == uninterrupted
+    assert resumed["extra"]["cores_traced"] == 6
 
 
 def test_checkpoint_with_other_config_is_ignored(tmp_path):
@@ -800,3 +845,52 @@ def test_crosscheck_rejects_an_inflated_positive_dimension(tmp_path, monkeypatch
     for c in rep["counterexamples"]:
         assert c["generic_hom_dim"] == c["trace_hom_dim"] + 1
     assert len(rep["counterexamples"]) == rep["extra"]["traces_audited"]
+
+
+@pytest.mark.parametrize("fault", ["sampling_error", "inflated_dim"])
+def test_crosscheck_reports_a_shared_core_fault_for_every_copy(fault, monkeypatch):
+    import dataclasses
+
+    from fultoncheck.linalg import SamplingError
+
+    target = SchubertProblem.parse("1@3")
+    real = sweeps.generic_hom_dim
+
+    def faulty(problem, *args, **kwargs):
+        result = real(problem, *args, **kwargs)
+        if problem != target:
+            return result
+        if fault == "sampling_error":
+            raise SamplingError("planted sampler fault")
+        return dataclasses.replace(result, dim=result.dim + 1)
+
+    monkeypatch.setattr(sweeps, "generic_hom_dim", faulty)
+    items = list(enumerate_problems(2, 5, 3))
+    sharing = {i: p.text() for i, p in enumerate(items) if p.core() == target}
+    assert sorted(sharing.values()) == ["1@3", "1@3;3@3", "1@3;3@3;3@3"]
+    rep = cmd_crosscheck(SweepConfig(r_max=2, n_max=5, s_max=3, seed=5))
+    assert rep["counts"]["failures"] == len(sharing)
+    kinds = {"sampling_error": {"run_error"},
+             "inflated_dim": {"count_rank_mismatch", "hom_dim_mismatch"}}[fault]
+    for index, text in sharing.items():
+        records = [c for c in rep["counterexamples"] if c["index"] == index]
+        assert {c["kind"] for c in records} == kinds
+        assert all(c["problem"] == text for c in records)
+    assert {c["index"] for c in rep["counterexamples"]} == set(sharing)
+
+
+def test_crosscheck_solves_a_shared_core_once(monkeypatch):
+    # On P^1 every problem is one point condition padded with trivial ones.
+    calls = {"generic_hom_dim": 0, "intersection_number": 0}
+    for name in calls:
+        real = getattr(sweeps, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, name, counted)
+    rep = cmd_crosscheck(SweepConfig(r_max=1, n_max=2, s_max=300))
+    assert rep["ok"] is True
+    assert rep["counts"]["instances"] == rep["extra"]["intersection_positive"] == 300
+    assert calls == {"generic_hom_dim": 1, "intersection_number": 1}
