@@ -1,7 +1,7 @@
 """Schubert-class arithmetic in H*(Gr(r, n)).
 
-A class is a plain dict from trimmed `Partition` (inside the r x (n-r)
-rectangle) to its nonzero integer coefficient; the empty dict is zero.
+A class is a plain dict from `Partition` (inside the r x (n-r) rectangle) to
+its nonzero integer coefficient; the empty dict is zero.
 Products expand through `lr_coefficient` and truncate to the rectangle. The
 point class is the full rectangle partition.
 """
@@ -18,12 +18,12 @@ from .partitions import IndexSet, Partition, SchubertProblem, partitions_with
 def schubert_class(lam: Partition, r: int, n: int) -> dict[Partition, int]:
     if not lam.fits_in(r, n - r):
         raise ValueError(f"partition {lam.parts} outside the {r}x{n - r} rectangle")
-    return {lam.trimmed(): 1}
+    return {lam: 1}
 
 
 @lru_cache(maxsize=None)
 def _shapes(size: int, rows: int, cols: int) -> tuple[Partition, ...]:
-    """The partitions of `size` inside the rows x cols rectangle, trimmed."""
+    """The partitions of `size` inside the rows x cols rectangle."""
     return tuple(partitions_with(size, rows, cols))
 
 
@@ -74,7 +74,7 @@ def intersection_number(problem: SchubertProblem) -> int:
         raise ValueError(
             f"dimension condition fails: total codim {problem.total_codim()} != {r * (n - r)}"
         )
-    return problem_class(problem).get(Partition((n - r,) * r).trimmed(), 0)
+    return problem_class(problem).get(Partition((n - r,) * r), 0)
 
 
 @lru_cache(maxsize=None)

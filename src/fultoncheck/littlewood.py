@@ -14,7 +14,9 @@ length.
 `lr_coefficient_pieri` is the audit oracle: it expands the second factor
 through one-row (complete homogeneous) classes with the alternating-sum
 correction over the h-expansion of a Schur class, so it shares no code with
-the tableau path beyond the Partition type.
+the tableau path beyond the Partition type. Both read `Partition.parts` as
+given, since a partition holds no zero parts; the Pieri path trims the raw
+tuples it builds itself.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, permutations
 from operator import add
 
-from .partitions import Partition, _parts_contain, _trim_parts
+from .partitions import Partition, _parts_contain
 
 
 def _tableau_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
@@ -104,9 +106,7 @@ def _lr(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
 
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     """Multiplicity of the lambda class in the product of the mu and nu classes."""
-    lam_t = _trim_parts(lam.parts)
-    mu_t = _trim_parts(mu.parts)
-    nu_t = _trim_parts(nu.parts)
+    lam_t, mu_t, nu_t = lam.parts, mu.parts, nu.parts
     if sum(lam_t) != sum(mu_t) + sum(nu_t):
         return 0
     if not (_parts_contain(lam_t, mu_t) and _parts_contain(lam_t, nu_t)):
@@ -142,9 +142,7 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
 
 def lr_coefficient_pieri(mu: Partition, nu: Partition, lam: Partition) -> int:
     """Audit oracle for `lr_coefficient` via iterated one-row expansions."""
-    lam_t = lam.trimmed().parts
-    mu_t = mu.trimmed().parts
-    nu_t = nu.trimmed().parts
+    lam_t, mu_t, nu_t = lam.parts, mu.parts, nu.parts
     if sum(lam_t) != sum(mu_t) + sum(nu_t):
         return 0
     k = len(nu_t)

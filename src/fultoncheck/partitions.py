@@ -5,7 +5,9 @@ partition inside the r x (n-r) rectangle is
 
     lambda_a = (n - r) + a - i_a,        i_a = (n - r) + a - lambda_a,
 
-so codim(I) = sum_a lambda_a = |lambda|.
+so codim(I) = sum_a lambda_a = |lambda|.  A `Partition` drops zero parts
+when it is built, so the r rows above and the same partition without its
+zero rows are equal; `Partition.padded(r)` gives the r-tuple back.
 """
 
 from __future__ import annotations
@@ -15,16 +17,8 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 
-def _trim_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """`parts` without its trailing zeros."""
-    k = len(parts)
-    while k and parts[k - 1] == 0:
-        k -= 1
-    return parts if k == len(parts) else parts[:k]
-
-
 def _parts_contain(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    """Whether the trimmed `outer` contains the trimmed `inner`, row by row."""
+    """Whether the partition `outer` contains `inner`, row by row."""
     if len(inner) > len(outer):
         return False
     for a, b in zip(outer, inner):
@@ -35,39 +29,36 @@ def _parts_contain(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """Weakly decreasing tuple of non-negative integers (trailing zeros kept)."""
+    """Weakly decreasing tuple of positive integers; zero parts given are dropped."""
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        parts = self.parts
         prev = None
-        for x in self.parts:
-            if not isinstance(x, int) or x < 0:
+        for x in parts:
+            if type(x) is not int or x < 0:
                 raise ValueError(f"bad partition part {x!r}")
             if prev is not None and x > prev:
-                raise ValueError(f"parts not weakly decreasing: {self.parts}")
+                raise ValueError(f"parts not weakly decreasing: {parts}")
             prev = x
+        if prev == 0:
+            object.__setattr__(self, "parts", parts[: parts.index(0)])
 
     @property
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def trimmed(self) -> "Partition":
-        """This partition without trailing zeros (itself if it has none)."""
-        parts = self.parts
-        if parts and parts[-1] == 0:
-            return Partition(_trim_parts(parts))
+        """This partition itself: a partition holds no zero parts."""
         return self
 
-    def padded(self, length: int) -> "Partition":
-        t = _trim_parts(self.parts)
-        if length < len(t):
+    def padded(self, length: int) -> tuple[int, ...]:
+        """The parts followed by zeros, `length` entries in all."""
+        parts = self.parts
+        if length < len(parts):
             raise ValueError("padding below the number of nonzero parts")
-        return Partition(t + (0,) * (length - len(t)))
+        return parts + (0,) * (length - len(parts))
 
     def scale(self, n: int) -> "Partition":
         if n < 0:
@@ -75,11 +66,11 @@ class Partition:
         return Partition(tuple(n * x for x in self.parts))
 
     def contains(self, other: "Partition") -> bool:
-        return _parts_contain(_trim_parts(self.parts), _trim_parts(other.parts))
+        return _parts_contain(self.parts, other.parts)
 
     def fits_in(self, rows: int, cols: int) -> bool:
-        t = _trim_parts(self.parts)
-        return len(t) <= rows and (not t or t[0] <= cols)
+        parts = self.parts
+        return len(parts) <= rows and (not parts or parts[0] <= cols)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -89,8 +80,7 @@ class Partition:
         return cls(tuple(int(x) for x in text.split(",")))
 
     def text(self) -> str:
-        t = _trim_parts(self.parts)
-        return ",".join(str(x) for x in t) if t else "0"
+        return ",".join(str(x) for x in self.parts) if self.parts else "0"
 
 
 @dataclass(frozen=True, order=True)
@@ -105,7 +95,7 @@ class IndexSet:
             raise ValueError("negative ambient size")
         prev = 0
         for x in self.elements:
-            if not isinstance(x, int) or x <= prev:
+            if type(x) is not int or x <= prev:
                 raise ValueError(f"index set not strictly increasing in [1,n]: {self.elements}")
             prev = x
         if self.elements and self.elements[-1] > self.n:
@@ -146,7 +136,7 @@ def partition_to_index(lam: Partition, n: int, r: int) -> IndexSet:
         raise ValueError("need 0 <= r <= n")
     if not lam.fits_in(r, n - r):
         raise ValueError(f"partition {lam.parts} does not fit in {r}x{n - r}")
-    padded = lam.padded(r).parts
+    padded = lam.padded(r)
     return IndexSet(n, tuple(n - r + a - padded[a - 1] for a in range(1, r + 1)))
 
 

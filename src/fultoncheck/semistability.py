@@ -59,7 +59,7 @@ class ParabolicWeights:
         """The weight table w^j_a = n - r + a - i^j_a of a position problem."""
         return cls(
             problem.r,
-            tuple(ix.to_partition().padded(problem.r).parts for ix in problem.index_sets),
+            tuple(ix.to_partition().padded(problem.r) for ix in problem.index_sets),
         )
 
 

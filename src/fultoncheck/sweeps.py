@@ -20,6 +20,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterator
 
 from .cohomology import intersection_number, nonvanishing_positions
@@ -222,12 +223,22 @@ def _instance_text(item) -> str:
     return item.text()
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """Digest of the package's own `*.py` files, by name and bytes."""
+    digest = hashlib.blake2b(digest_size=16)
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
     """Digest of everything a checkpoint's partial results depend on.
 
-    Besides the command and configuration this covers the tool version and
-    the exact instance list, so a resume never lands on a different instance
-    after the enumeration order changes.
+    Besides the command and configuration this covers the tool version, the
+    package's source and the exact instance list, so a resume never lands on
+    a different instance after the enumeration order changes, and never
+    takes results from other code as checked.
     """
     from . import __version__
 
@@ -237,6 +248,7 @@ def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
     payload = {
         "command": command,
         "version": __version__,
+        "source": _source_digest(),
         "items": items_digest.hexdigest(),
         **cfg.as_dict(),
     }

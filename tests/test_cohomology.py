@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fultoncheck.cohomology import (
     class_product,
@@ -11,7 +13,7 @@ from fultoncheck.cohomology import (
     problem_class,
     schubert_class,
 )
-from fultoncheck.littlewood import lr_coefficient_pieri
+from fultoncheck.littlewood import lr_coefficient, lr_coefficient_pieri
 from fultoncheck.partitions import Partition, SchubertProblem, partitions_with
 
 P = Partition.parse
@@ -91,6 +93,42 @@ def test_intersection_numbers_in_c4():
 def test_point_class_key_is_trimmed():
     # On Gr(2, 2) the point class is the empty partition, not (0, 0).
     assert intersection_number(SchubertProblem.parse("1,2@2")) == 1
+
+
+@st.composite
+def padded_triples(draw):
+    """(r, n, mu, nu, lam) inside the r x (n-r) rectangle with |lam| = |mu| + |nu|."""
+    r = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    shapes = [lam for size in range(r * cols + 1) for lam in partitions_with(size, r, cols)]
+    mu = draw(st.sampled_from(shapes))
+    nu = draw(st.sampled_from([x for x in shapes if x.size <= r * cols - mu.size]))
+    lam = draw(st.sampled_from(list(partitions_with(mu.size + nu.size, r, cols))))
+    return r, r + cols, mu, nu, lam
+
+
+@given(padded_triples(), st.lists(st.integers(0, 3), min_size=3, max_size=3))
+@settings(deadline=None, max_examples=80)
+def test_trailing_zeros_change_no_answer(triple, zeros):
+    r, n, *shapes = triple
+    padded = [Partition(lam.parts + (0,) * k) for lam, k in zip(shapes, zeros)]
+    for a, b in zip(shapes, padded):
+        assert a == b and hash(a) == hash(b) and a.parts == b.parts
+    mu, nu, lam = shapes
+    pmu, pnu, plam = padded
+    c = lr_coefficient(mu, nu, lam)
+    assert lr_coefficient(pmu, pnu, plam) == c
+    assert lr_coefficient_pieri(pmu, pnu, plam) == lr_coefficient_pieri(mu, nu, lam) == c
+    product = class_product(schubert_class(mu, r, n), schubert_class(nu, r, n), r, n)
+    padded_product = class_product(schubert_class(pmu, r, n), schubert_class(pnu, r, n), r, n)
+    assert padded_product == product
+    assert [k.parts for k in padded_product] == [k.parts for k in product]
+    # sigma_mu * sigma_nu * sigma_{lam^vee} counts c^lam_{mu nu} points.
+    def dual(x):
+        return Partition(tuple(n - r - a for a in reversed(x.padded(r))))
+
+    for lams in ([mu, nu, dual(lam)], [pmu, pnu, dual(plam)]):
+        assert intersection_number(SchubertProblem.from_partitions(lams, n, r)) == c
 
 
 def test_intersection_number_requires_expected_dimension_zero():

@@ -144,8 +144,6 @@ def test_coefficients_are_nonnegative_and_symmetric(pair):
 def test_unit_coefficient_at_union_shapes(pair):
     """The coefficient at the row-wise sum shape is always exactly 1."""
     mu, nu = pair
-    k = max(mu.length, nu.length)
-    summed = Partition(
-        tuple(a + b for a, b in zip(mu.padded(k).parts, nu.padded(k).parts))
-    )
+    k = max(len(mu.parts), len(nu.parts))
+    summed = Partition(tuple(a + b for a, b in zip(mu.padded(k), nu.padded(k))))
     assert lr_coefficient(mu, nu, summed) == 1

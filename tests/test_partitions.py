@@ -24,14 +24,18 @@ from fultoncheck.partitions import (
 def test_partition_construction_and_views():
     p = Partition((3, 2, 2, 0))
     assert p.size == 7
-    assert p.length == 4
-    assert p.trimmed().parts == (3, 2, 2)
-    assert p.padded(6).parts == (3, 2, 2, 0, 0, 0)
-    assert p.scale(2).parts == (6, 4, 4, 0)
+    assert p.parts == (3, 2, 2)
+    assert p == Partition((3, 2, 2)) and hash(p) == hash(Partition((3, 2, 2)))
+    assert p.padded(6) == (3, 2, 2, 0, 0, 0)
+    assert p.padded(3) == (3, 2, 2)
+    with pytest.raises(ValueError):
+        p.padded(2)
+    assert p.scale(2).parts == (6, 4, 4)
+    assert p.scale(0) == Partition(())
     q = Partition((2, 1))
-    assert q.trimmed() is q
-    assert Partition((2, 1, 0)).trimmed() == q
-    assert Partition((0, 0)).trimmed() == Partition(())
+    assert q.trimmed() is q  # kept as the identity for older callers
+    assert Partition((2, 1, 0)) == q
+    assert Partition((0, 0)) == Partition(())
 
 
 def test_partition_must_be_weakly_decreasing():
@@ -39,6 +43,17 @@ def test_partition_must_be_weakly_decreasing():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+def test_bool_parts_and_indices_are_rejected():
+    # bool is a subclass of int, but True is no part or index: it would
+    # render as "True" in reports.
+    for parts in [(True,), (2, True), (1, False), (1.0,)]:
+        with pytest.raises(ValueError):
+            Partition(parts)
+    for elements in [(True,), (True, 2), (1.0, 2)]:
+        with pytest.raises(ValueError):
+            IndexSet(2, elements)
 
 
 def test_partition_parse_text_round_trip():
@@ -99,7 +114,8 @@ def test_index_set_validation():
 )
 def test_index_set_partition_dictionary_in_c4(elements, shape):
     ix = IndexSet(4, elements)
-    assert ix.to_partition().parts == shape
+    assert ix.to_partition().padded(ix.r) == shape
+    assert ix.to_partition() == Partition(shape)
     assert ix.codim() == sum(shape)
 
 
@@ -117,7 +133,7 @@ def test_partition_to_index_round_trip_exhaustive():
         for r in range(0, n + 1):
             for ix in all_index_sets(n, r):
                 lam = ix.to_partition()
-                assert lam.length == r
+                assert lam.padded(r) == tuple(n - r + a - i for a, i in enumerate(ix.elements, 1))
                 assert lam.fits_in(r, n - r)
                 assert partition_to_index(lam, n, r) == ix
                 assert ix.codim() == lam.size
@@ -147,7 +163,8 @@ def test_problem_round_trip_and_derived_quantities():
     prob = SchubertProblem.parse("1,4@4;2,3@4")
     assert prob.n == 4 and prob.r == 2 and prob.s == 2
     assert prob.text() == "1,4@4;2,3@4"
-    assert [p.parts for p in prob.partitions()] == [(2, 0), (1, 1)]
+    assert [p.padded(prob.r) for p in prob.partitions()] == [(2, 0), (1, 1)]
+    assert [p.parts for p in prob.partitions()] == [(2,), (1, 1)]
     assert prob.total_codim() == 4
     assert prob.expected_dim() == 0
 
@@ -188,7 +205,8 @@ def index_sets(draw):
 @settings(deadline=None)
 def test_dictionary_shape_invariants(ix):
     lam = ix.to_partition()
-    assert lam.length == ix.r
+    n, r = ix.n, ix.r
+    assert lam.padded(r) == tuple(n - r + a - i for a, i in enumerate(ix.elements, 1))
     assert lam.fits_in(ix.r, ix.n - ix.r)
     assert lam.size == ix.codim()
     if ix.r:

@@ -296,7 +296,7 @@ def test_checkpoint_with_forged_next_index_is_ignored(tmp_path, monkeypatch):
     saved = json.loads(ck.read_text())
 
     def corrupted(mu, nu, lam):
-        if (mu.trimmed().parts, nu.trimmed().parts, lam.trimmed().parts) == ((1,), (1,), (1, 1)):
+        if (mu.parts, nu.parts, lam.parts) == ((1,), (1,), (1, 1)):
             return 2
         return real(mu, nu, lam)
 
@@ -353,12 +353,29 @@ def test_checkpoint_fingerprint_covers_version_and_items(monkeypatch):
     assert sweeps._config_fingerprint("crosscheck", cfg, items) != base
 
 
+def test_checkpoint_from_other_source_is_recomputed(tmp_path, monkeypatch):
+    from fultoncheck.littlewood import lr_coefficient as real
+
+    ck = str(tmp_path / "ck.json")
+    cfg = SweepConfig(r_max=2, size_max=4, checkpoint=ck)
+    fresh = strip_volatile(cmd_fulton(SweepConfig(r_max=2, size_max=4)))
+    with monkeypatch.context() as patch:
+        patch.setattr(sweeps, "lr_coefficient", lambda mu, nu, lam: real(mu, nu, lam) + 1)
+        stale = strip_volatile(cmd_fulton(cfg))
+    assert fresh["ok"] is True and stale["ok"] is False
+    # Same source: the finished checkpoint is resumed, so nothing is rechecked.
+    assert strip_volatile(cmd_fulton(cfg)) == stale
+    # Other source: every instance is checked again.
+    monkeypatch.setattr(sweeps, "_source_digest", lambda: "other-source")
+    assert strip_volatile(cmd_fulton(cfg)) == fresh
+
+
 def test_planted_corruption_is_caught(monkeypatch):
     from fultoncheck.littlewood import lr_coefficient as real
 
     def corrupted(mu, nu, lam):
         value = real(mu, nu, lam)
-        key = (mu.trimmed().parts, nu.trimmed().parts, lam.trimmed().parts)
+        key = (mu.parts, nu.parts, lam.parts)
         if key == ((2,), (1, 1), (2, 1, 1)):
             return 0  # pretend a genuinely positive coefficient vanishes
         return value
@@ -652,7 +669,7 @@ def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
 
     def corrupted(mu, nu, lam):
         value = real(mu, nu, lam)
-        key = (mu.trimmed().parts, nu.trimmed().parts, lam.trimmed().parts)
+        key = (mu.parts, nu.parts, lam.parts)
         if key == ((2, 1), (2, 1), (3, 2, 1)):
             return 1
         return value
@@ -697,7 +714,7 @@ def test_cli_lr_catches_a_planted_tableau_fault(capsys, monkeypatch):
     from fultoncheck.littlewood import lr_coefficient as real
 
     def corrupted(mu, nu, lam):
-        key = (mu.trimmed().parts, nu.trimmed().parts, lam.trimmed().parts)
+        key = (mu.parts, nu.parts, lam.parts)
         return 1 if key == ((2, 1), (2, 1), (3, 2, 1)) else real(mu, nu, lam)
 
     monkeypatch.setattr(sweeps, "lr_coefficient", corrupted)
