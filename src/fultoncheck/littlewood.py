@@ -9,7 +9,11 @@ incrementally during the enumeration. Two choices are forced and never
 enumerated: within a row the last value takes whatever the row has left, and
 the last row takes every copy of each value not placed above it, so that row
 is only checked against its column-strictness and lattice bounds and its
-length.
+length. The coefficient is symmetric in mu and nu, so `lr_coefficient` counts
+with the factor that has fewer rows (the lexicographically smaller one on a
+tie) as the content nu: that factor branches least, and both orders of one
+pair share one cached count. `_tableau_count` itself takes the factors in the
+order given.
 
 `lr_coefficient_pieri` is the audit oracle: it expands the second factor
 through one-row (complete homogeneous) classes with the alternating-sum
@@ -111,6 +115,12 @@ def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
         return 0
     if not (_parts_contain(lam_t, mu_t) and _parts_contain(lam_t, nu_t)):
         return 0
+    # Schur classes commute, so c^lam_{mu,nu} = c^lam_{nu,mu} (Fulton, Young
+    # Tableaux, 1997, 5.1). The count branches once per value of the content
+    # in every row, so the factor with fewer rows is taken as the content, and
+    # both orders share one cache entry.
+    if (len(nu_t), nu_t) > (len(mu_t), mu_t):
+        mu_t, nu_t = nu_t, mu_t
     return _lr(lam_t, mu_t, nu_t)
 
 

@@ -29,12 +29,13 @@ def _parts_contain(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """Weakly decreasing tuple of positive integers; zero parts given are dropped."""
+    """Weakly decreasing tuple of positive integers; zero parts given are
+    dropped, and parts given as another sequence are stored as a tuple."""
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = self.parts
+        parts = tuple(self.parts)
         prev = None
         for x in parts:
             if type(x) is not int or x < 0:
@@ -43,7 +44,9 @@ class Partition:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
             prev = x
         if prev == 0:
-            object.__setattr__(self, "parts", parts[: parts.index(0)])
+            parts = parts[: parts.index(0)]
+        if parts is not self.parts:
+            object.__setattr__(self, "parts", parts)
 
     @property
     def size(self) -> int:
@@ -85,7 +88,7 @@ class Partition:
 
 @dataclass(frozen=True, order=True)
 class IndexSet:
-    """Strictly increasing i_1 < ... < i_r inside [1, n]."""
+    """Strictly increasing i_1 < ... < i_r inside [1, n], stored as a tuple."""
 
     n: int
     elements: tuple[int, ...] = ()
@@ -93,6 +96,8 @@ class IndexSet:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative ambient size")
+        if type(self.elements) is not tuple:
+            object.__setattr__(self, "elements", tuple(self.elements))
         prev = 0
         for x in self.elements:
             if type(x) is not int or x <= prev:

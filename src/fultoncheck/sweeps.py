@@ -552,6 +552,27 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                    started)
 
 
+def _solvable_problems(cfg: SweepConfig) -> list[SchubertProblem]:
+    """The problems in range with positive intersection number, computed once
+    per core (`SchubertProblem.core`).  A core has its padded copies' n and r,
+    and the enumeration runs through one (n, r) at a time, so the numbers of
+    one (n, r) are dropped when the next begins."""
+    numbers: dict[tuple[IndexSet, ...], int] = {}
+    shape = None
+    solvable = []
+    for problem in enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max):
+        if (problem.n, problem.r) != shape:
+            shape = problem.n, problem.r
+            numbers.clear()
+        core = problem.core()
+        key = core.index_sets
+        if key not in numbers:
+            numbers[key] = intersection_number(core)
+        if numbers[key] > 0:
+            solvable.append(problem)
+    return solvable
+
+
 def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     """Check semistability of the natural weights on solvable problems.
 
@@ -559,16 +580,22 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     intersection number: the parabolic weights read off from the conditions
     are generically semistable, every candidate subspace position has
     nonpositive clincher value, and the two statements agree with each other.
+
+    The intersection number and the check run once per core
+    (`SchubertProblem.core`), within one call.  A codimension-0 condition has
+    a zero weight row, and its position slot can take the codimension-0 set,
+    so a padded problem has its core's clincher values and its core's slope
+    violations, if any.  A padded problem whose core passed adds the core's
+    largest clincher and passes; one whose core failed is checked itself, so
+    each record names positions of its own problem.
     """
     started = time.perf_counter()
-    items = [
-        problem
-        for problem in enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max)
-        if intersection_number(problem) > 0
-    ]
+    items = _solvable_problems(cfg)
     state = {"max_clincher": None}
 
-    def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
+    def examine(problem: SchubertProblem) -> tuple[int | None, list[dict]]:
+        """The largest clincher value (None when there is no position) and
+        the records, less `index` and `problem`."""
         records = []
         weights = ParabolicWeights.from_problem(problem)
         violations = find_violations(weights)
@@ -576,17 +603,12 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
         for d in range(1, problem.r - 1 + 1):
             for positions in nonvanishing_positions(d, problem.r, problem.s):
                 values.append((d, positions, clincher(problem, positions)))
-        if values:
-            worst = max(v for _, _, v in values)
-            if state["max_clincher"] is None or worst > state["max_clincher"]:
-                state["max_clincher"] = worst
+        worst = max((v for _, _, v in values), default=None)
         if violations:
             v = violations[0]
             records.append(
                 {
                     "kind": "not_semistable",
-                    "index": index,
-                    "problem": problem.text(),
                     "d": v.d,
                     "positions": [k.text() for k in v.positions],
                     "slope_sub": str(v.slope_sub),
@@ -598,8 +620,6 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                 records.append(
                     {
                         "kind": "positive_clincher",
-                        "index": index,
-                        "problem": problem.text(),
                         "d": d,
                         "positions": [k.text() for k in positions],
                         "value": value,
@@ -610,13 +630,28 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
             records.append(
                 {
                     "kind": "slope_clincher_disagreement",
-                    "index": index,
-                    "problem": problem.text(),
                     "semistable": not violations,
                     "all_clinchers_nonpositive": clinchers_ok,
                 }
             )
-        return records
+        return worst, records
+
+    # The largest clincher of each core that passed.  A core precedes its
+    # padded copies; one checked before a resumed checkpoint is not here, and
+    # its copies are then checked themselves.
+    clean: dict[SchubertProblem, int | None] = {}
+
+    def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
+        core = problem.core()
+        if core in clean:
+            worst, records = clean[core], []
+        else:
+            worst, records = examine(problem)
+            if not records and core == problem:
+                clean[core] = worst
+        if worst is not None and (state["max_clincher"] is None or worst > state["max_clincher"]):
+            state["max_clincher"] = worst
+        return [{**record, "index": index, "problem": problem.text()} for record in records]
 
     instances, failures, cxs, state = _run_sweep(command := "semistable", cfg, items, check, state)
     extra = {"problems": instances, **state}

@@ -1,19 +1,21 @@
 """A problem padded with codimension-0 conditions agrees with its core.
 
-`crosscheck` solves each core once and lets every padded copy read its
-verdicts; these tests check, over the CI family (r <= 2, n <= 5, s <= 3),
-that the padded problem and its core really have the same constraint rows,
-the same class and the same filtration invariants.
+`crosscheck` and `semistable` solve each core once and let every padded copy
+read its verdicts; these tests check, over the CI family (r <= 2, n <= 5,
+s <= 3), that the padded problem and its core really have the same constraint
+rows, the same class and the same filtration invariants, and over r <= 3,
+n <= 6, s <= 4 the same semistability verdicts.
 """
 
 import random
 
-from fultoncheck.cohomology import problem_class
+from fultoncheck.cohomology import intersection_number, nonvanishing_positions, problem_class
 from fultoncheck.field import field_from_name
 from fultoncheck.filtration import run_filtration_random, verify_trace
 from fultoncheck.homspace import constraint_matrix
 from fultoncheck.linalg import random_unitriangular
 from fultoncheck.partitions import IndexSet, Partition, SchubertProblem
+from fultoncheck.semistability import ParabolicWeights, clincher, find_violations
 from fultoncheck.sweeps import enumerate_problems, rng_for
 
 PF = field_from_name("prime")
@@ -66,3 +68,28 @@ def test_padded_and_core_filtrations_agree():
         assert padded[2] is True
         with_maps += padded[0] > 0
     assert with_maps > 0
+
+
+def _semistability_verdict(problem):
+    """(semistable, largest clincher or None, every clincher <= 0), checked
+    on the problem itself."""
+    values = [
+        clincher(problem, positions)
+        for d in range(1, problem.r)
+        for positions in nonvanishing_positions(d, problem.r, problem.s)
+    ]
+    semistable = not find_violations(ParabolicWeights.from_problem(problem))
+    return semistable, max(values, default=None), all(v <= 0 for v in values)
+
+
+def test_padded_and_core_semistability_verdicts_agree():
+    """A codimension-0 condition has a zero weight row, and its position slot
+    can take the codimension-0 set, so the verdicts are the core's."""
+    checked = 0
+    for problem in enumerate_problems(3, 6, 4):
+        core = problem.core()
+        if core == problem or intersection_number(problem) <= 0:
+            continue
+        assert _semistability_verdict(problem) == _semistability_verdict(core), problem.text()
+        checked += 1
+    assert checked == 190

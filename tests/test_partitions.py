@@ -38,6 +38,16 @@ def test_partition_construction_and_views():
     assert Partition((0, 0)) == Partition(())
 
 
+def test_parts_given_as_a_list_are_stored_as_a_tuple():
+    p = Partition([2, 1, 0])
+    assert p.parts == (2, 1)
+    assert p == Partition((2, 1)) and hash(p) == hash(Partition((2, 1)))
+    assert Partition([3]).parts == (3,)
+    ix = IndexSet(4, [2, 4])
+    assert ix.elements == (2, 4)
+    assert ix == IndexSet(4, (2, 4)) and hash(ix) == hash(IndexSet(4, (2, 4)))
+
+
 def test_partition_must_be_weakly_decreasing():
     with pytest.raises(ValueError):
         Partition((1, 2))

@@ -399,6 +399,15 @@ def test_positive_clinchers_are_reported(tmp_path, monkeypatch):
     assert rep["extra"]["max_clincher"] == 1
     positive = [c for c in rep["counterexamples"] if c["kind"] == "positive_clincher"]
     assert positive
+    # Every solvable problem with a subspace position fails, a padded copy of
+    # a failed core included.
+    failing = {
+        problem.text()
+        for problem in enumerate_problems(3, 5, 3)
+        if problem.r > 1 and intersection_number(problem) > 0
+    }
+    assert {rec["problem"] for rec in positive} == failing
+    assert any(SchubertProblem.parse(text).core().text() != text for text in failing)
     for rec in positive:
         assert rec["value"] == 1
         assert 1 <= rec["d"] < 3
