@@ -74,6 +74,7 @@ from .semistability import (
     ParabolicWeights,
     SlopeViolation,
     clincher,
+    clinchers,
     find_violations,
     slope,
     total_slope,
@@ -143,6 +144,7 @@ __all__ = [
     "ParabolicWeights",
     "SlopeViolation",
     "clincher",
+    "clinchers",
     "find_violations",
     "slope",
     "total_slope",

@@ -9,10 +9,10 @@ point class is the full rectangle partition.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from typing import Iterator
 
 from .littlewood import lr_coefficient
-from .partitions import IndexSet, Partition, SchubertProblem, partitions_with
+from .partitions import IndexSet, Partition, SchubertProblem, all_index_sets, partitions_with
 
 
 def schubert_class(lam: Partition, r: int, n: int) -> dict[Partition, int]:
@@ -78,20 +78,64 @@ def intersection_number(problem: SchubertProblem) -> int:
 
 
 @lru_cache(maxsize=None)
-def nonvanishing_positions(d: int, r: int, s: int) -> tuple[tuple[IndexSet, ...], ...]:
-    """All s-tuples of d-element index sets in [r] whose Schubert classes have
-    a nonzero product in H*(Gr(d, r)); these are exactly the position tuples
-    realized by some d-dimensional subspace for generic flags."""
+def _position_indices(
+    d: int, r: int, s: int
+) -> tuple[tuple[IndexSet, ...], tuple[tuple[int, ...], ...]]:
+    """The lexicographic d-subsets of [r], and each nonvanishing s-tuple of
+    them (see `nonvanishing_positions`) as a tuple of indices into that list.
+
+    A product of classes whose codimensions sum past dim Gr(d, r) = d(r - d)
+    vanishes, so the tuples within that cap are found by a depth-first search
+    that takes each set's codimension once and prunes a branch as soon as its
+    codimension exceeds what is left of the cap; only those tuples have their
+    class product computed.  The order is that of `itertools.product`.
+    """
     if not 0 < d <= r:
         raise ValueError("need 0 < d <= r")
     if s < 1:
         raise ValueError("need s >= 1")
-    cap = d * (r - d)
-    sets = [IndexSet(r, c) for c in combinations(range(1, r + 1), d)]
+    sets = tuple(all_index_sets(r, d))
+    codims = [k.codim() for k in sets]
     out = []
-    for tup in product(sets, repeat=s):
-        if sum(k.codim() for k in tup) > cap:
-            continue
-        if problem_class(SchubertProblem(r, d, tup)):
+    for tup in _tuples_within(codims, s, d * (r - d)):
+        if problem_class(SchubertProblem(r, d, tuple(sets[i] for i in tup))):
             out.append(tup)
-    return tuple(out)
+    return sets, tuple(out)
+
+
+def _tuples_within(weights: list[int], size: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """All `size`-tuples (size >= 1) of indices into the nonnegative `weights`
+    whose weights sum to at most `cap`, in lexicographic order.
+
+    A depth-first search with an explicit stack, so that `size` is not bounded
+    by the recursion limit."""
+    n = len(weights)
+    tup = [0] * size  # tup[k]: the next index to try at position k
+    left = [cap] * size  # left[k]: `cap` minus the weights of tup[:k]
+    k = 0
+    while k >= 0:
+        i, room = tup[k], left[k]
+        while i < n and weights[i] > room:
+            i += 1
+        if i == n:  # position k is exhausted: advance the one before it
+            k -= 1
+            if k >= 0:
+                tup[k] += 1
+        elif k == size - 1:
+            tup[k] = i
+            yield tuple(tup)
+            tup[k] = i + 1
+        else:
+            tup[k], tup[k + 1] = i, 0
+            left[k + 1] = room - weights[i]
+            k += 1
+
+
+@lru_cache(maxsize=None)
+def nonvanishing_positions(d: int, r: int, s: int) -> tuple[tuple[IndexSet, ...], ...]:
+    """All s-tuples of d-element index sets in [r] whose Schubert classes have
+    a nonzero product in H*(Gr(d, r)), in lexicographic order; these are
+    exactly the position tuples realized by some d-dimensional subspace for
+    generic flags."""
+    sets, tuples = _position_indices(d, r, s)
+    return tuple(tuple(sets[i] for i in tup) for tup in tuples)

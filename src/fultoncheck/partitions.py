@@ -111,8 +111,17 @@ class IndexSet:
         return len(self.elements)
 
     def codim(self) -> int:
-        n, r = self.n, self.r
-        return sum(n - r + a - i for a, i in enumerate(self.elements, start=1))
+        # Cached in an attribute outside the fields, so equality, hashing,
+        # order and repr are unchanged.  It is read and set as an attribute:
+        # touching `__dict__` would give every set its own dict object.
+        # `to_partition` is not cached: a kept `Partition` per set costs memory.
+        try:
+            return self._codim
+        except AttributeError:
+            n, r = self.n, self.r
+            value = sum(n - r + a - i for a, i in enumerate(self.elements, start=1))
+            object.__setattr__(self, "_codim", value)
+            return value
 
     def to_partition(self) -> Partition:
         n, r = self.n, self.r

@@ -9,6 +9,15 @@ whose Schubert class product on Gr(d, r) is nonzero — only those positions
 are realized by actual subspaces, which is how the universal quantifier over
 subspaces becomes a finite check.
 
+Both checks here run over the position tuples of one d at a time, held as
+index tuples into the list of d-subsets of [r] (`_position_indices`).  Each
+builds one table per condition, with one entry per d-subset K, so a tuple's
+sum costs s lookups.  `find_violations` tabulates row sums of a weight table;
+`clinchers` tabulates margins read off a problem's index sets and never sees
+a weight table.  The two tables hold the same numbers for a problem's own
+weights, and computing them by separate routes is what makes agreement
+between the slope verdict and the margins a cross-check.
+
 All slope comparisons are exact rationals; nothing here floats.
 """
 
@@ -16,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import getitem
 
-from .cohomology import nonvanishing_positions
+from .cohomology import _position_indices
 from .partitions import IndexSet, SchubertProblem
 
 
@@ -80,10 +91,8 @@ def slope(positions: tuple[IndexSet, ...], weights: ParabolicWeights) -> Fractio
 
 
 def total_slope(weights: ParabolicWeights) -> Fraction:
-    full = tuple(
-        IndexSet(weights.r, tuple(range(1, weights.r + 1))) for _ in range(weights.s)
-    )
-    return slope(full, weights)
+    """The slope of the whole space: every weight, over r."""
+    return Fraction(sum(map(sum, weights.rows)), weights.r)
 
 
 @dataclass(frozen=True)
@@ -95,9 +104,14 @@ class SlopeViolation:
 
 
 def find_violations(weights: ParabolicWeights) -> list[SlopeViolation]:
-    """All nonvanishing position tuples of excessive slope; empty exactly when
-    the weights are generically semistable.
+    """All nonvanishing position tuples of excessive slope, in the order of
+    `nonvanishing_positions`; empty exactly when the weights are generically
+    semistable.
 
+    For each d, row j of the weights becomes a table whose entry for the k-th
+    d-subset K is sum_{a in K} w^j_a; `combinations` yields the row's values
+    at the d-subsets in the same lexicographic order as `_position_indices`.
+    A tuple's weight is then one lookup per row.
     Comparisons are done on cross-multiplied integers; Fraction would also be
     exact, but keeping the comparison integral makes that explicit.
     """
@@ -105,17 +119,17 @@ def find_violations(weights: ParabolicWeights) -> list[SlopeViolation]:
     mu_total = total_slope(weights)
     out: list[SlopeViolation] = []
     for d in range(1, r):
-        for positions in nonvanishing_positions(d, r, s):
-            total = 0
-            for k, row in zip(positions, weights.rows):
-                for a in k.elements:
-                    total += row[a - 1]
+        sets, tuples = _position_indices(d, r, s)
+        tables = [list(map(sum, combinations(row, d))) for row in weights.rows]
+        bound = mu_total.numerator * d
+        for tup in tuples:
+            total = sum(map(getitem, tables, tup))
             # slope_sub > slope_total  <=>  total * r_den > num * d
-            if total * mu_total.denominator > mu_total.numerator * d:
+            if total * mu_total.denominator > bound:
                 out.append(
                     SlopeViolation(
                         d=d,
-                        positions=positions,
+                        positions=tuple(sets[i] for i in tup),
                         slope_sub=Fraction(total, d),
                         slope_total=mu_total,
                     )
@@ -123,14 +137,39 @@ def find_violations(weights: ParabolicWeights) -> list[SlopeViolation]:
     return out
 
 
+def _margins(ix: IndexSet, n: int, r: int) -> tuple[int, ...]:
+    """One condition's margin n - r + a - i_a at each position a = 1..r, after
+    a leading 0 so that position a sits at index a: its share of the margin
+    of a subspace at positions K is the sum of its entries at K."""
+    return (0, *(n - r + a - i for a, i in enumerate(ix.elements, start=1)))
+
+
+def clinchers(problem: SchubertProblem, d: int) -> list[int]:
+    """The margin (see `clincher`) of every tuple of
+    `nonvanishing_positions(d, r, s)`, in that order.
+
+    Each condition becomes a table of its `_margins` share at each d-subset
+    of [r], so a tuple's margin is s lookups minus d(n - r).
+    """
+    n, r = problem.n, problem.r
+    sets, tuples = _position_indices(d, r, problem.s)
+    tables = []
+    for ix in problem.index_sets:
+        at = _margins(ix, n, r).__getitem__
+        tables.append([sum(map(at, k.elements)) for k in sets])
+    base = d * (n - r)
+    return [sum(map(getitem, tables, tup)) - base for tup in tuples]
+
+
 def clincher(problem: SchubertProblem, positions: tuple[IndexSet, ...]) -> int:
     """The destabilization margin sum_j sum_{a in K^j} (n-r+a-i^j_a) - d(n-r).
 
     Implemented directly from the problem's index sets (independently of the
-    chain bookkeeping elsewhere) so that agreement between the two is an
-    actual cross-check. For the weight table of the problem itself this equals
-    d * (slope(K) - (n-r)) whenever the total weight is r(n-r); semistability
-    then forces the value to be nonpositive.
+    weight table and of the chain bookkeeping elsewhere) so that agreement
+    with either is an actual cross-check; `clinchers` reads the same
+    per-condition entries for all tuples of one d. For the weight table of the
+    problem itself this equals d * (slope(K) - (n-r)) whenever the total
+    weight is r(n-r); semistability then forces the value to be nonpositive.
     """
     if len(positions) != problem.s:
         raise ValueError("position tuple length differs from the problem")
@@ -138,9 +177,7 @@ def clincher(problem: SchubertProblem, positions: tuple[IndexSet, ...]) -> int:
     d = len(positions[0].elements)
     total = 0
     for ix, k in zip(problem.index_sets, positions):
-        elements = k.elements
-        if k.n != r or len(elements) != d:
+        if k.n != r or len(k.elements) != d:
             raise ValueError("position shape does not match the problem")
-        for a in elements:
-            total += n - r + a - ix.elements[a - 1]
+        total += sum(map(_margins(ix, n, r).__getitem__, k.elements))
     return total - d * (n - r)

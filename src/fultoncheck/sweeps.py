@@ -47,7 +47,7 @@ from .partitions import (
     partitions_with,
 )
 from .reports import make_report, write_text
-from .semistability import ParabolicWeights, clincher, find_violations
+from .semistability import ParabolicWeights, clinchers, find_violations
 
 # Module-level reference so tests can substitute a deliberately corrupted
 # coefficient routine and watch the sweeps and `lr` catch it.
@@ -597,13 +597,9 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
         """The largest clincher value (None when there is no position) and
         the records, less `index` and `problem`."""
         records = []
-        weights = ParabolicWeights.from_problem(problem)
-        violations = find_violations(weights)
-        values: list[tuple[int, tuple[IndexSet, ...], int]] = []
-        for d in range(1, problem.r - 1 + 1):
-            for positions in nonvanishing_positions(d, problem.r, problem.s):
-                values.append((d, positions, clincher(problem, positions)))
-        worst = max((v for _, _, v in values), default=None)
+        violations = find_violations(ParabolicWeights.from_problem(problem))
+        margins = {d: clinchers(problem, d) for d in range(1, problem.r)}
+        worst = max((max(values) for values in margins.values() if values), default=None)
         if violations:
             v = violations[0]
             records.append(
@@ -615,17 +611,20 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                     "slope_total": str(v.slope_total),
                 }
             )
-        for d, positions, value in values:
-            if value > 0:
-                records.append(
+        clinchers_ok = worst is None or worst <= 0
+        if not clinchers_ok:  # position tuples are spelled out only here
+            for d, values in margins.items():
+                tuples = nonvanishing_positions(d, problem.r, problem.s)
+                records.extend(
                     {
                         "kind": "positive_clincher",
                         "d": d,
                         "positions": [k.text() for k in positions],
                         "value": value,
                     }
+                    for positions, value in zip(tuples, values)
+                    if value > 0
                 )
-        clinchers_ok = all(v <= 0 for _, _, v in values)
         if clinchers_ok != (not violations):
             records.append(
                 {

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fultoncheck import cli, sweeps
-from fultoncheck.cohomology import intersection_number
+from fultoncheck.cohomology import intersection_number, nonvanishing_positions
 from fultoncheck.homspace import MAX_TOTAL_TRIALS
 from fultoncheck.partitions import (
     IndexSet,
@@ -390,7 +390,11 @@ def test_planted_corruption_is_caught(monkeypatch):
 
 
 def test_positive_clinchers_are_reported(tmp_path, monkeypatch):
-    monkeypatch.setattr(sweeps, "clincher", lambda problem, positions: 1)
+    monkeypatch.setattr(
+        sweeps,
+        "clinchers",
+        lambda problem, d: [1] * len(nonvanishing_positions(d, problem.r, problem.s)),
+    )
     out = tmp_path / "report.json"
     argv = ["semistable", "--r-max", "3", "--n-max", "5", "--s-max", "3", "--out", str(out)]
     assert cli.main(argv) == 1

@@ -1,15 +1,24 @@
 """Parabolic weights, slopes, violations, and the destabilization margin."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fultoncheck.cohomology import intersection_number, nonvanishing_positions
-from fultoncheck.partitions import IndexSet, SchubertProblem
+from fultoncheck.cohomology import (
+    _tuples_within,
+    intersection_number,
+    nonvanishing_positions,
+    problem_class,
+)
+from fultoncheck.partitions import IndexSet, SchubertProblem, all_index_sets
 from fultoncheck.positions import rappel_delta
 from fultoncheck.semistability import (
     ParabolicWeights,
+    SlopeViolation,
     clincher,
+    clinchers,
     find_violations,
     slope,
     total_slope,
@@ -91,6 +100,30 @@ def test_extreme_weight_is_destabilized():
     # all weight on the first index of one condition, none elsewhere
     w = ParabolicWeights(2, ((2, 0), (0, 0), (0, 0), (0, 0)))
     assert find_violations(w)
+    assert find_violations(w) == _violations_by_fractions(w)
+
+
+def _violations_by_fractions(weights):
+    """The violations found one tuple at a time with `Fraction` slopes."""
+    mu_total = total_slope(weights)
+    return [
+        SlopeViolation(d, positions, slope(positions, weights), mu_total)
+        for d in range(1, weights.r)
+        for positions in nonvanishing_positions(d, weights.r, weights.s)
+        if slope(positions, weights) > mu_total
+    ]
+
+
+def test_violation_tables_equal_the_fraction_route():
+    """Unsolvable problems are the only ones with violations, and the sweep
+    never examines them, so they are compared here."""
+    destabilized = 0
+    for prob in enumerate_problems(4, 6, 3):
+        w = ParabolicWeights.from_problem(prob)
+        found = find_violations(w)
+        assert found == _violations_by_fractions(w), prob.text()
+        destabilized += bool(found)
+    assert destabilized == 114
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +161,27 @@ def test_clincher_equals_chain_ledger_everywhere():
     assert checked > 100
 
 
+def test_margin_tables_equal_the_chain_ledger():
+    checked = 0
+    for prob in enumerate_problems(4, 6, 3):
+        for d in range(1, prob.r):
+            expected = [
+                rappel_delta(prob.index_sets, positions)
+                for positions in nonvanishing_positions(d, prob.r, prob.s)
+            ]
+            assert clinchers(prob, d) == expected, (prob.text(), d)
+            checked += len(expected)
+    assert checked > 1000
+
+
+def test_clinchers_validate_the_dimension():
+    prob = SchubertProblem.parse("1,4@4;2,3@4")
+    with pytest.raises(ValueError):
+        clinchers(prob, 0)
+    with pytest.raises(ValueError):
+        clinchers(prob, 3)
+
+
 def test_clincher_sign_matches_slope_comparison():
     """For a problem's own weight table, margin <= 0 iff slope <= total."""
     for text in ["2,4@4;2,4@4;2,4@4;2,4@4", "1,4@4;2,3@4", "2,3@4;2,3@4", "1,3@4;2,4@4;2,4@4"]:
@@ -139,3 +193,44 @@ def test_clincher_sign_matches_slope_comparison():
                 margin = clincher(prob, positions)
                 mu = slope(positions, w)
                 assert (margin <= 0) == (mu <= mu_total), (text, positions)
+
+
+# ---------------------------------------------------------------------------
+# Realizable positions
+# ---------------------------------------------------------------------------
+
+
+def test_positions_equal_the_product_filter():
+    """The pruned search keeps exactly the tuples of `product` whose class
+    product is nonzero, in the same order."""
+    for r in range(2, 5):
+        for d in range(1, r):
+            sets = all_index_sets(r, d)
+            for s in range(1, 5):
+                expected = tuple(
+                    tup
+                    for tup in product(sets, repeat=s)
+                    if problem_class(SchubertProblem(r, d, tup))
+                )
+                assert nonvanishing_positions(d, r, s) == expected, (d, r, s)
+
+
+def test_tuples_within_the_cap_equal_the_product_filter():
+    rng = random.Random(7)
+    for _ in range(40):
+        weights = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+        size, cap = rng.randrange(1, 5), rng.randrange(6)
+        expected = [
+            tup
+            for tup in product(range(len(weights)), repeat=size)
+            if sum(weights[i] for i in tup) <= cap
+        ]
+        assert list(_tuples_within(weights, size, cap)) == expected, (weights, size, cap)
+
+
+def test_codim_cache_leaves_identity_unchanged():
+    cached, fresh = all_index_sets(5, 2), all_index_sets(5, 2)
+    assert [k.codim() for k in cached] == [k.to_partition().size for k in fresh]
+    for k, f in zip(cached, fresh):
+        assert (k == f, hash(k), repr(k), k.text()) == (True, hash(f), repr(f), f.text())
+    assert sorted(cached[::-1]) == fresh and sorted(fresh[::-1]) == cached
