@@ -15,6 +15,13 @@ tie) as the content nu: that factor branches least, and both orders of one
 pair share one cached count. `_tableau_count` itself takes the factors in the
 order given.
 
+Both engines recurse through module-level functions that take their state as
+arguments, never through nested functions that call themselves: such a
+closure refers to itself through its own cell, so every count would leave a
+reference cycle, and a sweep of thousands of counts would run the cyclic
+garbage collector hundreds of times. As written, everything a count allocates
+is freed by reference counting.
+
 `lr_coefficient_pieri` is the audit oracle: it expands the second factor
 through one-row (complete homogeneous) classes with the alternating-sum
 correction over the h-expansion of a Schur class, so it shares no code with
@@ -33,73 +40,93 @@ from .partitions import Partition, _parts_contain
 
 
 def _tableau_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    nrows = len(lam)
+    """Number of LR skew tableaux of shape lam/mu with content nu.
+
+    The row recursion (`_fill_row`) and the value recursion within a row
+    (`_choose`) are module-level functions that take their state as arguments
+    and return counts, so a count forms no reference cycle and triggers no
+    pass of the cyclic garbage collector (see the module docstring).
+    """
     nvals = len(nu)
     if nvals == 0:
         return 1 if sum(lam) == sum(mu) else 0
-    if nrows == 0:
+    if not lam:
         return 0
-    mu = mu + (0,) * (nrows - len(mu))
-    last_row = nrows - 1
-    last_val = nvals - 1
-    # placed[i][t]: copies of value t+1 in row i; one list per row, reused.
-    placed = [[0] * nvals for _ in range(nrows)]
+    mu = mu + (0,) * (len(lam) - len(mu))
+    return _fill_row(0, lam, mu, nu, (0,) * nvals, ())
+
+
+def _fill_row(
+    i: int,
+    lam: tuple[int, ...],
+    mu: tuple[int, ...],
+    nu: tuple[int, ...],
+    tot: tuple[int, ...],
+    prev_cum: tuple[int, ...],
+) -> int:
+    """Fillings of rows i, i+1, ... of lam/mu, given the rows above.
+
+    tot[t]: copies of value t+1 placed in earlier rows; prev_cum[t]: entries
+    <= t+1 in the previous row (empty for the first row).
+    """
+    row_len = lam[i] - mu[i]
+    indent = mu[i - 1] - mu[i] if i else 0
+    if i < len(lam) - 1:
+        return _choose(0, 0, [0] * len(nu), i, row_len, indent, lam, mu, nu, tot, prev_cum)
+    # The last row holds every value not yet placed; check its bounds once
+    # instead of enumerating.
+    cum = 0
+    for t in range(len(nu)):
+        cum += nu[t] - tot[t]
+        if i and cum > indent + (prev_cum[t - 1] if t else 0):
+            return 0
+        # Lattice word: all nu[t] copies of t+1 are placed once this row is,
+        # against the tot[t-1] copies of t in earlier rows.
+        if t and nu[t] > tot[t - 1]:
+            return 0
+    return 1 if cum == row_len else 0
+
+
+def _choose(
+    t: int,
+    cum: int,
+    row: list[int],
+    i: int,
+    row_len: int,
+    indent: int,
+    lam: tuple[int, ...],
+    mu: tuple[int, ...],
+    nu: tuple[int, ...],
+    tot: tuple[int, ...],
+    prev_cum: tuple[int, ...],
+) -> int:
+    """Fillings that place values t+1, t+2, ... in row i and then fill the rows
+    below, given `cum` entries of row i already chosen in `row[:t]`."""
+    rest = row_len - cum
+    ub = nu[t] - tot[t]
+    if rest < ub:
+        ub = rest
+    if i:
+        col = indent + (prev_cum[t - 1] if t else 0) - cum
+        if col < ub:
+            ub = col
+    if t:
+        # Lattice word: within a row the larger value is read first, so
+        # copies of t+1 here are bounded by copies of t in strictly earlier
+        # rows.
+        lat = tot[t - 1] - tot[t]
+        if lat < ub:
+            ub = lat
+    if t == len(nu) - 1:
+        # The last value fills the row, so it takes exactly `rest`.
+        if ub != rest:
+            return 0
+        row[t] = rest
+        return _fill_row(i + 1, lam, mu, nu, tuple(map(add, tot, row)), tuple(accumulate(row)))
     count = 0
-
-    # tot[t]: copies of value t+1 placed in earlier rows; prev_cum[t]: entries
-    # <= t+1 in the previous row.
-    def fill_row(i: int, tot: tuple[int, ...], prev_cum: tuple[int, ...]) -> None:
-        nonlocal count
-        row_len = lam[i] - mu[i]
-        indent = mu[i - 1] - mu[i] if i > 0 else 0
-
-        if i == last_row:
-            # The last row holds every value not yet placed; check its bounds
-            # once instead of enumerating.
-            cum = 0
-            for t in range(nvals):
-                cum += nu[t] - tot[t]
-                if i > 0 and cum > indent + (prev_cum[t - 1] if t > 0 else 0):
-                    return
-                # Lattice word: all nu[t] copies of t+1 are placed once this
-                # row is, against the tot[t-1] copies of t in earlier rows.
-                if t > 0 and nu[t] > tot[t - 1]:
-                    return
-            if cum == row_len:
-                count += 1
-            return
-
-        row = placed[i]
-
-        def choose(t: int, cum: int) -> None:
-            rest = row_len - cum
-            ub = nu[t] - tot[t]
-            if rest < ub:
-                ub = rest
-            if i > 0:
-                col = indent + (prev_cum[t - 1] if t > 0 else 0) - cum
-                if col < ub:
-                    ub = col
-            if t > 0:
-                # Lattice word: within a row the larger value is read first,
-                # so copies of t+1 here are bounded by copies of t in strictly
-                # earlier rows.
-                lat = tot[t - 1] - tot[t]
-                if lat < ub:
-                    ub = lat
-            if t == last_val:
-                # The last value fills the row, so it takes exactly `rest`.
-                if ub == rest:
-                    row[t] = rest
-                    fill_row(i + 1, tuple(map(add, tot, row)), tuple(accumulate(row)))
-                return
-            for m in range(ub, -1, -1):
-                row[t] = m
-                choose(t + 1, cum + m)
-
-        choose(0, 0)
-
-    fill_row(0, (0,) * nvals, ())
+    for m in range(ub, -1, -1):
+        row[t] = m
+        count += _choose(t + 1, cum + m, row, i, row_len, indent, lam, mu, nu, tot, prev_cum)
     return count
 
 
@@ -126,23 +153,33 @@ def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
 
 def _horizontal_strip_additions(kappa: tuple[int, ...], size: int, within: tuple[int, ...]):
     """Partitions tau ⊆ within with tau/kappa a horizontal strip of `size` boxes."""
-    nrows = len(within)
-    if len(kappa) > nrows:
+    if len(kappa) > len(within):
+        return iter(())
+    return _strip_rows(kappa, within, 0, size, within[0] if within else 0, 0, ())
+
+
+def _strip_rows(
+    kappa: tuple[int, ...],
+    within: tuple[int, ...],
+    i: int,
+    remaining: int,
+    prev_tau: int,
+    prev_kappa: int,
+    acc: tuple[int, ...],
+):
+    """The strips of `_horizontal_strip_additions` that extend the rows `acc`
+    chosen above row i; a module-level generator, so it forms no cycle."""
+    if i == len(within):
+        if remaining == 0:
+            yield acc
         return
-
-    def rec(i: int, remaining: int, prev_tau: int, prev_kappa: int, acc: tuple[int, ...]):
-        if i == nrows:
-            if remaining == 0:
-                yield acc
-            return
-        k_i = kappa[i] if i < len(kappa) else 0
-        lo = k_i
-        hi = min(within[i], prev_tau, k_i + remaining, prev_kappa if i > 0 else within[i])
-        # horizontal strip: tau_i <= kappa_{i-1}; partition: tau_i <= tau_{i-1}
-        for tau_i in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - (tau_i - k_i), tau_i, k_i, acc + (tau_i,))
-
-    yield from rec(0, size, within[0] if within else 0, 0, ())
+    k_i = kappa[i] if i < len(kappa) else 0
+    hi = min(within[i], prev_tau, k_i + remaining, prev_kappa if i > 0 else within[i])
+    # horizontal strip: tau_i <= kappa_{i-1}; partition: tau_i <= tau_{i-1}
+    for tau_i in range(k_i, hi + 1):
+        yield from _strip_rows(
+            kappa, within, i + 1, remaining - (tau_i - k_i), tau_i, k_i, acc + (tau_i,)
+        )
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

@@ -14,17 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import ge
 from typing import Iterator, Sequence
 
 
 def _parts_contain(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """Whether the partition `outer` contains `inner`, row by row."""
-    if len(inner) > len(outer):
-        return False
-    for a, b in zip(outer, inner):
-        if b > a:
-            return False
-    return True
+    return len(inner) <= len(outer) and all(map(ge, outer, inner))
 
 
 @dataclass(frozen=True, order=True)
@@ -223,16 +219,18 @@ def partitions_with(size: int, max_length: int, max_part: int | None = None) -> 
     """Partitions of `size` with at most `max_length` parts, largest part
     bounded by `max_part`; emitted in descending lexicographic order."""
     cap = size if max_part is None else min(max_part, size)
-
-    def rec(remaining: int, slots: int, bound: int):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0 or bound == 0:
-            return
-        for first in range(min(bound, remaining), 0, -1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    for parts in rec(size, max_length, cap):
+    for parts in _parts_with(size, max_length, cap):
         yield Partition(parts)
+
+
+def _parts_with(remaining: int, slots: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Parts tuples for `partitions_with`: a module-level generator, so the
+    recursion forms no reference cycle."""
+    if remaining == 0:
+        yield ()
+        return
+    if slots == 0 or bound == 0:
+        return
+    for first in range(min(bound, remaining), 0, -1):
+        for rest in _parts_with(remaining - first, slots - 1, first):
+            yield (first,) + rest

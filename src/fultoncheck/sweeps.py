@@ -409,7 +409,8 @@ def _scaling_sweep(
     The coefficient routine is the module global `lr_coefficient`, looked up
     at call time, so a substituted routine is the one under test, for the
     scaled coefficients too.  Each distinct partition is scaled once per
-    factor, through a cache that lives for one call.
+    factor, before the sweep, into a table from its parts to its scaled
+    copies in the order of `n_list`.
 
     Neither predicate tells one coefficient c >= 2 from another, so a fault
     that turns one such value into another would pass them; every base
@@ -418,7 +419,11 @@ def _scaling_sweep(
     """
     started = time.perf_counter()
     items = list(enumerate_triples(cfg.r_max, cfg.size_max))
-    scale = functools.cache(Partition.scale)
+    distinct = {part.parts: part for item in items for part in item}
+    scaled_copies = {
+        parts: tuple(part.scale(factor) for factor in cfg.n_list)
+        for parts, part in distinct.items()
+    }
 
     def check(index: int, item, state: dict) -> list[dict]:
         mu, nu, lam = item
@@ -428,9 +433,12 @@ def _scaling_sweep(
             by_pieri = lr_coefficient_pieri(mu, nu, lam)
             if by_pieri != c:
                 records.append({**_engine_mismatch(mu, nu, lam, c, by_pieri), "index": index})
-        for factor in cfg.n_list:
-            scaled = lr_coefficient(scale(mu, factor), scale(nu, factor), scale(lam, factor))
-            if predicate(c) != predicate(scaled):
+        holds = predicate(c)
+        for factor, mu_n, nu_n, lam_n in zip(
+            cfg.n_list, scaled_copies[mu.parts], scaled_copies[nu.parts], scaled_copies[lam.parts]
+        ):
+            scaled = lr_coefficient(mu_n, nu_n, lam_n)
+            if holds != predicate(scaled):
                 records.append(
                     {
                         "kind": kind,

@@ -1,5 +1,7 @@
 """Structure-constant computation: tableau engine vs determinant engine."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +105,31 @@ def test_engines_agree_on_scaled_sweep_triples(factor):
         a = lr_coefficient(mu, nu, lam)
         b = lr_coefficient_pieri(mu, nu, lam)
         assert a == b, (mu.parts, nu.parts, lam.parts, a, b)
+
+
+def test_engines_leave_no_reference_cycles():
+    """Everything the engines allocate is freed by reference counting, so a
+    sweep of counts leaves the cyclic garbage collector nothing to find."""
+    triples = [
+        (mu, nu, lam)
+        for mu, nu, lam in enumerate_triples(3, 8)
+        if lam.contains(mu) and lam.contains(nu)
+    ]
+    assert len(triples) == 927
+    gc.collect()
+    gc.disable()
+    try:
+        for factor in (1, 2, 3):
+            for mu, nu, lam in triples:
+                # Directly, not through the `_lr` cache, so every count runs.
+                _tableau_count(lam.scale(factor).parts, mu.scale(factor).parts,
+                               nu.scale(factor).parts)
+        for mu, nu, lam in triples[:400]:
+            lr_coefficient_pieri(mu, nu, lam)
+        list(partitions_with(12, 4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _both_orientations(mu, nu, lam):

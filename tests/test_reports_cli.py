@@ -723,6 +723,36 @@ def test_scaling_sweeps_catch_a_fault_above_one(capsys, monkeypatch, command):
         assert hit["tableau_engine"] == hit["pieri_engine"] + 1
 
 
+@pytest.mark.parametrize(
+    "command, planted, kind",
+    [("fulton", 1, "multiplicity_one_not_preserved"), ("saturation", 0, "vanishing_not_preserved")],
+)
+def test_scaling_sweeps_catch_a_fault_in_a_scaled_coefficient(
+    capsys, monkeypatch, command, planted, kind
+):
+    # c = 3 at (4,2), (4,2), (6,4,2), the doubling of (2,1), (2,1), (3,2,1)
+    # with c = 2; only the scaled coefficient is wrong, so the fault is seen
+    # only if scaled coefficients go through `sweeps.lr_coefficient` too.
+    from fultoncheck.littlewood import lr_coefficient as real
+
+    def corrupted(mu, nu, lam):
+        if (mu.parts, nu.parts, lam.parts) == ((4, 2), (4, 2), (6, 4, 2)):
+            return planted
+        return real(mu, nu, lam)
+
+    monkeypatch.setattr(sweeps, "lr_coefficient", corrupted)
+    argv = [command, "--r-max", "3", "--size-max", "6", "--n-list", "2,3"]
+    code, out = _run_cli(capsys, argv)
+    assert code == 1
+    rep = json.loads(out)
+    assert len(rep["counterexamples"]) == 1
+    hit = rep["counterexamples"][0]
+    assert hit["kind"] == kind
+    assert (hit["mu"], hit["nu"], hit["lam"]) == ("2,1", "2,1", "3,2,1")
+    assert hit["scaling"] == 2
+    assert hit["coefficient"] == 2 and hit["coefficient_scaled"] == planted
+
+
 def test_cli_lr_catches_a_planted_tableau_fault(capsys, monkeypatch):
     from fultoncheck.littlewood import lr_coefficient as real
 
