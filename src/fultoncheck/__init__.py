@@ -51,9 +51,6 @@ from .linalg import (
     Matrix,
     SamplingError,
     Subspace,
-    random_flag,
-    random_matrix,
-    random_subspace,
 )
 from .littlewood import lr_coefficient, lr_coefficient_pieri
 from .partitions import (
@@ -126,9 +123,6 @@ __all__ = [
     "Matrix",
     "SamplingError",
     "Subspace",
-    "random_flag",
-    "random_matrix",
-    "random_subspace",
     "lr_coefficient",
     "lr_coefficient_pieri",
     "IndexSet",

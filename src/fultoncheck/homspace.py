@@ -14,21 +14,23 @@ is therefore always at least the expected dimension of the problem.
 `build_system` always audits what it solves: `audit_system` re-checks every
 solution against the step containments through column spans, not the rows.
 
-Generic dimensions come from sampling flag tuples and taking the minimum.
-The rows read only each sub flag's basis F^j and each quotient flag's
-inverse (G^j)^-1, so `generic_hom_dim` draws both directly in the open
-Bruhat cell: uniform lower unitriangular matrices, with no inversion and no
-singular retry (lower unitriangular matrices form a group, so (G^j)^-1 is
-uniform in the cell exactly when G^j is). The product of these cells is dense
-in the product of flag varieties, so the generic value is unchanged. Kernel
-dimension is upper-semicontinuous, so every sample is an upper bound,
-attained generically: a sample's kernel dimension over F_p is never below the
-generic dimension over C. That in turn is never below max(0, expected_dim),
-since the system has exactly total-codim rows. A sample that lands on this
-floor therefore proves the generic value (the result is `certified`), and
-sampling stops there; only values above the floor rest on `trials` agreeing
-samples. A sample below the floor can only come from a broken solver and
-raises `GenericityError`.
+Every random flag is drawn in the open Bruhat cell: a uniform lower
+unitriangular basis, which needs no singular retry. The product of these
+cells is dense in the product of flag varieties, so generic values are
+unchanged. `random_flag_tuples` builds `Flag`s from such bases for the
+filtration, which also reads the quotient flags themselves. Generic
+dimensions come from sampling and taking the minimum; the rows read only
+each sub flag's basis F^j and each quotient flag's inverse (G^j)^-1, so
+`generic_hom_dim` draws both directly in the cell, with no inversion (lower
+unitriangular matrices form a group, so (G^j)^-1 is uniform in the cell
+exactly when G^j is). Kernel dimension is upper-semicontinuous, so every
+sample is an upper bound, attained generically: a sample's kernel dimension
+over F_p is never below the generic dimension over C. That in turn is never
+below max(0, expected_dim), since the system has exactly total-codim rows. A
+sample that lands on this floor therefore proves the generic value (the
+result is `certified`), and sampling stops there; only values above the floor
+rest on `trials` agreeing samples. A sample below the floor can only come
+from a broken solver and raises `GenericityError`.
 
 In chart coordinates every constraint entry is the product of one entry of F^j
 and one of (G^j)^-1, so it has degree at most 2, and a rank-rho minor degree
@@ -38,7 +40,8 @@ generically over the field with probability at most 2 rho / p (`miss_bound`;
 over Q the sample set has 2^31 - 1 elements). `crosscheck` refuses a field
 whose bound exceeds `MAX_MISS_BOUND` over its range, and `filtration` one
 whose bound exceeds it at its problem's rho = r(n - r), a necessary condition
-only: the filtration samples full flags and has no proven bound of its own.
+only: the filtration draws its flags in the same cell, but its kernel draws
+have no proven bound.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from random import Random
 from typing import Callable
 
 from .field import Field
-from .linalg import Flag, Matrix, contained_in, random_flag, random_nonzero_combination, random_unitriangular
+from .linalg import Flag, Matrix, contained_in, random_nonzero_combination, random_unitriangular
 from .partitions import SchubertProblem
 
 DEFAULT_TRIALS = 3
@@ -269,11 +272,12 @@ def stabilized_min(
 def random_flag_tuples(
     problem: SchubertProblem, rng: Random, field: Field
 ) -> tuple[tuple[Flag, ...], tuple[Flag, ...]]:
-    """Independent uniform flag tuples on the sub and quotient model spaces."""
+    """Independent flag tuples on the sub and quotient model spaces, drawn in
+    the open Bruhat cell: every sub flag, then every quotient flag."""
     r = problem.r
     m = problem.n - problem.r
-    subs = tuple(random_flag(field, r, rng) for _ in range(problem.s))
-    quots = tuple(random_flag(field, m, rng) for _ in range(problem.s))
+    subs = tuple(Flag(random_unitriangular(field, r, rng)) for _ in range(problem.s))
+    quots = tuple(Flag(random_unitriangular(field, m, rng)) for _ in range(problem.s))
     return subs, quots
 
 

@@ -7,10 +7,10 @@ p > 0, and rank, kernel and containment come from the one exact RREF
 per matrix. Every question that needs the row operations themselves
 (inverse, the coefficients of a jump profile, a quotient map) reads them off
 one routine, `Matrix.echelon_transform`, which reduces `[M | I]` once. Random
-flags are ordered bases with uniform field entries, resampled until
-invertible; random lower unitriangular matrices (`random_unitriangular`, the
-open Bruhat cell of the flag variety) need neither an inversion nor a retry.
-Both are deterministic functions of the supplied RNG state.
+flags are drawn in the open Bruhat cell of the flag variety: uniform lower
+unitriangular bases (`random_unitriangular`), which are always invertible and
+so need no retry. The only resampling left is `random_nonzero_combination`'s.
+Every draw is a deterministic function of the supplied RNG state.
 """
 
 from __future__ import annotations
@@ -150,9 +150,6 @@ class Matrix:
             cols.append(vec)
         return Matrix.from_columns(f, cols, nrows=self.ncols)
 
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
     def echelon_transform(self) -> tuple[tuple[int, ...], "Matrix"]:
         """One reduction of `[M | I]`: its pivot columns and its right block T.
 
@@ -252,21 +249,9 @@ class Flag:
             raise LinAlgError(f"flag step {i} outside [0, {self.n}]")
         return self.matrix.prefix_columns(i)
 
-    def step_subspace(self, i: int) -> Subspace:
-        return Subspace(self.step(i))
-
     @classmethod
     def standard(cls, field: Field, n: int) -> "Flag":
         return cls(Matrix.identity(field, n))
-
-
-def random_matrix(field: Field, nrows: int, ncols: int, rng: Random) -> Matrix:
-    return Matrix(
-        field,
-        nrows,
-        ncols,
-        tuple(tuple(field.sample(rng) for _ in range(ncols)) for _ in range(nrows)),
-    )
 
 
 def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:
@@ -277,26 +262,6 @@ def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:
         tuple(field.sample(rng) if j < i else one if j == i else zero for j in range(n))
         for i in range(n)
     ))
-
-
-def random_flag(field: Field, n: int, rng: Random) -> Flag:
-    """Uniform invertible ordered basis; deterministic given the RNG state."""
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        try:
-            return Flag(random_matrix(field, n, n, rng))
-        except LinAlgError:
-            continue
-    raise SamplingError(f"no invertible {n}x{n} sample in {MAX_SAMPLE_ATTEMPTS} attempts")
-
-
-def random_subspace(field: Field, n: int, d: int, rng: Random) -> Subspace:
-    if not 0 <= d <= n:
-        raise LinAlgError("subspace dimension outside [0, ambient]")
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        m = random_matrix(field, n, d, rng)
-        if m.rank() == d:
-            return Subspace(m)
-    raise SamplingError(f"no rank-{d} {n}x{d} sample in {MAX_SAMPLE_ATTEMPTS} attempts")
 
 
 def random_nonzero_combination(columns: Matrix, rng: Random) -> Matrix:

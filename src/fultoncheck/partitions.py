@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import ge
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 def _parts_contain(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
@@ -49,7 +49,11 @@ class Partition:
         return sum(self.parts)
 
     def trimmed(self) -> "Partition":
-        """This partition itself: a partition holds no zero parts."""
+        """This partition itself: a partition holds no zero parts.
+
+        Kept because the benchmark's planted fault (`perfbench/child.py`)
+        calls it; without it the fault child crashes, and the fault gate
+        would pass on the crash without testing the verdict."""
         return self
 
     def padded(self, length: int) -> tuple[int, ...]:
@@ -209,10 +213,6 @@ class SchubertProblem:
         if not sets:
             raise ValueError("empty problem text")
         return cls(sets[0].n, sets[0].r, sets)
-
-    @classmethod
-    def from_partitions(cls, lams: Sequence[Partition], n: int, r: int) -> "SchubertProblem":
-        return cls(n, r, tuple(partition_to_index(l, n, r) for l in lams))
 
 
 def partitions_with(size: int, max_length: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -1,6 +1,47 @@
-"""Shared fixtures: collects acceptance-criterion result lines for the summary."""
+"""Shared fixtures: collects acceptance-criterion result lines for the summary.
+
+Also the uniform samplers that tests use as an independent route beside the
+package's open-cell flags: a matrix with uniform entries, a flag whose basis
+is a uniform invertible matrix (redrawn while singular), and a subspace
+spanned by a uniform full-rank matrix.
+"""
 
 import pytest
+
+from fultoncheck.linalg import Flag, LinAlgError, Matrix, Subspace
+
+
+def uniform_matrix(field, nrows, ncols, rng) -> Matrix:
+    return Matrix(
+        field,
+        nrows,
+        ncols,
+        tuple(tuple(field.sample(rng) for _ in range(ncols)) for _ in range(nrows)),
+    )
+
+
+def uniform_flag(field, n, rng) -> Flag:
+    """A flag anywhere in the flag variety, not only in the open cell."""
+    while True:
+        try:
+            return Flag(uniform_matrix(field, n, n, rng))
+        except LinAlgError:
+            continue
+
+
+def uniform_subspace(field, n, d, rng) -> Subspace:
+    while True:
+        basis = uniform_matrix(field, n, d, rng)
+        if basis.rank() == d:
+            return Subspace(basis)
+
+
+def uniform_flag_tuples(problem, rng, field):
+    """Uniform flag tuples in the draw order of `random_flag_tuples`."""
+    m = problem.n - problem.r
+    subs = tuple(uniform_flag(field, problem.r, rng) for _ in range(problem.s))
+    quots = tuple(uniform_flag(field, m, rng) for _ in range(problem.s))
+    return subs, quots
 
 
 def pytest_configure(config):

@@ -11,10 +11,11 @@ import random
 
 import pytest
 
+from conftest import uniform_flag, uniform_subspace
 from fultoncheck import cli, sweeps
 from fultoncheck.field import DEFAULT_PRIME, field_from_name
 from fultoncheck.filtration import run_filtration_random, verify_trace
-from fultoncheck.linalg import Subspace, random_flag, random_matrix, random_subspace
+from fultoncheck.linalg import Subspace
 from fultoncheck.littlewood import lr_coefficient, lr_coefficient_pieri
 from fultoncheck.partitions import (
     Partition,
@@ -185,14 +186,10 @@ def test_criterion_6_chain_identities_hold_exactly(criterion_lines):
         r = rng.randint(1, n - 1)
         d = rng.randint(1, r)
         s = rng.randint(1, 3)
-        v = random_subspace(PF, n, r, rng)
-        while True:
-            c = random_matrix(PF, r, d, rng)
-            if c.rank() == d:
-                break
-        w_in_v = Subspace(c)
-        w = Subspace(v.basis @ c)
-        flags = [random_flag(PF, n, rng) for _ in range(s)]
+        v = uniform_subspace(PF, n, r, rng)
+        w_in_v = uniform_subspace(PF, r, d, rng)
+        w = Subspace(v.basis @ w_in_v.basis)
+        flags = [uniform_flag(PF, n, rng) for _ in range(s)]
         i_sets = tuple(schubert_position(v, e) for e in flags)
         cut_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
         k_sets = tuple(schubert_position(w_in_v, l) for l in inner.flags)

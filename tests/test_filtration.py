@@ -4,12 +4,17 @@ import dataclasses
 import json
 import random
 
+import pytest
+
+from conftest import uniform_flag_tuples
+from fultoncheck.cohomology import intersection_number
 from fultoncheck.field import field_from_name
 from fultoncheck.filtration import (
     TERMINATION_INJECTIVE,
     TERMINATION_KERNEL_VANISHED,
     TERMINATION_NO_MAPS,
     TERMINATION_TANGENT_ZERO,
+    run_filtration,
     run_filtration_random,
     trace_to_dict,
     verify_trace,
@@ -17,7 +22,7 @@ from fultoncheck.filtration import (
 from fultoncheck.homspace import generic_hom_dim
 from fultoncheck.linalg import Matrix
 from fultoncheck.partitions import IndexSet, SchubertProblem
-from fultoncheck.sweeps import rng_for
+from fultoncheck.sweeps import enumerate_problems, rng_for
 
 PF = field_from_name("prime")
 QF = field_from_name("rational")
@@ -176,6 +181,58 @@ def test_rational_and_prime_traces_match_on_invariants():
         assert a.correction == b.correction
         assert a.termination == b.termination
         assert [s.dim for s in a.steps] == [s.dim for s in b.steps]
+
+
+# ---------------------------------------------------------------------------
+# Flags: drawn in the open cell, checked against uniform flags
+# ---------------------------------------------------------------------------
+
+
+def _is_lower_unitriangular(mat: Matrix) -> bool:
+    f = mat.field
+    return all(
+        x == (f.one if i == j else f.zero)
+        for i, row in enumerate(mat.rows)
+        for j, x in enumerate(row)
+        if j >= i
+    )
+
+
+def test_random_filtration_draws_its_flags_in_the_open_cell():
+    for field in (PF, QF):
+        for text in ["1,4@4;2,3@4", "2,4@5;2,4@5;1,3@5;2,5@5", "1,3,5@6"]:
+            tr = _trace(text, seed=11, field=field)
+            flags = tr.sub_flags + tr.quot_flags
+            assert all(_is_lower_unitriangular(fl.matrix) for fl in flags)
+            again = _trace(text, seed=11, field=field)
+            assert again.sub_flags + again.quot_flags == flags
+
+
+def _invariants(tr) -> tuple:
+    steps = tuple((st.dim, st.amb_positions, st.rel_positions, st.tangent_dim) for st in tr.steps)
+    return tr.hom_dim, tr.correction, tr.termination, tr.h, tr.terminal_positions, steps
+
+
+@pytest.mark.parametrize(
+    "field_name, ranges, cores_with_maps",
+    [("prime", (3, 6, 4), 75), ("rational", (3, 5, 4), 11)],
+    ids=["prime", "rational"],
+)
+def test_open_cell_flags_give_the_filtration_of_uniform_flags(field_name, ranges, cores_with_maps):
+    """Reference route: flags with uniform invertible bases cover the whole
+    flag variety, so the open-cell draws must reach the same filtration on
+    every core with maps in the crosscheck benchmark's ranges."""
+    field = field_from_name(field_name)
+    cores = {problem.core() for problem in enumerate_problems(*ranges)}
+    with_maps = sorted((c for c in cores if intersection_number(c) == 0), key=SchubertProblem.text)
+    assert len(with_maps) == cores_with_maps
+    for core in with_maps:
+        text = core.text()
+        cell = run_filtration_random(core, rng_for(101, f"trace:{text}"), field)
+        subs, quots = uniform_flag_tuples(core, rng_for(101, f"uniform:{text}"), field)
+        uniform = run_filtration(core, subs, quots, rng_for(101, f"trace:{text}"))
+        assert _invariants(cell) == _invariants(uniform), text
+        assert verify_trace(cell).ok and verify_trace(uniform).ok, text
 
 
 # ---------------------------------------------------------------------------

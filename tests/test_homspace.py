@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import uniform_flag, uniform_flag_tuples
 from fultoncheck.cohomology import intersection_number
 from fultoncheck.field import field_from_name
 from fultoncheck.homspace import (
@@ -23,7 +24,7 @@ from fultoncheck.homspace import (
     stabilized_min,
     unvec,
 )
-from fultoncheck.linalg import Flag, Matrix, contained_in, random_flag, random_unitriangular
+from fultoncheck.linalg import Flag, Matrix, contained_in, random_unitriangular
 from fultoncheck.partitions import SchubertProblem
 from fultoncheck.sweeps import enumerate_problems, rng_for
 
@@ -133,8 +134,8 @@ def test_repeated_flag_specialization_increases_dimension():
     # constraints into one, strictly enlarging the solution space here.
     problem = SchubertProblem.parse("2,4@4;2,4@4")
     rng = random.Random(8)
-    sub = random_flag(PF, 2, rng)
-    quot = random_flag(PF, 2, rng)
+    sub = uniform_flag(PF, 2, rng)
+    quot = uniform_flag(PF, 2, rng)
     sys = build_system(problem, (sub, sub), (quot, quot))
     generic = generic_hom_dim(problem, random.Random(2), PF).dim
     assert generic == 2
@@ -212,13 +213,10 @@ def test_build_system_rows_equal_the_chart_rows(field):
 
 
 def test_generic_hom_dim_builds_no_flag_and_inverts_nothing(monkeypatch):
-    import fultoncheck.homspace as homspace
-
     def refuse(*args, **kwargs):
         raise AssertionError("generic_hom_dim must draw in the chart")
 
     monkeypatch.setattr(Flag, "__post_init__", refuse)
-    monkeypatch.setattr(homspace, "random_flag", refuse)
     for name in ("inverse", "echelon_transform", "kernel_basis"):
         monkeypatch.setattr(Matrix, name, refuse)
     for text, want in [("1,4@4;2,3@4", 1), ("2,4@4;2,4@4", 2), ("2,4@4;2,4@4;2,4@4;2,4@4", 0)]:
@@ -229,7 +227,7 @@ def test_chart_dims_equal_dims_at_full_random_flags():
     """The chart is dense: its generic value is the one full flags give."""
     for problem in enumerate_problems(2, 5, 3):
         chart = generic_hom_dim(problem, rng_for(7, f"hom:{problem.text()}"), QQ).dim
-        subs, quots = random_flag_tuples(problem, rng_for(8, problem.text()), QQ)
+        subs, quots = uniform_flag_tuples(problem, rng_for(8, problem.text()), QQ)
         assert build_system(problem, subs, quots).dim == chart, problem.text()
 
 

@@ -33,7 +33,9 @@ def test_partition_construction_and_views():
     assert p.scale(2).parts == (6, 4, 4)
     assert p.scale(0) == Partition(())
     q = Partition((2, 1))
-    assert q.trimmed() is q  # kept as the identity for older callers
+    # The identity, kept because the benchmark's planted fault calls it: the
+    # fault gate must see a wrong verdict, not a crash.
+    assert q.trimmed() is q
     assert Partition((2, 1, 0)) == q
     assert Partition((0, 0)) == Partition(())
 
@@ -194,7 +196,8 @@ def test_problem_validation():
 
 
 def test_problem_from_partitions():
-    prob = SchubertProblem.from_partitions([Partition((2,)), Partition((1, 1))], 4, 2)
+    lams = [Partition((2,)), Partition((1, 1))]
+    prob = SchubertProblem(4, 2, tuple(partition_to_index(lam, 4, 2) for lam in lams))
     assert prob.text() == "1,4@4;2,3@4"
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import uniform_flag, uniform_matrix, uniform_subspace
 from fultoncheck.field import RationalField, field_from_name
 from fultoncheck.filtration import _rank_positions
 from fultoncheck.linalg import (
@@ -12,9 +13,6 @@ from fultoncheck.linalg import (
     Matrix,
     Subspace,
     contained_in,
-    random_flag,
-    random_matrix,
-    random_subspace,
 )
 from fultoncheck.partitions import IndexSet
 from fultoncheck.positions import (
@@ -63,8 +61,8 @@ def test_position_is_generic_for_random_subspace():
     for _ in range(20):
         n = rng.randint(2, 7)
         r = rng.randint(1, n)
-        v = random_subspace(PF, n, r, rng)
-        e = random_flag(PF, n, rng)
+        v = uniform_subspace(PF, n, r, rng)
+        e = uniform_flag(PF, n, rng)
         assert schubert_position(v, e).elements == tuple(range(n - r + 1, n + 1))
 
 
@@ -78,15 +76,15 @@ def test_induced_flag_on_subspace_realizes_jumps():
     for _ in range(25):
         n = rng.randint(2, 6)
         r = rng.randint(1, n)
-        v = random_subspace(PF, n, r, rng)
-        e = random_flag(PF, n, rng)
+        v = uniform_subspace(PF, n, r, rng)
+        e = uniform_flag(PF, n, rng)
         pos = schubert_position(v, e)
         l = FlaggedSpace(n, (e,)).cut(v.basis)[1].flags[0]
         # the a-th induced step, sent back to ambient coordinates, lies in
         # the Schubert level where the a-th jump happens
         for a in range(1, r + 1):
             step_amb = v.basis @ l.step(a)
-            assert e.step_subspace(pos.elements[a - 1]).contains(Subspace(step_amb))
+            assert Subspace(e.step(pos.elements[a - 1])).contains(Subspace(step_amb))
 
 
 def test_quotient_map_identities():
@@ -94,7 +92,7 @@ def test_quotient_map_identities():
     for _ in range(25):
         n = rng.randint(2, 6)
         d = rng.randint(1, n - 1)
-        v = random_subspace(PF, n, d, rng)
+        v = uniform_subspace(PF, n, d, rng)
         proj, comp = quotient_map(v)
         assert (proj @ v.basis).is_zero()
         assert (proj @ comp).rows == Matrix.identity(PF, n - d).rows
@@ -207,14 +205,10 @@ def test_chain_identity_on_random_subspace_chains():
         r = rng.randint(1, n - 1)
         d = rng.randint(1, r)
         s = rng.randint(1, 3)
-        v = random_subspace(PF, n, r, rng)
-        while True:
-            c = random_matrix(PF, r, d, rng)
-            if c.rank() == d:
-                break
-        w_in_v = Subspace(c)
-        w = Subspace(v.basis @ c)
-        flags = [random_flag(PF, n, rng) for _ in range(s)]
+        v = uniform_subspace(PF, n, r, rng)
+        w_in_v = uniform_subspace(PF, r, d, rng)
+        w = Subspace(v.basis @ w_in_v.basis)
+        flags = [uniform_flag(PF, n, rng) for _ in range(s)]
         i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
         assert i_sets == tuple(schubert_position(v, e) for e in flags)
         k_sets = tuple(schubert_position(w_in_v, l) for l in inner.flags)
@@ -232,9 +226,9 @@ def test_flagged_space_restrict_and_quotient():
     n, r = 5, 2
     for field in (PF, QF):
         rng = random.Random(21)
-        flags = tuple(random_flag(field, n, rng) for _ in range(2))
+        flags = tuple(uniform_flag(field, n, rng) for _ in range(2))
         space = FlaggedSpace(n, flags)
-        basis = random_subspace(field, n, r, rng).basis
+        basis = uniform_subspace(field, n, r, rng).basis
         positions, inner, quot, comp = space.cut(basis)
         assert inner.dim == r
         assert inner.s == 2
@@ -272,14 +266,14 @@ def test_cut_agrees_with_rank_oracle(field_name):
         n = rng.randint(1, 6)
         d = rng.randint(0, n)
         s = rng.randint(1, 3)
-        flags = tuple(random_flag(field, n, rng) for _ in range(s))
+        flags = tuple(uniform_flag(field, n, rng) for _ in range(s))
         # Take at least half of the basis columns V can fit inside the step
         # E_j of the first flag from E_j, so V often sits in a special position.
         j = rng.randint(0, n)
         k = rng.randint((min(d, j) + 1) // 2, min(d, j))
         while True:
-            inside = flags[0].step(j) @ random_matrix(field, j, k, rng)
-            basis = inside.hstack(random_matrix(field, n, d - k, rng))
+            inside = flags[0].step(j) @ uniform_matrix(field, j, k, rng)
+            basis = inside.hstack(uniform_matrix(field, n, d - k, rng))
             if basis.rank() == d:
                 break
         positions, sub, quot, comp = FlaggedSpace(n, flags).cut(basis)

@@ -4,7 +4,10 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -751,6 +754,26 @@ def test_scaling_sweeps_catch_a_fault_in_a_scaled_coefficient(
     assert (hit["mu"], hit["nu"], hit["lam"]) == ("2,1", "2,1", "3,2,1")
     assert hit["scaling"] == 2
     assert hit["coefficient"] == 2 and hit["coefficient_scaled"] == planted
+
+
+def test_benchmark_planted_fault_is_caught_without_a_crash(tmp_path):
+    # The benchmark's fault gate accepts any failed verdict, so a fault child
+    # that crashes (say on a renamed `Partition` method) would pass it too.
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "fault", "--",
+         "fulton", "--r-max", "3", "--size-max", "6", "--n-list", "2", "--out", str(out)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    rep = json.loads(out.read_text())
+    assert rep["counts"]["failures"] == 1
+    (hit,) = rep["counterexamples"]
+    assert hit["kind"] == "multiplicity_one_not_preserved"
+    assert (hit["mu"], hit["nu"], hit["lam"], hit["scaling"]) == ("2,1", "2,1", "3,2,1", 2)
 
 
 def test_cli_lr_catches_a_planted_tableau_fault(capsys, monkeypatch):
