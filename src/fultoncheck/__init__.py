@@ -65,7 +65,6 @@ from .positions import (
     dim_triple,
     falcon_compose,
     rappel_delta,
-    schubert_position,
 )
 from .semistability import (
     ParabolicWeights,
@@ -134,7 +133,6 @@ __all__ = [
     "dim_triple",
     "falcon_compose",
     "rappel_delta",
-    "schubert_position",
     "ParabolicWeights",
     "SlopeViolation",
     "clincher",

@@ -114,10 +114,6 @@ def _full_positions(s: int, n: int, d: int) -> tuple[IndexSet, ...]:
     return tuple(IndexSet(n, tuple(range(1, d + 1))) for _ in range(s))
 
 
-def _empty_positions(s: int, n: int) -> tuple[IndexSet, ...]:
-    return tuple(IndexSet(n, ()) for _ in range(s))
-
-
 def run_filtration(
     problem: SchubertProblem,
     sub_flags: tuple[Flag, ...],
@@ -187,7 +183,7 @@ def run_filtration(
             steps=[],
             termination=TERMINATION_INJECTIVE,
             terminal_dim=0,
-            terminal_positions=_empty_positions(s, r),
+            terminal_positions=_full_positions(s, r, 0),
             etas=[phi],
         )
 

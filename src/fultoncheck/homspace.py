@@ -80,7 +80,6 @@ class HomSystem:
     sub_flags: tuple[Flag, ...]
     quot_flags: tuple[Flag, ...]
     matrix: Matrix  # constraint rows over vec(phi), index u * sub_dim + v
-    rank: int
     dim: int
     kernel: Matrix  # columns are vec'd basis solutions
 
@@ -92,12 +91,12 @@ class HomSystem:
     def quot_dim(self) -> int:
         return self.problem.n - self.problem.r
 
-    def solution(self, k: int) -> Matrix:
-        """The k-th kernel basis vector reshaped to a quot_dim x sub_dim map."""
-        return unvec(self.kernel.column(k), self.quot_dim, self.sub_dim, self.field)
-
     def solutions(self) -> list[Matrix]:
-        return [self.solution(k) for k in range(self.dim)]
+        """The kernel basis vectors, each reshaped to a quot_dim x sub_dim map."""
+        return [
+            unvec(self.kernel.column(k), self.quot_dim, self.sub_dim, self.field)
+            for k in range(self.dim)
+        ]
 
 
 def unvec(entries, quot_dim: int, sub_dim: int, field: Field) -> Matrix:
@@ -135,17 +134,14 @@ def build_system(
     matrix = constraint_matrix(
         problem, tuple(f.matrix for f in sub_flags), tuple(g.inverse for g in quot_flags)
     )
-    rank = matrix.rank()
-    kernel = matrix.kernel_basis()
     system = HomSystem(
         problem=problem,
         field=field,
         sub_flags=sub_flags,
         quot_flags=quot_flags,
         matrix=matrix,
-        rank=rank,
-        dim=matrix.ncols - rank,
-        kernel=kernel,
+        dim=matrix.ncols - matrix.rank(),
+        kernel=matrix.kernel_basis(),
     )
     audit_system(system)
     return system

@@ -72,11 +72,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, nrows, ncols, tuple((zero,) * ncols for _ in range(nrows)))
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
@@ -201,18 +196,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.ncols
 
-    @classmethod
-    def zero(cls, field: Field, n: int) -> "Subspace":
-        return cls(Matrix.zeros(field, n, 0))
-
-    @classmethod
-    def full(cls, field: Field, n: int) -> "Subspace":
-        return cls(Matrix.identity(field, n))
-
-    def contains(self, other: "Subspace") -> bool:
-        """Containment of `other`; a different ambient space raises `LinAlgError`."""
-        return contained_in(other.basis, self.basis)
-
 
 def contained_in(small: Matrix, big: Matrix) -> bool:
     """True when every column of `small` lies in the column span of `big`:
@@ -248,10 +231,6 @@ class Flag:
         if not 0 <= i <= self.n:
             raise LinAlgError(f"flag step {i} outside [0, {self.n}]")
         return self.matrix.prefix_columns(i)
-
-    @classmethod
-    def standard(cls, field: Field, n: int) -> "Flag":
-        return cls(Matrix.identity(field, n))
 
 
 def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:

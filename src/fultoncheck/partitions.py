@@ -68,9 +68,6 @@ class Partition:
             raise ValueError("negative stretch factor")
         return Partition(tuple(n * x for x in self.parts))
 
-    def contains(self, other: "Partition") -> bool:
-        return _parts_contain(self.parts, other.parts)
-
     def fits_in(self, rows: int, cols: int) -> bool:
         parts = self.parts
         return len(parts) <= rows and (not parts or parts[0] <= cols)

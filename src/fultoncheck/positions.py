@@ -34,15 +34,6 @@ def _bottom_pivot_profile(c: Matrix) -> list[tuple[int, tuple]]:
     return sorted(((n - q, t.rows[k]) for k, q in enumerate(piv)), key=lambda item: item[0])
 
 
-def schubert_position(v: Subspace, e: Flag) -> IndexSet:
-    """Jump levels of dim(V ∩ E_u), as a size-dim(V) subset of [1, n]."""
-    if v.ambient_dim != e.n:
-        raise LinAlgError("subspace and flag ambient dimensions differ")
-    coords = e.inverse @ v.basis
-    items = _bottom_pivot_profile(coords)
-    return IndexSet(e.n, tuple(level for level, _ in items))
-
-
 def quotient_map(v: Subspace) -> tuple[Matrix, Matrix]:
     """A projection P: ambient -> W/V in complement coordinates.
 
@@ -109,10 +100,6 @@ class FlaggedSpace:
         for f in self.flags:
             if f.n != self.dim:
                 raise LinAlgError("flag dimension does not match the space")
-
-    @property
-    def s(self) -> int:
-        return len(self.flags)
 
     def cut(
         self, basis: Matrix

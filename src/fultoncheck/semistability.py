@@ -58,13 +58,6 @@ class ParabolicWeights:
     def s(self) -> int:
         return len(self.rows)
 
-    def scale(self, factor: int) -> "ParabolicWeights":
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return ParabolicWeights(
-            self.r, tuple(tuple(factor * x for x in row) for row in self.rows)
-        )
-
     @classmethod
     def from_problem(cls, problem: SchubertProblem) -> "ParabolicWeights":
         """The weight table w^j_a = n - r + a - i^j_a of a position problem."""

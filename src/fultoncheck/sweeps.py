@@ -261,8 +261,9 @@ def _load_checkpoint(
 ) -> tuple[int, int, list[dict], dict] | None:
     """The (next_index, failures, counterexamples, state) saved at `path`.
 
-    A missing file, a file that is not JSON, another fingerprint, or any field
-    of the wrong type or out of range gives None, and the sweep starts over:
+    A missing file, a file that is not JSON or is nested too deeply to parse,
+    another fingerprint, or any field of the wrong type or out of range gives
+    None, and the sweep starts over:
     a checkpoint never makes a sweep skip instances it has not checked.  The
     state must have the keys of `fresh_state`, each holding an int or a value
     of its fresh type (the sweeps' counters are ints, or None before a first
@@ -273,7 +274,7 @@ def _load_checkpoint(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(saved, dict) or saved.get("fingerprint") != fingerprint:
         return None

@@ -14,8 +14,7 @@ import pytest
 from conftest import uniform_flag, uniform_subspace
 from fultoncheck import cli, sweeps
 from fultoncheck.field import DEFAULT_PRIME, field_from_name
-from fultoncheck.filtration import run_filtration_random, verify_trace
-from fultoncheck.linalg import Subspace
+from fultoncheck.filtration import _rank_positions, run_filtration_random, verify_trace
 from fultoncheck.littlewood import lr_coefficient, lr_coefficient_pieri
 from fultoncheck.partitions import (
     Partition,
@@ -28,7 +27,6 @@ from fultoncheck.positions import (
     dim_triple,
     falcon_compose,
     rappel_delta,
-    schubert_position,
 )
 from fultoncheck.reports import strip_volatile
 from fultoncheck.sweeps import (
@@ -188,16 +186,16 @@ def test_criterion_6_chain_identities_hold_exactly(criterion_lines):
         s = rng.randint(1, 3)
         v = uniform_subspace(PF, n, r, rng)
         w_in_v = uniform_subspace(PF, r, d, rng)
-        w = Subspace(v.basis @ w_in_v.basis)
+        w = v.basis @ w_in_v.basis
         flags = [uniform_flag(PF, n, rng) for _ in range(s)]
-        i_sets = tuple(schubert_position(v, e) for e in flags)
-        cut_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
-        k_sets = tuple(schubert_position(w_in_v, l) for l in inner.flags)
-        direct = tuple(schubert_position(w, e) for e in flags)
+        i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
+        ranked = tuple(_rank_positions(v.basis, e) for e in flags)
+        k_sets = inner.cut(w_in_v.basis)[0]
+        direct = tuple(_rank_positions(w, e) for e in flags)
         composed = tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets))
         ledger = dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)
         checked += 1
-        if cut_sets != i_sets or composed != direct or not ledger:
+        if i_sets != ranked or composed != direct or not ledger:
             bad += 1
     ok = checked == 1000 and bad == 0
     detail = f"{checked} random flagged chains: {bad} violations of position, composition or dimension ledger"

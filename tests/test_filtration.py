@@ -294,7 +294,7 @@ def test_audit_rejects_an_ambient_basis_that_does_not_compose():
 def test_audit_rejects_a_dependent_basis():
     tr = _trace("1,4@4;2,3@4")
     step = tr.steps[0]
-    zero = Matrix.zeros(PF, 2, 1)
+    zero = Matrix.from_columns(PF, [[0, 0]])
     bad = dataclasses.replace(
         tr, steps=(dataclasses.replace(step, basis_in_parent=zero, basis_in_ambient=zero),)
     )

@@ -47,7 +47,7 @@ def _system_for(text: str, seed: int):
 def test_open_cell_condition_leaves_every_map():
     sys = _system_for("3,4@4", seed=1)
     assert sys.dim == 4  # r * (n - r) unconstrained
-    assert sys.matrix.nrows == 0 or sys.rank == 0
+    assert sys.matrix.nrows == 0 or sys.matrix.rank() == 0
 
 
 def test_point_count_two_forces_no_maps():
@@ -59,7 +59,7 @@ def test_zero_intersection_number_leaves_one_map():
     sys = _system_for("1,4@4;2,3@4", seed=1)
     assert sys.dim == 1
     assert sys.matrix.nrows == 4
-    assert sys.rank == 3
+    assert sys.matrix.rank() == 3
 
 
 def test_system_row_count_is_total_codim():

@@ -10,6 +10,7 @@ from fultoncheck.partitions import (
     IndexSet,
     Partition,
     SchubertProblem,
+    _parts_contain,
     all_index_sets,
     partition_to_index,
     partitions_with,
@@ -81,12 +82,12 @@ def test_partition_parse_text_round_trip():
 
 def test_partition_containment_and_fit():
     big = Partition((3, 2))
-    assert big.contains(Partition((2, 2)))
-    assert not big.contains(Partition((1, 1, 1)))
-    assert not big.contains(Partition((4,)))
-    assert big.contains(Partition((3, 2, 0, 0)))
-    assert Partition((3, 2, 0)).contains(big)
-    assert big.contains(Partition(()))
+    assert _parts_contain(big.parts, Partition((2, 2)).parts)
+    assert not _parts_contain(big.parts, Partition((1, 1, 1)).parts)
+    assert not _parts_contain(big.parts, Partition((4,)).parts)
+    assert _parts_contain(big.parts, Partition((3, 2, 0, 0)).parts)
+    assert _parts_contain(Partition((3, 2, 0)).parts, big.parts)
+    assert _parts_contain(big.parts, Partition(()).parts)
     assert big.fits_in(2, 3)
     assert not big.fits_in(1, 3)
     assert not big.fits_in(2, 2)

@@ -21,11 +21,15 @@ from fultoncheck.positions import (
     falcon_compose,
     quotient_map,
     rappel_delta,
-    schubert_position,
 )
 
 PF = field_from_name("prime")
 QF = RationalField()
+
+
+def _position(basis: Matrix, e: Flag) -> IndexSet:
+    """The position of span(basis) against `e`, read through `cut`."""
+    return FlaggedSpace(e.n, (e,)).cut(basis)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -34,24 +38,24 @@ QF = RationalField()
 
 
 def test_position_of_coordinate_subspaces():
-    e = Flag.standard(QF, 4)
-    v = Subspace(Matrix.from_columns(QF, [[0, 1, 0, 0], [0, 0, 0, 1]]))
-    assert schubert_position(v, e).elements == (2, 4)
-    w = Subspace(Matrix.from_columns(QF, [[1, 0, 0, 0]]))
-    assert schubert_position(w, e).elements == (1,)
+    e = Flag(Matrix.identity(QF, 4))
+    v = Matrix.from_columns(QF, [[0, 1, 0, 0], [0, 0, 0, 1]])
+    assert _position(v, e).elements == (2, 4)
+    w = Matrix.from_columns(QF, [[1, 0, 0, 0]])
+    assert _position(w, e).elements == (1,)
 
 
 def test_position_uses_lowest_jump_levels():
-    e = Flag.standard(QF, 4)
+    e = Flag(Matrix.identity(QF, 4))
     # span(e1 + e2, e3): levels where the intersection dimension jumps are 2, 3
-    v = Subspace(Matrix.from_columns(QF, [[1, 1, 0, 0], [0, 0, 1, 0]]))
-    assert schubert_position(v, e).elements == (2, 3)
+    v = Matrix.from_columns(QF, [[1, 1, 0, 0], [0, 0, 1, 0]])
+    assert _position(v, e).elements == (2, 3)
 
 
 def test_position_of_zero_and_full():
-    e = Flag.standard(QF, 3)
-    assert schubert_position(Subspace.zero(QF, 3), e).elements == ()
-    assert schubert_position(Subspace.full(QF, 3), e).elements == (1, 2, 3)
+    e = Flag(Matrix.identity(QF, 3))
+    assert _position(Matrix(QF, 3, 0, ((),) * 3), e).elements == ()
+    assert _position(Matrix.identity(QF, 3), e).elements == (1, 2, 3)
 
 
 def test_position_is_generic_for_random_subspace():
@@ -63,7 +67,7 @@ def test_position_is_generic_for_random_subspace():
         r = rng.randint(1, n)
         v = uniform_subspace(PF, n, r, rng)
         e = uniform_flag(PF, n, rng)
-        assert schubert_position(v, e).elements == tuple(range(n - r + 1, n + 1))
+        assert _position(v.basis, e).elements == tuple(range(n - r + 1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +82,14 @@ def test_induced_flag_on_subspace_realizes_jumps():
         r = rng.randint(1, n)
         v = uniform_subspace(PF, n, r, rng)
         e = uniform_flag(PF, n, rng)
-        pos = schubert_position(v, e)
-        l = FlaggedSpace(n, (e,)).cut(v.basis)[1].flags[0]
+        (pos,), sub, _, _ = FlaggedSpace(n, (e,)).cut(v.basis)
+        assert pos == _rank_positions(v.basis, e)
+        l = sub.flags[0]
         # the a-th induced step, sent back to ambient coordinates, lies in
         # the Schubert level where the a-th jump happens
         for a in range(1, r + 1):
             step_amb = v.basis @ l.step(a)
-            assert Subspace(e.step(pos.elements[a - 1])).contains(Subspace(step_amb))
+            assert contained_in(step_amb, e.step(pos.elements[a - 1]))
 
 
 def test_quotient_map_identities():
@@ -122,7 +127,7 @@ def test_quotient_map_is_the_bottom_of_the_inverse(field_name):
 
 
 def test_induced_quotient_flag_of_coordinate_line():
-    e = Flag.standard(QF, 3)
+    e = Flag(Matrix.identity(QF, 3))
     v = Subspace(Matrix.from_columns(QF, [[1, 0, 0]]))
     _, _, quot, comp = FlaggedSpace(3, (e,)).cut(v.basis)
     proj, comp_again = quotient_map(v)
@@ -133,15 +138,15 @@ def test_induced_quotient_flag_of_coordinate_line():
 
 
 def test_induced_quotient_flag_of_zero_space_is_original():
-    e = Flag.standard(QF, 3)
-    _, _, quot, _ = FlaggedSpace(3, (e,)).cut(Matrix.zeros(QF, 3, 0))
+    e = Flag(Matrix.identity(QF, 3))
+    _, _, quot, _ = FlaggedSpace(3, (e,)).cut(Matrix(QF, 3, 0, ((),) * 3))
     assert quot.flags[0].matrix.rows == e.matrix.rows
 
 
 def test_induced_quotient_flag_rejects_ambient_mismatch():
     line = Matrix.from_columns(QF, [[1, 0, 0, 0]])
     with pytest.raises(LinAlgError):
-        FlaggedSpace(3, (Flag.standard(QF, 3),)).cut(line)
+        FlaggedSpace(3, (Flag(Matrix.identity(QF, 3)),)).cut(line)
     with pytest.raises(LinAlgError):
         FlaggedSpace(3, ()).cut(line)
 
@@ -207,12 +212,12 @@ def test_chain_identity_on_random_subspace_chains():
         s = rng.randint(1, 3)
         v = uniform_subspace(PF, n, r, rng)
         w_in_v = uniform_subspace(PF, r, d, rng)
-        w = Subspace(v.basis @ w_in_v.basis)
+        w = v.basis @ w_in_v.basis
         flags = [uniform_flag(PF, n, rng) for _ in range(s)]
         i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
-        assert i_sets == tuple(schubert_position(v, e) for e in flags)
-        k_sets = tuple(schubert_position(w_in_v, l) for l in inner.flags)
-        direct = tuple(schubert_position(w, e) for e in flags)
+        assert i_sets == tuple(_rank_positions(v.basis, e) for e in flags)
+        k_sets = inner.cut(w_in_v.basis)[0]
+        direct = tuple(_rank_positions(w, e) for e in flags)
         assert tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets)) == direct
         assert dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)
 
@@ -231,18 +236,16 @@ def test_flagged_space_restrict_and_quotient():
         basis = uniform_subspace(field, n, r, rng).basis
         positions, inner, quot, comp = space.cut(basis)
         assert inner.dim == r
-        assert inner.s == 2
-        assert positions == tuple(
-            schubert_position(Subspace(basis), f) for f in flags
-        )
+        assert len(inner.flags) == 2
+        assert positions == tuple(_rank_positions(basis, f) for f in flags)
         proj, comp_again = quotient_map(Subspace(basis))
         assert comp == comp_again
         assert quot.dim == n - r
         assert (proj @ basis).is_zero()
         assert (proj @ comp).rows == Matrix.identity(field, n - r).rows
-        for f, q in zip(flags, quot.flags):
+        for f, q, pos in zip(flags, quot.flags, positions):
             # step b of the quotient flag is the image of E_{alpha(b)}, all of it
-            alpha = schubert_position(Subspace(basis), f).complement().elements
+            alpha = pos.complement().elements
             for b, level in enumerate(alpha, start=1):
                 image = proj @ f.step(level)
                 assert image.rank() == b
@@ -279,7 +282,7 @@ def test_cut_agrees_with_rank_oracle(field_name):
         positions, sub, quot, comp = FlaggedSpace(n, flags).cut(basis)
         proj, comp_again = quotient_map(Subspace(basis))
         assert comp == comp_again
-        assert (sub.dim, sub.s, quot.dim, quot.s) == (d, s, n - d, s)
+        assert (sub.dim, len(sub.flags), quot.dim, len(quot.flags)) == (d, s, n - d, s)
         generic = tuple(range(n - d + 1, n + 1))
         special += any(pos.elements != generic for pos in positions)
         for e, pos, l, q in zip(flags, positions, sub.flags, quot.flags):

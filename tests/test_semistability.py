@@ -43,8 +43,10 @@ def test_weights_from_problem():
 def test_weights_validation_and_scale():
     with pytest.raises(ValueError):
         ParabolicWeights(2, ((0, 1),))  # must be weakly decreasing
-    w = ParabolicWeights(2, ((2, 0), (1, 1)))
-    assert w.scale(3).rows == ((6, 0), (3, 3))
+    with pytest.raises(ValueError):
+        ParabolicWeights(2, ((1, 0, 0),))  # row length must be r
+    with pytest.raises(ValueError):
+        ParabolicWeights(2, ((Fraction(1, 2), 0),))  # weights are integers
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,8 @@ def test_semistability_is_scale_invariant():
         w = ParabolicWeights.from_problem(SchubertProblem.parse(text))
         base = not find_violations(w)
         for factor in (1, 2, 3):
-            assert (not find_violations(w.scale(factor))) == base
+            scaled = ParabolicWeights(w.r, tuple(tuple(factor * x for x in row) for row in w.rows))
+            assert (not find_violations(scaled)) == base
 
 
 def test_extreme_weight_is_destabilized():
