@@ -20,8 +20,6 @@ from .cohomology import (
 from .field import (
     DEFAULT_PRIME,
     Field,
-    PrimeField,
-    RationalField,
     field_from_name,
 )
 from .filtration import (
@@ -50,7 +48,6 @@ from .linalg import (
     LinAlgError,
     Matrix,
     SamplingError,
-    Subspace,
 )
 from .littlewood import lr_coefficient, lr_coefficient_pieri
 from .partitions import (
@@ -97,8 +94,6 @@ __all__ = [
     "schubert_class",
     "DEFAULT_PRIME",
     "Field",
-    "PrimeField",
-    "RationalField",
     "field_from_name",
     "FiltrationError",
     "FiltrationStep",
@@ -121,7 +116,6 @@ __all__ = [
     "LinAlgError",
     "Matrix",
     "SamplingError",
-    "Subspace",
     "lr_coefficient",
     "lr_coefficient_pieri",
     "IndexSet",

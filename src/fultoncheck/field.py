@@ -1,16 +1,16 @@
-"""Exact coefficient fields: a prime field F_p and the rationals.
+"""Exact coefficient fields: F_p is `Field(p)`, and Q is `Field(0)`.
 
-All arithmetic is exact. The prime field is the workhorse (default modulus
-2^31 - 1; any prime below PRIME_BOUND, where the primality test is proven
-exact, is accepted); the rational field audits it on small instances. Code
-that must tell the fields apart reads only `characteristic` (p, or 0 for Q).
-The fields have no inverse: row reduction (`rowred`) inverts its own pivots.
+All arithmetic is exact. F_p is the workhorse (default modulus 2^31 - 1; any
+prime below PRIME_BOUND, where the primality test is proven exact, is
+accepted); Q audits it on small instances. Elements are plain Python
+numbers, and `Field` only names, reduces and samples them: callers write
+`+`, `*` and literal 0 and 1, reducing with `reduce`, and row reduction
+(`rowred`) inverts its own pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 DEFAULT_PRIME = 2**31 - 1
@@ -54,96 +54,49 @@ def least_prime_from(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic in Z/pZ; elements are ints in [0, p)."""
+class Field:
+    """F_p for a prime p, or Q for p = 0; elements are plain Python numbers.
 
-    p: int = DEFAULT_PRIME
+    Over F_p an element is an int in [0, p). Over Q it is an int, or a
+    `Fraction` once a pivot division has made one.
+    """
+
+    p: int
 
     def __post_init__(self) -> None:
         if self.p >= PRIME_BOUND:
             raise ValueError(f"modulus {self.p} too large: primality is decided only below {PRIME_BOUND}")
-        if not _is_prime(self.p):
+        if self.p and not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
     @property
     def name(self) -> str:
-        return f"prime:{self.p}"
+        return f"prime:{self.p}" if self.p else "rational"
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def from_int(self, x: int) -> int:
-        return x % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
+    def reduce(self, x):
+        """The element an integer (or rational, over Q) stands for."""
+        return x % self.p if self.p else x
 
     def sample(self, rng: Random) -> int:
-        return rng.randrange(self.p)
+        # Over Q the draw is the same as over F_DEFAULT_PRIME, so a fixed
+        # seed yields the same integer matrix in either mode.
+        return rng.randrange(self.sample_size)
 
     @property
     def sample_size(self) -> int:
         """The number of values `sample` draws from, uniformly."""
-        return self.p
-
-
-@dataclass(frozen=True)
-class RationalField:
-    """Exact rational arithmetic via fractions.Fraction."""
-
-    characteristic = 0
-
-    @property
-    def name(self) -> str:
-        return "rational"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, x: int | Fraction) -> Fraction:
-        return Fraction(x)
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def sample(self, rng: Random) -> Fraction:
-        # Mirrors the prime-field sampling stream so that a fixed seed yields
-        # the same integer matrix in either mode.
-        return Fraction(rng.randrange(DEFAULT_PRIME))
-
-    @property
-    def sample_size(self) -> int:
-        return DEFAULT_PRIME
-
-
-Field = PrimeField | RationalField
+        return self.p or DEFAULT_PRIME
 
 
 def field_from_name(name: str) -> Field:
+    """`rational` (p = 0), `prime` (p = DEFAULT_PRIME) or `prime:P`, P prime."""
     if name == "rational":
-        return RationalField()
-    if name.startswith("prime:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+        return Field(0)
     if name == "prime":
-        return PrimeField()
+        return Field(DEFAULT_PRIME)
+    if name.startswith("prime:"):
+        p = int(name.split(":", 1)[1])
+        if p == 0:
+            raise ValueError("modulus 0 is not prime")
+        return Field(p)
     raise ValueError(f"unknown field name {name!r}")

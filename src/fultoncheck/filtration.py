@@ -35,7 +35,7 @@ from .homspace import (
     sample_generic,
     stabilized_min,
 )
-from .linalg import Flag, Matrix, Subspace, contained_in
+from .linalg import Flag, Matrix, contained_in
 from .partitions import IndexSet, SchubertProblem
 from .positions import FlaggedSpace, dim_triple, falcon_compose, rappel_delta
 
@@ -410,7 +410,9 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
     try:
         parent = Matrix.identity(trace.steps[0].basis_in_parent.field, r) if trace.steps else None
         for step in trace.steps:
-            Subspace(step.basis_in_parent)  # raises on dependent columns
+            if step.basis_in_parent.rank() != step.dim:
+                geo_msg = f"level {step.level}: parent basis columns are dependent"
+                break
             if step.basis_in_ambient != parent @ step.basis_in_parent:
                 geo_msg = f"level {step.level}: ambient basis is not parent @ basis_in_parent"
                 break
@@ -550,7 +552,7 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
 
 
 def _entry_to_json(value, fld: Field):
-    if fld.characteristic:
+    if fld.p:
         return int(value)
     frac = Fraction(value)
     return f"{frac.numerator}/{frac.denominator}"

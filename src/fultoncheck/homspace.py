@@ -159,7 +159,7 @@ def constraint_matrix(
     """
     r, m = problem.r, problem.n - problem.r
     field = sub_mats[0].field
-    mul = field.mul
+    p = field.p
     rows: list[tuple] = []
     for j in range(problem.s):
         i_set = problem.index_sets[j].elements
@@ -169,7 +169,10 @@ def constraint_matrix(
             f_col = [f_mat.rows[v][a - 1] for v in range(r)]
             for t in range(level, m):
                 # Row t of D^-1 (x) f_a: entry u * r + v is D^-1[t][u] * f_a[v].
-                rows.append(tuple(mul(du, fv) for du in d_inv.rows[t] for fv in f_col))
+                if p:
+                    rows.append(tuple(du * fv % p for du in d_inv.rows[t] for fv in f_col))
+                else:
+                    rows.append(tuple(du * fv for du in d_inv.rows[t] for fv in f_col))
     return Matrix(field, len(rows), m * r, tuple(rows))
 
 

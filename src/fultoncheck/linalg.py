@@ -1,10 +1,10 @@
 """Exact linear algebra over a prime field or the rationals.
 
-Matrices are immutable; columns are the vectors. Of the field, the
-arithmetic reads only its `characteristic` p (0 for Q): products reduce mod
-p > 0, and rank, kernel and containment come from the one exact RREF
-`rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances), cached
-per matrix. Every question that needs the row operations themselves
+Matrices are immutable; columns are the vectors. Entries are plain Python
+numbers (see `field`), and of the field the arithmetic reads only p (0 for Q):
+products reduce mod p > 0, and rank, kernel and containment come from the one
+exact RREF `rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances),
+cached per matrix. Every question that needs the row operations themselves
 (inverse, the coefficients of a jump profile, a quotient map) reads them off
 one routine, `Matrix.echelon_transform`, which reduces `[M | I]` once. Random
 flags are drawn in the open Bruhat cell of the flag variety: uniform lower
@@ -55,7 +55,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[int | Fraction]], ncols: int | None = None) -> "Matrix":
-        canon = tuple(tuple(field.from_int(x) for x in row) for row in rows)
+        canon = tuple(tuple(field.reduce(x) for x in row) for row in rows)
         if ncols is None:
             ncols = len(canon[0]) if canon else 0
         return cls(field, len(canon), ncols, canon)
@@ -64,13 +64,12 @@ class Matrix:
     def from_columns(cls, field: Field, cols: Sequence[Sequence[int | Fraction]], nrows: int | None = None) -> "Matrix":
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        rows = [[field.from_int(col[i]) for col in cols] for i in range(nrows)]
+        rows = [[field.reduce(col[i]) for col in cols] for i in range(nrows)]
         return cls(field, nrows, len(cols), tuple(tuple(r) for r in rows))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls(field, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
@@ -96,21 +95,19 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows or self.field != other.field:
             raise LinAlgError("matmul shape or field mismatch")
-        f = self.field
-        p, zero = f.characteristic, f.zero
+        p = self.field.p
         bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         out = tuple(
-            tuple(s % p if p else s for s in (sum((x * y for x, y in zip(row, col)), zero) for col in bt))
+            tuple(s % p if p else s for s in (sum(x * y for x, y in zip(row, col)) for col in bt))
             for row in self.rows
         )
-        return Matrix(f, self.nrows, other.ncols, out)
+        return Matrix(self.field, self.nrows, other.ncols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(x == zero for row in self.rows for x in row)
+        return not any(x for row in self.rows for x in row)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """The reduced row echelon form and its pivot columns, computed once."""
@@ -120,7 +117,7 @@ class Matrix:
         if cached is not None:
             return cached
         f = self.field
-        red, piv = rref_mod([list(row) for row in self.rows], f.characteristic)
+        red, piv = rref_mod([list(row) for row in self.rows], f.p)
         cached = self.__dict__["_echelon"] = (
             Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in red)),
             tuple(piv),
@@ -138,10 +135,10 @@ class Matrix:
         free = [j for j in range(self.ncols) if j not in pivset]
         cols = []
         for j in free:
-            vec = [f.zero] * self.ncols
-            vec[j] = f.one
+            vec = [0] * self.ncols
+            vec[j] = 1
             for k, pc in enumerate(piv):
-                vec[pc] = f.neg(red.rows[k][j])
+                vec[pc] = -red.rows[k][j]  # `from_columns` reduces it
             cols.append(vec)
         return Matrix.from_columns(f, cols, nrows=self.ncols)
 
@@ -154,13 +151,12 @@ class Matrix:
         """
         n, m = self.nrows, self.ncols
         f = self.field
-        one, zero = f.one, f.zero
         work = []
         for i, row in enumerate(self.rows):
-            unit = [zero] * n
-            unit[i] = one
+            unit = [0] * n
+            unit[i] = 1
             work.append([*row, *unit])
-        red, piv = rref_mod(work, f.characteristic)
+        red, piv = rref_mod(work, f.p)
         return tuple(piv), Matrix(f, n, n, tuple(tuple(row[m:]) for row in red))
 
     def inverse(self) -> "Matrix":
@@ -172,29 +168,6 @@ class Matrix:
         if piv != tuple(range(n)):
             raise LinAlgError("matrix is singular")
         return t
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of field^n presented by a basis matrix (columns)."""
-
-    basis: Matrix
-
-    def __post_init__(self) -> None:
-        if self.basis.rank() != self.basis.ncols:
-            raise LinAlgError("subspace basis columns are dependent")
-
-    @property
-    def field(self) -> Field:
-        return self.basis.field
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.nrows
-
-    @property
-    def dim(self) -> int:
-        return self.basis.ncols
 
 
 def contained_in(small: Matrix, big: Matrix) -> bool:
@@ -236,9 +209,8 @@ class Flag:
 def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:
     """Uniform lower unitriangular matrix, drawn row by row below the diagonal;
     deterministic given the RNG state."""
-    one, zero = field.one, field.zero
     return Matrix(field, n, n, tuple(
-        tuple(field.sample(rng) if j < i else one if j == i else zero for j in range(n))
+        tuple(field.sample(rng) if j < i else 1 if j == i else 0 for j in range(n))
         for i in range(n)
     ))
 

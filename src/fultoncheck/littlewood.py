@@ -33,7 +33,7 @@ tuples it builds itself.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import add
 
 from .partitions import Partition, _parts_contain
@@ -182,33 +182,46 @@ def _strip_rows(
         )
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
-
-
 def lr_coefficient_pieri(mu: Partition, nu: Partition, lam: Partition) -> int:
-    """Audit oracle for `lr_coefficient` via iterated one-row expansions."""
+    """Audit oracle for `lr_coefficient` via iterated one-row expansions.
+
+    Jacobi-Trudi writes the nu class as the signed sum over permutations v of
+    the products of h_{nu_i + v_i - i}; each product is expanded by Pieri's
+    rule, one strip at a time. The permutations are searched depth first over
+    their prefixes (`_pieri_prefixes`), so a prefix with a negative size or an
+    empty expansion cuts every permutation that extends it.
+    """
     lam_t, mu_t, nu_t = lam.parts, mu.parts, nu.parts
     if sum(lam_t) != sum(mu_t) + sum(nu_t):
         return 0
-    k = len(nu_t)
+    return _pieri_prefixes(0, tuple(range(len(nu_t))), {mu_t: 1}, nu_t, lam_t)
+
+
+def _pieri_prefixes(
+    i: int,
+    rest: tuple[int, ...],
+    cur: dict[tuple[int, ...], int],
+    nu: tuple[int, ...],
+    lam: tuple[int, ...],
+) -> int:
+    """The signed lam-coefficient summed over the permutations whose first i
+    values are fixed, `cur` being mu times their h-classes and `rest` the
+    values left, ascending; a module-level function, so it forms no cycle."""
+    if not rest:
+        return cur.get(lam, 0)
     total = 0
-    for perm in permutations(range(k)):
-        sizes = [nu_t[i] + perm[i] - i for i in range(k)]
-        if any(sz < 0 for sz in sizes):
+    for idx, v in enumerate(rest):
+        size = nu[i] + v - i
+        if size < 0:
             continue
-        cur: dict[tuple[int, ...], int] = {mu_t: 1}
-        for sz in sizes:
-            nxt: dict[tuple[int, ...], int] = {}
-            for kappa, c in cur.items():
-                for tau in _horizontal_strip_additions(kappa, sz, lam_t):
-                    tau_trim = tau
-                    while tau_trim and tau_trim[-1] == 0:
-                        tau_trim = tau_trim[:-1]
-                    nxt[tau_trim] = nxt.get(tau_trim, 0) + c
-            cur = nxt
-            if not cur:
-                break
-        total += _perm_sign(perm) * cur.get(lam_t, 0)
+        nxt: dict[tuple[int, ...], int] = {}
+        for kappa, c in cur.items():
+            for tau in _horizontal_strip_additions(kappa, size, lam):
+                while tau and tau[-1] == 0:
+                    tau = tau[:-1]
+                nxt[tau] = nxt.get(tau, 0) + c
+        if nxt:
+            # The idx smaller values still left each form an inversion with v.
+            count = _pieri_prefixes(i + 1, rest[:idx] + rest[idx + 1:], nxt, nu, lam)
+            total += -count if idx % 2 else count
     return total

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Flag, LinAlgError, Matrix, Subspace
+from .linalg import Flag, LinAlgError, Matrix
 from .partitions import IndexSet
 
 
@@ -34,18 +34,21 @@ def _bottom_pivot_profile(c: Matrix) -> list[tuple[int, tuple]]:
     return sorted(((n - q, t.rows[k]) for k, q in enumerate(piv)), key=lambda item: item[0])
 
 
-def quotient_map(v: Subspace) -> tuple[Matrix, Matrix]:
-    """A projection P: ambient -> W/V in complement coordinates.
+def quotient_map(basis: Matrix) -> tuple[Matrix, Matrix]:
+    """A projection P: ambient -> W/V in complement coordinates, V = span(basis).
 
-    Returns (P, C): C's columns are the standard vectors completing v.basis
-    greedily, and P @ v.basis = 0, P @ C = identity, so P is rows d: of
-    [v.basis | C]^-1. One `echelon_transform` gives both: C from the pivots
-    past v.basis, P from the rows of T below d = v.dim.
+    Returns (P, C): C's columns are the standard vectors completing `basis`
+    greedily, and P @ basis = 0, P @ C = identity, so P is rows d: of
+    [basis | C]^-1. One `echelon_transform` gives both: C from the pivots
+    past `basis`, P from the rows of T below d = basis.ncols. Its pivots also
+    check the basis: dependent columns raise `LinAlgError`.
     """
-    d = v.dim
-    piv, t = v.basis.echelon_transform()
-    comp = Matrix.identity(v.field, v.ambient_dim).take_columns(q - d for q in piv[d:])
-    return Matrix(v.field, v.ambient_dim - d, v.ambient_dim, t.rows[d:]), comp
+    n, d = basis.nrows, basis.ncols
+    piv, t = basis.echelon_transform()
+    if piv[:d] != tuple(range(d)):
+        raise LinAlgError("subspace basis columns are dependent")
+    comp = Matrix.identity(basis.field, n).take_columns(q - d for q in piv[d:])
+    return Matrix(basis.field, n - d, n, t.rows[d:]), comp
 
 
 def falcon_compose(i_set: IndexSet, k_set: IndexSet) -> IndexSet:
@@ -115,19 +118,19 @@ class FlaggedSpace:
         """
         if basis.nrows != self.dim:
             raise LinAlgError("subspace and flag ambient dimensions differ")
-        v = Subspace(basis)
-        proj, comp = quotient_map(v)
+        d = basis.ncols
+        proj, comp = quotient_map(basis)
         positions, subs, quots = [], [], []
         for f in self.flags:
             items = _bottom_pivot_profile(f.inverse @ basis)
             pos = IndexSet(self.dim, tuple(level for level, _ in items))
             positions.append(pos)
-            subs.append(Flag(Matrix.from_columns(v.field, [c for _, c in items], nrows=v.dim)))
+            subs.append(Flag(Matrix.from_columns(basis.field, [c for _, c in items], nrows=d)))
             alpha = pos.complement().elements
             quots.append(Flag(proj @ f.matrix.take_columns([a - 1 for a in alpha])))
         return (
             tuple(positions),
-            FlaggedSpace(v.dim, tuple(subs)),
-            FlaggedSpace(self.dim - v.dim, tuple(quots)),
+            FlaggedSpace(d, tuple(subs)),
+            FlaggedSpace(self.dim - d, tuple(quots)),
             comp,
         )

@@ -1,12 +1,16 @@
 """Row reduction: the one exact RREF used by every matrix, over F_p and Q.
 
-First-nonzero pivoting; the field enters only as its characteristic p, with
-ints in [0, p) reduced mod p when p > 0 and `fractions.Fraction`s when p = 0.
-Pivot inverses are `pow(x, -1, p)`, exact for any prime p since Python ints
-do not overflow, or `1 / x` over Q.
+First-nonzero pivoting; the field enters only as its p (0 for Q). Over
+F_p the entries are ints in [0, p), reduced mod p. Over Q (p = 0) they are
+ints or `fractions.Fraction`s, and a pivot is inverted as `1 / Fraction(x)`,
+never as `1 / x`, which would make a float of an int. Pivot inverses over
+F_p are `pow(x, -1, p)`, exact for any prime p since Python ints do not
+overflow.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 # Kept as a constant because benchmark runs record it in their metadata.
 BACKEND = "pure"
@@ -38,7 +42,7 @@ def rref_mod(rows: list[list], p: int) -> tuple[list[list], list[int]]:
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        inv = pow(rows[r][c], -1, p) if p else 1 / Fraction(rows[r][c])
         if inv != 1:
             row = rows[r]
             for j in range(c, ncols):

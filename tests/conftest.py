@@ -3,12 +3,12 @@
 Also the uniform samplers that tests use as an independent route beside the
 package's open-cell flags: a matrix with uniform entries, a flag whose basis
 is a uniform invertible matrix (redrawn while singular), and a subspace
-spanned by a uniform full-rank matrix.
+given by its basis, a uniform full-rank matrix.
 """
 
 import pytest
 
-from fultoncheck.linalg import Flag, LinAlgError, Matrix, Subspace
+from fultoncheck.linalg import Flag, LinAlgError, Matrix
 
 
 def uniform_matrix(field, nrows, ncols, rng) -> Matrix:
@@ -29,11 +29,11 @@ def uniform_flag(field, n, rng) -> Flag:
             continue
 
 
-def uniform_subspace(field, n, d, rng) -> Subspace:
+def uniform_subspace(field, n, d, rng) -> Matrix:
     while True:
         basis = uniform_matrix(field, n, d, rng)
         if basis.rank() == d:
-            return Subspace(basis)
+            return basis
 
 
 def uniform_flag_tuples(problem, rng, field):

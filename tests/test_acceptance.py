@@ -186,11 +186,11 @@ def test_criterion_6_chain_identities_hold_exactly(criterion_lines):
         s = rng.randint(1, 3)
         v = uniform_subspace(PF, n, r, rng)
         w_in_v = uniform_subspace(PF, r, d, rng)
-        w = v.basis @ w_in_v.basis
+        w = v @ w_in_v
         flags = [uniform_flag(PF, n, rng) for _ in range(s)]
-        i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v.basis)
-        ranked = tuple(_rank_positions(v.basis, e) for e in flags)
-        k_sets = inner.cut(w_in_v.basis)[0]
+        i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v)
+        ranked = tuple(_rank_positions(v, e) for e in flags)
+        k_sets = inner.cut(w_in_v)[0]
         direct = tuple(_rank_positions(w, e) for e in flags)
         composed = tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets))
         ledger = dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)

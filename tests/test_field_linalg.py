@@ -11,8 +11,7 @@ from conftest import uniform_flag, uniform_matrix
 from fultoncheck import rowred
 from fultoncheck.field import (
     DEFAULT_PRIME,
-    PrimeField,
-    RationalField,
+    Field,
     _is_prime,
     field_from_name,
     least_prime_from,
@@ -21,15 +20,15 @@ from fultoncheck.linalg import (
     Flag,
     LinAlgError,
     Matrix,
-    Subspace,
     contained_in,
     random_nonzero_combination,
     random_unitriangular,
 )
+from fultoncheck.positions import FlaggedSpace, quotient_map
 from fultoncheck.rowred import rref_mod
 
-PF = PrimeField(DEFAULT_PRIME)
-QF = RationalField()
+PF = Field(DEFAULT_PRIME)
+QF = Field(0)
 MERSENNE_61 = 2**61 - 1
 # The least strong pseudoprimes to the first 12 and 13 prime bases.
 PSI_12 = 318665857834031151167461
@@ -43,10 +42,10 @@ FIELD_NAMES = ["prime", "prime:2", "prime:3", "rational"]
 
 
 def test_prime_field_basics():
-    f = PrimeField(7)
-    assert f.from_int(-1) == 6
-    assert f.mul(3, 5) == 1
-    assert f.neg(2) == 5
+    f = Field(7)
+    assert f.reduce(-1) == 6
+    assert f.reduce(3 * 5) == 1
+    assert f.reduce(-2) == 5
     assert f.name == "prime:7"
 
 
@@ -54,8 +53,8 @@ def test_prime_field_refuses_strong_pseudoprimes():
     assert PSI_12 == 399165290221 * 798330580441
     for n in (PSI_12, PSI_13):
         with pytest.raises(ValueError):
-            PrimeField(n)
-    assert PrimeField(MERSENNE_61).p == MERSENNE_61
+            Field(n)
+    assert Field(MERSENNE_61).p == MERSENNE_61
 
 
 def test_is_prime_agrees_with_a_sieve():
@@ -73,16 +72,18 @@ def test_least_prime_from():
 
 
 def test_sample_size_counts_the_values_a_sample_draws_from():
-    assert PrimeField(13).sample_size == 13
+    assert Field(13).sample_size == 13
     assert PF.sample_size == QF.sample_size == DEFAULT_PRIME
     rng = random.Random(2)
-    assert {PrimeField(5).sample(rng) for _ in range(200)} == set(range(5))
+    assert {Field(5).sample(rng) for _ in range(200)} == set(range(5))
 
 
 def test_rational_field_basics():
-    f = RationalField()
-    assert f.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
-    assert f.from_int(-4) == Fraction(-4)
+    f = Field(0)
+    assert f.name == "rational"
+    # Over Q an element is any int or Fraction, and `reduce` keeps it as it is.
+    assert f.reduce(-4) == -4 and type(f.reduce(-4)) is int
+    assert f.reduce(Fraction(1, 2) * Fraction(2, 3)) == Fraction(1, 3)
 
 
 def test_field_from_name():
@@ -91,14 +92,20 @@ def test_field_from_name():
     assert field_from_name("rational").name == "rational"
     with pytest.raises(ValueError):
         field_from_name("galois:4")
+    # p = 0 means Q, but only the name `rational` reaches it.
+    for name in ("prime:0", "prime:1", "prime:4", "prime:-7"):
+        with pytest.raises(ValueError, match="is not prime"):
+            field_from_name(name)
 
 
 def test_characteristic_is_the_only_field_tag():
-    assert PrimeField(7).characteristic == 7
-    assert PF.characteristic == DEFAULT_PRIME
-    assert RationalField().characteristic == 0
-    # A class attribute, not a dataclass field: equality and repr ignore it.
-    assert RationalField() == QF and "characteristic" not in repr(QF)
+    assert Field(7).p == 7
+    assert PF.p == DEFAULT_PRIME == field_from_name("prime").p
+    assert QF.p == 0 and field_from_name("rational") == QF
+    assert Field(7) != Field(11) != QF
+    for p in (1, 4, -7):
+        with pytest.raises(ValueError, match="is not prime"):
+            Field(p)
 
 
 def test_field_sample_streams_match():
@@ -126,7 +133,7 @@ def test_kernel_of_sum_functional(field):
     assert kb.ncols == 1
     assert (m @ kb).is_zero()
     col = kb.column(0)
-    assert col[0] == field.neg(col[1])
+    assert col[0] == field.reduce(-col[1])
 
 
 def test_inverse_fixture_rational():
@@ -291,7 +298,7 @@ def test_rank_agrees_across_fields_on_500_matrices():
 
 @pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME])
 def test_product_mod_p_is_the_rational_product_reduced(p):
-    fp = PrimeField(p)
+    fp = Field(p)
     rng = random.Random(p)
     for _ in range(100):
         # An inner dimension of 0 gives the zero matrix of the outer shape.
@@ -301,7 +308,7 @@ def test_product_mod_p_is_the_rational_product_reduced(p):
         over_q = Matrix.from_rows(QF, a, ncols=k) @ Matrix.from_rows(QF, b, ncols=n)
         over_p = Matrix.from_rows(fp, a, ncols=k) @ Matrix.from_rows(fp, b, ncols=n)
         assert (over_p.nrows, over_p.ncols) == (over_q.nrows, over_q.ncols) == (m, n)
-        assert all(type(x) is Fraction for row in over_q.rows for x in row)
+        assert all(type(x) in (int, Fraction) for row in over_q.rows for x in row)
         assert over_p.rows == tuple(tuple(int(x) % p for x in row) for row in over_q.rows)
 
 
@@ -364,7 +371,23 @@ def test_rref_over_q_keeps_non_integer_fractions():
     red, piv = rref_mod(rows, 0)
     assert piv == [1, 2]
     assert red == [[0, 1, 0, 2], [0, 0, 1, q(-2, 3)], [0, 0, 0, 0]]
-    assert all(type(x) is Fraction for row in red for x in row)
+    assert all(type(x) in (int, Fraction) for row in red for x in row)
+
+
+def test_int_entries_over_q_divide_into_fractions_not_floats():
+    """A pivot 2 among int entries gives 1/2 as a Fraction: the reduction
+    inverts it exactly, never as a float `1 / 2`."""
+    m = Matrix.from_rows(QF, [[2, 1], [0, 1]])
+    assert all(type(x) is int for row in m.rows for x in row)
+    red, piv = Matrix.from_rows(QF, [[2, 1]]).rref()
+    kernel = Matrix.from_rows(QF, [[2, 1]]).kernel_basis()
+    inv = m.inverse()
+    assert piv == (0,) and red.rows == ((1, Fraction(1, 2)),)
+    assert kernel.rows == ((Fraction(-1, 2),), (1,))
+    assert inv.rows == ((Fraction(1, 2), Fraction(-1, 2)), (0, 1))
+    for mat in (red, kernel, inv):
+        assert all(type(x) in (int, Fraction) for row in mat.rows for x in row)
+    assert m @ inv == Matrix.identity(QF, 2)
 
 
 def test_rational_reduction_matches_modular_pivots():
@@ -384,20 +407,23 @@ def test_rational_reduction_matches_modular_pivots():
 
 
 def test_subspace_requires_independent_basis():
+    dependent = Matrix.from_columns(PF, [[1, 2], [2, 4]])
     with pytest.raises(LinAlgError):
-        Subspace(Matrix.from_columns(PF, [[1, 2], [2, 4]]))
+        quotient_map(dependent)
+    with pytest.raises(LinAlgError):
+        FlaggedSpace(2, (Flag(Matrix.identity(PF, 2)),)).cut(dependent)
 
 
 def test_subspace_contains_and_coords():
-    v = Subspace(Matrix.from_columns(QF, [[1, 1, 0], [0, 0, 1]]))
-    w = Subspace(Matrix.from_columns(QF, [[2, 2, 3]]))
-    assert contained_in(w.basis, v.basis)
+    v = Matrix.from_columns(QF, [[1, 1, 0], [0, 0, 1]])
+    w = Matrix.from_columns(QF, [[2, 2, 3]])
+    assert contained_in(w, v)
     coords = Matrix.from_columns(QF, [[2, 3]])
-    assert (v.basis @ coords).rows == w.basis.rows
-    outside = Subspace(Matrix.from_columns(QF, [[1, 0, 0]]))
-    assert not contained_in(outside.basis, v.basis)
+    assert (v @ coords).rows == w.rows
+    outside = Matrix.from_columns(QF, [[1, 0, 0]])
+    assert not contained_in(outside, v)
     with pytest.raises(LinAlgError):
-        contained_in(Matrix.identity(QF, 2), v.basis)
+        contained_in(Matrix.identity(QF, 2), v)
 
 
 def test_contained_in_edge_cases():
@@ -427,8 +453,7 @@ def test_standard_flag_steps():
     fl = Flag(Matrix.identity(QF, 4))
     assert fl.step(2).ncols == 2
     assert fl.step(2).column(1) == (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-    sub = Subspace(fl.step(3))
-    assert sub.dim == 3
+    assert fl.step(3).rank() == 3
     for i in range(1, 4):
         assert contained_in(fl.step(i), fl.step(i + 1))
 

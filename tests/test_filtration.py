@@ -189,9 +189,8 @@ def test_rational_and_prime_traces_match_on_invariants():
 
 
 def _is_lower_unitriangular(mat: Matrix) -> bool:
-    f = mat.field
     return all(
-        x == (f.one if i == j else f.zero)
+        x == (1 if i == j else 0)
         for i, row in enumerate(mat.rows)
         for j, x in enumerate(row)
         if j >= i

@@ -107,6 +107,22 @@ def test_engines_agree_on_scaled_sweep_triples(factor):
         assert a == b, (mu.parts, nu.parts, lam.parts, a, b)
 
 
+def test_pieri_oracle_handles_ten_row_content():
+    """nu = 1^10 has 10! Jacobi-Trudi permutations; the prefix search cuts all
+    but a few, and the oracle still equals the tableau engine."""
+    nu = Partition((1,) * 10)
+    assert lr_coefficient_pieri(P("1"), nu, P("2,1,1,1,1,1,1,1,1,1")) == 1
+    checked = nonzero = 0
+    for mu in (P("1"), P("2"), P("1,1"), P("2,1")):
+        for lam in partitions_with(sum(mu.parts) + 10, 13):
+            if len(lam.parts) >= 10:
+                c = lr_coefficient(mu, nu, lam)
+                assert lr_coefficient_pieri(mu, nu, lam) == c, (mu.parts, lam.parts)
+                checked += 1
+                nonzero += c > 0
+    assert (checked, nonzero) == (17, 11)
+
+
 def test_engines_leave_no_reference_cycles():
     """Everything the engines allocate is freed by reference counting, so a
     sweep of counts leaves the cyclic garbage collector nothing to find."""

@@ -603,6 +603,20 @@ def test_cli_refuses_a_strong_pseudoprime_modulus(modulus, tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("modulus", ["0", "1", "4", "-7"])
+@pytest.mark.parametrize("command", [
+    ["crosscheck", "--r-max", "2", "--n-max", "4", "--s-max", "3"],
+    ["filtration", "--problem", "2,3@4"],
+])
+def test_cli_refuses_a_modulus_that_is_not_prime(modulus, command, tmp_path, capsys):
+    # Q is the field of p = 0, but `prime:0` must not reach it.
+    out_path = tmp_path / "rep.json"
+    assert cli.main([*command, "--field", f"prime:{modulus}", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: modulus {modulus} is not prime\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 @pytest.mark.parametrize(
     "problem", ["1,4@4;1,4@4", "2,4@4;2,4@4;2,4@4;2,4@4", "1,4@4;2,3@4"]
@@ -909,7 +923,7 @@ def _plant_kernel_fault(monkeypatch):
         ker = real(self)
         if ker.nrows == 0 or ker.ncols == 0:
             return ker
-        first = (ker.field.from_int(ker.rows[0][0] + 1), *ker.rows[0][1:])
+        first = (ker.field.reduce(ker.rows[0][0] + 1), *ker.rows[0][1:])
         return Matrix(ker.field, ker.nrows, ker.ncols, (first, *ker.rows[1:]))
 
     monkeypatch.setattr(Matrix, "kernel_basis", faulty)
