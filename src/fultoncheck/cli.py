@@ -30,7 +30,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .homspace import MAX_TOTAL_TRIALS
+from .field import MAX_TOTAL_TRIALS
 from .partitions import Partition, SchubertProblem
 from .reports import to_csv_str, to_json_str, write_text
 from .sweeps import (

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from random import Random
 
 DEFAULT_PRIME = 2**31 - 1
+# The agreeing samples a generic value needs by default, and the cap on the
+# samples drawn for one value (`homspace.stabilized_min`).  They live here so
+# that a configuration is validated without loading linear algebra.
+DEFAULT_TRIALS = 3
+MAX_TOTAL_TRIALS = 10
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and

@@ -51,12 +51,10 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-from .field import Field
+from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field
 from .linalg import Flag, Matrix, contained_in, random_nonzero_combination, random_unitriangular
 from .partitions import SchubertProblem
 
-DEFAULT_TRIALS = 3
-MAX_TOTAL_TRIALS = 10
 # The largest accepted chance that one chart sample misses the generic rank.
 MAX_MISS_BOUND = Fraction(1, 10**6)
 

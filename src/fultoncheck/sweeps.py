@@ -8,12 +8,16 @@ results: restarting at instance k draws exactly the same random streams as an
 uninterrupted run.  A solver fault (`SOLVER_FAULTS`) fails its instance, not
 the run; a field too small to sample is refused (`_refuse_small_field`); and
 `_finish` assembles every report.
+
+At import this module loads only the layers every command uses (partitions,
+the LR engines, fields and reports).  A command body imports the rest when it
+runs: `semistable` the cohomology and semistability layers, `crosscheck` and
+`filtration` also the linear algebra; `hashlib` is imported only to hash.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -21,22 +25,9 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .cohomology import intersection_number, nonvanishing_positions
-from .field import Field, field_from_name, least_prime_from
-from .filtration import FiltrationError, FiltrationTrace, TraceAudit, run_filtration_random
-from .filtration import trace_to_dict, verify_trace
-from .homspace import (
-    DEFAULT_TRIALS,
-    MAX_MISS_BOUND,
-    MAX_TOTAL_TRIALS,
-    GenericityError,
-    HomAuditError,
-    generic_hom_dim,
-    miss_bound,
-)
-from .linalg import LinAlgError, SamplingError
+from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, field_from_name, least_prime_from
 from .littlewood import lr_coefficient as _lr_tableau
 from .littlewood import lr_coefficient_pieri
 from .partitions import (
@@ -47,16 +38,36 @@ from .partitions import (
     partitions_with,
 )
 from .reports import make_report, write_text
-from .semistability import ParabolicWeights, clinchers, find_violations
+
+if TYPE_CHECKING:
+    from .filtration import FiltrationTrace, TraceAudit
 
 # Module-level reference so tests can substitute a deliberately corrupted
 # coefficient routine and watch the sweeps and `lr` catch it.
 lr_coefficient = _lr_tableau
 
-# Samples that never stabilize, a solved map that breaks a containment, a
-# broken guarantee of the filtration recursion, a sampler that gives up, or
-# ill-posed exact linear algebra: each fails its instance, not the run.
-SOLVER_FAULTS = (GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError)
+
+def _solver_faults() -> tuple[type[Exception], ...]:
+    """Samples that never stabilize, a solved map that breaks a containment, a
+    broken guarantee of the filtration recursion, a sampler that gives up, or
+    ill-posed exact linear algebra: each fails its instance, not the run.
+
+    The commands name it in an `except` clause, which calls it only once an
+    exception is raised."""
+    from .filtration import FiltrationError
+    from .homspace import GenericityError, HomAuditError
+    from .linalg import LinAlgError, SamplingError
+
+    return (GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError)
+
+
+def __getattr__(name: str):
+    # `SOLVER_FAULTS` is built on first access, so that importing this module
+    # loads no linear algebra.
+    if name == "SOLVER_FAULTS":
+        return _solver_faults()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DEFAULT_SEED = 1
 CHECKPOINT_EVERY = 10_000
@@ -123,6 +134,8 @@ class SweepConfig:
 
 def derive_seed(master: int, part: str) -> int:
     """Derive an independent 64-bit seed for one named part of a sweep."""
+    import hashlib
+
     digest = hashlib.blake2b(f"{master}:{part}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -226,6 +239,8 @@ def _instance_text(item) -> str:
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> str:
     """Digest of the package's own `*.py` files, by name and bytes."""
+    import hashlib
+
     digest = hashlib.blake2b(digest_size=16)
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -240,6 +255,8 @@ def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
     a different instance after the enumeration order changes, and never
     takes results from other code as checked.
     """
+    import hashlib
+
     from . import __version__
 
     items_digest = hashlib.blake2b(digest_size=16)
@@ -368,6 +385,8 @@ def _refuse_small_field(fld: Field, rho: int) -> None:
     """Raise `ConfigError` when one chart sample of rank up to `rho` may miss
     the generic rank with probability above `MAX_MISS_BOUND` (the bound is
     2 rho / p, `homspace.miss_bound`): it could report a false counterexample."""
+    from .homspace import MAX_MISS_BOUND, miss_bound
+
     if miss_bound(rho, fld) > MAX_MISS_BOUND:
         raise ConfigError(
             f"field {fld.name} is too small for this range: one sample misses the "
@@ -381,6 +400,8 @@ def _audited_trace(
     cfg: SweepConfig, fld: Field, problem: SchubertProblem, stream: str
 ) -> tuple[FiltrationTrace, TraceAudit]:
     """The kernel filtration at flags drawn from the named random stream, and its audit."""
+    from .filtration import run_filtration_random, verify_trace
+
     rng = rng_for(cfg.seed, f"{stream}:{problem.text()}")
     trace = run_filtration_random(problem, rng, fld, trials=cfg.trials, seed=cfg.seed)
     return trace, verify_trace(trace)
@@ -495,6 +516,10 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     A field too small for the range (`_refuse_small_field`, rho the largest
     r(n - r) in range) is refused before any instance runs.
     """
+    from .cohomology import intersection_number
+    from .filtration import trace_to_dict
+    from .homspace import generic_hom_dim
+
     started = time.perf_counter()
     fld = cfg.field()
     items = list(enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max))
@@ -540,7 +565,7 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                             "trace": trace_to_dict(trace, audit),
                         }
                     )
-        except SOLVER_FAULTS as exc:
+        except _solver_faults() as exc:
             records.append({"kind": "run_error", "error": str(exc)})
         return counts, records
 
@@ -566,6 +591,8 @@ def _solvable_problems(cfg: SweepConfig) -> list[SchubertProblem]:
     per core (`SchubertProblem.core`).  A core has its padded copies' n and r,
     and the enumeration runs through one (n, r) at a time, so the numbers of
     one (n, r) are dropped when the next begins."""
+    from .cohomology import intersection_number
+
     numbers: dict[tuple[IndexSet, ...], int] = {}
     shape = None
     solvable = []
@@ -598,6 +625,9 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     largest clincher and passes; one whose core failed is checked itself, so
     each record names positions of its own problem.
     """
+    from .cohomology import nonvanishing_positions
+    from .semistability import ParabolicWeights, clinchers, find_violations
+
     started = time.perf_counter()
     items = _solvable_problems(cfg)
     state = {"max_clincher": None}
@@ -674,13 +704,15 @@ def cmd_filtration(cfg: SweepConfig, problem: SchubertProblem, seed_source: str 
     bound for one rank sample, applied to the filtration as a necessary
     condition.  The filtration has no proven bound of its own.
     """
+    from .filtration import trace_to_dict
+
     started = time.perf_counter()
     fld = cfg.field()
     _refuse_small_field(fld, problem.r * (problem.n - problem.r))
     extra = None
     try:
         trace, audit = _audited_trace(cfg, fld, problem, "filtration")
-    except SOLVER_FAULTS as exc:
+    except _solver_faults() as exc:
         cxs = [{"kind": "run_error", "problem": problem.text(), "error": str(exc)}]
     else:
         extra = {"trace": trace_to_dict(trace, audit)}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fultoncheck import cli, sweeps
+from fultoncheck import cli, cohomology, homspace, semistability, sweeps
 from fultoncheck.cohomology import intersection_number, nonvanishing_positions
 from fultoncheck.homspace import MAX_TOTAL_TRIALS
 from fultoncheck.partitions import (
@@ -52,6 +52,95 @@ def test_package_exports_resolve_once():
     assert len(fultoncheck.__all__) == len(set(fultoncheck.__all__))
     missing = [name for name in fultoncheck.__all__ if not hasattr(fultoncheck, name)]
     assert missing == []
+
+
+def _run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with these arguments, the package taken from its
+    source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+# Every name is read twice, by `import *` and by attribute, in a new
+# interpreter, where the package has loaded nothing before.
+_LAZY_SURFACE = """
+import json, sys
+import fultoncheck
+loaded = sorted(m for m in sys.modules if m.startswith("fultoncheck."))
+star = {}
+exec("from fultoncheck import *", star)
+wrong = []
+for name in fultoncheck.__all__:
+    value = getattr(fultoncheck, name)
+    home = "fultoncheck" if name == "__version__" else getattr(value, "__module__", None)
+    home = sys.modules["fultoncheck.field" if name == "DEFAULT_PRIME" else home]
+    if not (value is vars(home)[name] is star[name]):
+        wrong.append(name)
+print(json.dumps({"loaded_by_import": loaded, "wrong": wrong}))
+"""
+
+
+def test_package_names_resolve_on_first_use():
+    done = _run_fresh("-c", _LAZY_SURFACE)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"loaded_by_import": [], "wrong": []}
+
+
+def test_package_dir_and_unknown_names():
+    import fultoncheck
+
+    assert set(fultoncheck.__all__) <= set(dir(fultoncheck))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fultoncheck.no_such_name
+    with pytest.raises(ImportError):
+        from fultoncheck import no_such_name  # noqa: F401
+
+
+_LINALG_MODULES = {f"fultoncheck.{m}" for m in
+                   ("filtration", "homspace", "linalg", "positions", "rowred")}
+_SOLVING_MODULES = {*_LINALG_MODULES, "fultoncheck.cohomology", "fultoncheck.semistability"}
+_TINY_SCALING = ("--r-max", "1", "--size-max", "2")
+
+
+def _modules_loaded(route: str, argv: list[str]) -> set[str]:
+    """The modules one command run imports, in a new interpreter: through
+    `python -m fultoncheck.cli` (read off `-X importtime`) or through
+    `fultoncheck.cli.main` (read off `sys.modules`)."""
+    if route == "python -m":
+        done = _run_fresh("-X", "importtime", "-m", "fultoncheck.cli", *argv)
+        assert done.returncode == 0, done.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    code = ("import json, sys\n"
+            "from fultoncheck.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    done = _run_fresh("-c", code, *argv)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stderr))
+
+
+@pytest.mark.parametrize("route", ["python -m", "main"])
+@pytest.mark.parametrize("argv, absent, present", [
+    (["fulton", *_TINY_SCALING], {*_SOLVING_MODULES, "_hashlib"}, set()),
+    (["saturation", *_TINY_SCALING], {*_SOLVING_MODULES, "_hashlib"}, set()),
+    (["lr", "--mu", "1", "--nu", "1", "--lam", "2"], {*_SOLVING_MODULES, "_hashlib"}, set()),
+    (["semistable", "--r-max", "2", "--n-max", "3", "--s-max", "2"],
+     {*_LINALG_MODULES, "_hashlib"}, {"fultoncheck.cohomology", "fultoncheck.semistability"}),
+    (["crosscheck", "--r-max", "1", "--n-max", "3", "--s-max", "2"],
+     set(), {*_LINALG_MODULES, "fultoncheck.cohomology"}),
+    (["filtration", "--problem", "1,4@4;2,3@4"], set(), _LINALG_MODULES),
+    (["fulton", *_TINY_SCALING, "--checkpoint", "CHECKPOINT"], _SOLVING_MODULES, {"hashlib"}),
+], ids=["fulton", "saturation", "lr", "semistable", "crosscheck", "filtration",
+        "fulton-checkpoint"])
+def test_each_command_loads_only_the_layers_it_runs(route, argv, absent, present, tmp_path):
+    argv = [str(tmp_path / "ck.json") if a == "CHECKPOINT" else a for a in argv]
+    loaded = _modules_loaded(route, [*argv, "--out", str(tmp_path / "report.json")])
+    assert "fultoncheck.sweeps" in loaded
+    assert sorted(absent & loaded) == []
+    assert sorted(present - loaded) == []
 
 
 # Public names that nothing in the package calls, each kept for a reason.
@@ -454,7 +543,7 @@ def test_planted_corruption_is_caught(monkeypatch):
 
 def test_positive_clinchers_are_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(
-        sweeps,
+        semistability,
         "clinchers",
         lambda problem, d: [1] * len(nonvanishing_positions(d, problem.r, problem.s)),
     )
@@ -963,6 +1052,17 @@ def _plant_dependent_kernel(monkeypatch):
     monkeypatch.setattr(Matrix, "kernel_basis", faulty)
 
 
+def test_solver_faults_are_the_five_solver_exceptions():
+    from fultoncheck.filtration import FiltrationError
+    from fultoncheck.homspace import GenericityError, HomAuditError
+    from fultoncheck.linalg import LinAlgError, SamplingError
+
+    assert set(sweeps.SOLVER_FAULTS) == {
+        GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sweeps.no_such_name
+
+
 @pytest.mark.parametrize("argv", [
     ["crosscheck", "--r-max", "3", "--n-max", "5", "--s-max", "2"],
     ["filtration", "--problem", "1,2,5@5;2,3,5@5"],
@@ -985,13 +1085,13 @@ def test_cli_solver_fault_is_a_run_error_not_a_usage_error(argv, tmp_path, capsy
 def test_crosscheck_rejects_an_inflated_positive_dimension(tmp_path, monkeypatch):
     import dataclasses
 
-    real = sweeps.generic_hom_dim
+    real = homspace.generic_hom_dim
 
     def inflated(*args, **kwargs):
         result = real(*args, **kwargs)
         return dataclasses.replace(result, dim=result.dim + 1) if result.dim else result
 
-    monkeypatch.setattr(sweeps, "generic_hom_dim", inflated)
+    monkeypatch.setattr(homspace, "generic_hom_dim", inflated)
     out_path = tmp_path / "rep.json"
     code = cli.main(["crosscheck", "--r-max", "2", "--n-max", "5", "--s-max", "3",
                      "--seed", "5", "--out", str(out_path)])
@@ -1011,7 +1111,7 @@ def test_crosscheck_reports_a_shared_core_fault_for_every_copy(fault, monkeypatc
     from fultoncheck.linalg import SamplingError
 
     target = SchubertProblem.parse("1@3")
-    real = sweeps.generic_hom_dim
+    real = homspace.generic_hom_dim
 
     def faulty(problem, *args, **kwargs):
         result = real(problem, *args, **kwargs)
@@ -1021,7 +1121,7 @@ def test_crosscheck_reports_a_shared_core_fault_for_every_copy(fault, monkeypatc
             raise SamplingError("planted sampler fault")
         return dataclasses.replace(result, dim=result.dim + 1)
 
-    monkeypatch.setattr(sweeps, "generic_hom_dim", faulty)
+    monkeypatch.setattr(homspace, "generic_hom_dim", faulty)
     items = list(enumerate_problems(2, 5, 3))
     sharing = {i: p.text() for i, p in enumerate(items) if p.core() == target}
     assert sorted(sharing.values()) == ["1@3", "1@3;3@3", "1@3;3@3;3@3"]
@@ -1039,14 +1139,15 @@ def test_crosscheck_reports_a_shared_core_fault_for_every_copy(fault, monkeypatc
 def test_crosscheck_solves_a_shared_core_once(monkeypatch):
     # On P^1 every problem is one point condition padded with trivial ones.
     calls = {"generic_hom_dim": 0, "intersection_number": 0}
-    for name in calls:
-        real = getattr(sweeps, name)
+    # `cmd_crosscheck` imports both when it runs, from their own modules.
+    for module, name in ((homspace, "generic_hom_dim"), (cohomology, "intersection_number")):
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(sweeps, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rep = cmd_crosscheck(SweepConfig(r_max=1, n_max=2, s_max=300))
     assert rep["ok"] is True
     assert rep["counts"]["instances"] == rep["extra"]["intersection_positive"] == 300
