@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cohomology": ("class_product", "intersection_number", "nonvanishing_positions",
                    "problem_class", "schubert_class"),
-    "field": ("DEFAULT_PRIME", "Field", "field_from_name"),
+    "field": ("DEFAULT_PRIME", "Field", "SolverFault", "field_from_name"),
     "filtration": ("FiltrationError", "FiltrationStep", "FiltrationTrace", "TraceAudit",
                    "run_filtration", "run_filtration_random", "trace_to_dict", "verify_trace"),
     "homspace": ("GenericDimResult", "GenericityError", "HomAuditError", "HomSystem",

@@ -20,6 +20,13 @@ DEFAULT_PRIME = 2**31 - 1
 DEFAULT_TRIALS = 3
 MAX_TOTAL_TRIALS = 10
 
+
+class SolverFault(Exception):
+    """The exact solver failed on one instance; a sweep fails the instance, not
+    the run.  Defined here, where every command loads it, so that catching it
+    loads no linear algebra."""
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and
 # Webster, Math. Comp. 86, 2017): below it the test is exact.

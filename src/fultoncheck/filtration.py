@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
 
-from .field import Field
+from .field import Field, SolverFault
 from .homspace import (
     DEFAULT_TRIALS,
     GenericDimResult,
@@ -52,7 +52,7 @@ STOP_RULE_NOTE = (
 )
 
 
-class FiltrationError(RuntimeError):
+class FiltrationError(SolverFault):
     """The recursion violated a structural guarantee (descent or depth)."""
 
 
@@ -72,25 +72,53 @@ class FiltrationStep:
 
 @dataclass(frozen=True)
 class FiltrationTrace:
+    """What one run computed; the terminal data and the correction derive from it."""
+
     problem: SchubertProblem
-    field_name: str
     sub_flags: tuple[Flag, ...]
     quot_flags: tuple[Flag, ...]
     hom_dim: int
-    expected_dim: int
     phi: Matrix | None
     steps: tuple[FiltrationStep, ...]
-    termination: str
-    terminal_dim: int
-    terminal_positions: tuple[IndexSet, ...]
-    correction: int
     etas: tuple[Matrix, ...]
-    note: str = ""
     seed: int | None = None
 
     @property
     def h(self) -> int:
         return len(self.steps)
+
+    @property
+    def termination(self) -> str:
+        if not self.steps:
+            return TERMINATION_NO_MAPS if self.phi is None else TERMINATION_INJECTIVE
+        if self.steps[-1].dim == 0:
+            return TERMINATION_KERNEL_VANISHED
+        return TERMINATION_TANGENT_ZERO
+
+    @property
+    def terminal_dim(self) -> int:
+        """The last level's dimension; with no level, V's (no maps) or 0 (phi injective)."""
+        if self.steps:
+            return self.steps[-1].dim
+        return self.problem.r if self.phi is None else 0
+
+    @property
+    def terminal_positions(self) -> tuple[IndexSet, ...]:
+        if self.steps:
+            return self.steps[-1].amb_positions
+        return _full_positions(self.problem.s, self.problem.r, self.terminal_dim)
+
+    @property
+    def correction(self) -> int:
+        return rappel_delta(self.problem.index_sets, self.terminal_positions)
+
+    @property
+    def expected_dim(self) -> int:
+        return self.problem.expected_dim()
+
+    @property
+    def field_name(self) -> str:
+        return self.sub_flags[0].field.name
 
 
 def _generic_kernel_element(
@@ -132,65 +160,26 @@ def run_filtration(
     r = problem.r
     s = problem.s
     system = build_system(problem, sub_flags, quot_flags)
-    field = system.field
-    expected = problem.expected_dim()
 
-    def finish(
-        phi: Matrix | None,
-        steps: list[FiltrationStep],
-        termination: str,
-        terminal_dim: int,
-        terminal_positions: tuple[IndexSet, ...],
-        etas: list[Matrix],
-    ) -> FiltrationTrace:
-        correction = rappel_delta(problem.index_sets, terminal_positions)
-        return FiltrationTrace(
-            problem=problem,
-            field_name=field.name,
-            sub_flags=sub_flags,
-            quot_flags=quot_flags,
-            hom_dim=system.dim,
-            expected_dim=expected,
-            phi=phi,
-            steps=tuple(steps),
-            termination=termination,
-            terminal_dim=terminal_dim,
-            terminal_positions=terminal_positions,
-            correction=correction,
-            etas=tuple(etas),
-            note=STOP_RULE_NOTE,
-            seed=seed,
-        )
+    def done(phi: Matrix | None, steps=(), etas=()) -> FiltrationTrace:
+        return FiltrationTrace(problem, sub_flags, quot_flags, system.dim, phi,
+                               tuple(steps), tuple(etas), seed)
 
     if system.dim == 0:
         # The only constrained map is zero; the chain never starts and the
         # terminal level is V itself (full positions).
-        return finish(
-            phi=None,
-            steps=[],
-            termination=TERMINATION_NO_MAPS,
-            terminal_dim=r,
-            terminal_positions=_full_positions(s, r, r),
-            etas=[],
-        )
+        return done(None)
 
     phi, _ = _generic_kernel_element(
         system, rng, trials, context=f"initial map for {problem.text()}"
     )
     if phi.ncols - phi.rank() == 0:
-        return finish(
-            phi=phi,
-            steps=[],
-            termination=TERMINATION_INJECTIVE,
-            terminal_dim=0,
-            terminal_positions=_full_positions(s, r, 0),
-            etas=[phi],
-        )
+        return done(phi, etas=[phi])
 
     steps: list[FiltrationStep] = []
     etas: list[Matrix] = [phi]
     parent_space = FlaggedSpace(r, sub_flags)
-    parent_basis_ambient = Matrix.identity(field, r)
+    parent_basis_ambient = Matrix.identity(system.field, r)
     basis_in_parent = phi.kernel_basis()
     prev_amb = _full_positions(s, r, r)
     eta_prev = phi
@@ -241,14 +230,7 @@ def run_filtration(
             # Either the previous descent map was injective (d == 0: the
             # chain ends in the zero subspace, recorded as a genuine final
             # level) or no constrained tangent map is left to descend with.
-            return finish(
-                phi=phi,
-                steps=steps,
-                termination=TERMINATION_KERNEL_VANISHED if d == 0 else TERMINATION_TANGENT_ZERO,
-                terminal_dim=d,
-                terminal_positions=amb_positions,
-                etas=etas,
-            )
+            return done(phi, steps, etas)
         eta_prev = eta_prev @ comp @ psi
         etas.append(eta_prev)
         parent_space = sub_space
@@ -272,10 +254,12 @@ def run_filtration_random(
 
 @dataclass(frozen=True)
 class TraceAudit:
-    ok: bool
     checks: dict[str, bool] = dc_field(default_factory=dict)
     details: dict[str, str] = dc_field(default_factory=dict)
-    note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return all(self.checks.values())
 
     def failed_checks(self) -> list[str]:
         return [name for name, passed in self.checks.items() if not passed]
@@ -345,26 +329,15 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
         if step.basis_in_ambient.nrows != r or step.basis_in_ambient.ncols != step.dim:
             shape_problems.append(f"level {step.level}: ambient basis shape")
         prev_dim = step.dim
-    if trace.steps:
-        last = trace.steps[-1]
-        if trace.terminal_dim != last.dim or trace.terminal_positions != last.amb_positions:
-            shape_problems.append("terminal data does not match the last level")
-        if trace.termination in (TERMINATION_TANGENT_ZERO, TERMINATION_KERNEL_VANISHED):
-            if last.tangent_dim != 0:
-                shape_problems.append("terminating level with nonzero tangent")
-        if trace.termination == TERMINATION_KERNEL_VANISHED and last.dim != 0:
-            shape_problems.append("kernel_vanished termination with a nonzero final level")
-        if trace.termination == TERMINATION_TANGENT_ZERO and last.dim == 0:
-            shape_problems.append("tangent_zero termination at the zero subspace")
+    if trace.steps and trace.steps[-1].tangent_dim != 0:
+        shape_problems.append("terminating level with nonzero tangent")
     expected_etas = {
         TERMINATION_NO_MAPS: 0,
         TERMINATION_INJECTIVE: 1,
         TERMINATION_TANGENT_ZERO: trace.h,
         TERMINATION_KERNEL_VANISHED: trace.h,
-    }.get(trace.termination)
-    if expected_etas is None:
-        shape_problems.append(f"unknown termination {trace.termination!r}")
-    elif len(trace.etas) != expected_etas:
+    }[trace.termination]
+    if len(trace.etas) != expected_etas:
         shape_problems.append("comparison map count")
     if trace.termination == TERMINATION_NO_MAPS and trace.hom_dim != 0:
         shape_problems.append("no_maps termination with nonzero solution space")
@@ -373,11 +346,7 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
     # --- strict descent ----------------------------------------------------
     descent_ok = True
     descent_msg = ""
-    if trace.h == 0:
-        if trace.termination not in (TERMINATION_NO_MAPS, TERMINATION_INJECTIVE):
-            descent_ok = False
-            descent_msg = "empty chain with a descending termination"
-    else:
+    if trace.h:
         seq = [r] + dims
         for a, b in zip(seq, seq[1:]):
             if b >= a:
@@ -386,9 +355,6 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
         if any(d == 0 for d in dims[:-1]):
             descent_ok = False
             descent_msg = "interior zero level"
-        if dims[-1] == 0 and trace.termination != TERMINATION_KERNEL_VANISHED:
-            descent_ok = False
-            descent_msg = "zero final level without kernel_vanished termination"
         if trace.h > r:
             descent_ok = False
             descent_msg = "chain longer than the rank bound"
@@ -497,23 +463,17 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
 
     # --- exact rank identity -------------------------------------------------
     try:
-        recomputed = rappel_delta(problem.index_sets, trace.terminal_positions)
-    except ValueError:
-        recomputed = None
-    rank_ok = (
-        recomputed is not None
-        and trace.correction == recomputed
-        and trace.hom_dim == trace.expected_dim + trace.correction
-        and trace.expected_dim == problem.expected_dim()
-    )
-    record(
-        "rank_formula",
-        rank_ok,
-        f"hom {trace.hom_dim} = expected {trace.expected_dim} + correction {trace.correction}"
-        if rank_ok
-        else f"hom {trace.hom_dim} != expected {trace.expected_dim} + correction "
-        f"{trace.correction} (recomputed {recomputed})",
-    )
+        correction = trace.correction
+    except ValueError as exc:
+        record("rank_formula", False, f"malformed terminal positions: {exc}")
+    else:
+        rank_ok = trace.hom_dim == trace.expected_dim + correction
+        record(
+            "rank_formula",
+            rank_ok,
+            f"hom {trace.hom_dim} {'=' if rank_ok else '!='} expected {trace.expected_dim} "
+            f"+ correction {correction}",
+        )
     record(
         "hom_lower_bound",
         trace.hom_dim >= max(0, trace.expected_dim),
@@ -526,29 +486,33 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
         record("chain_bound", True, "no level-1 subspace; vacuous")
     else:
         d1 = trace.steps[0].dim
-        rel_terminal = _full_positions(s, d1, d1)
-        for step in trace.steps[1:]:
-            rel_terminal = tuple(
-                falcon_compose(rel_terminal[j], step.rel_positions[j]) for j in range(s)
+        try:
+            rel_terminal = _full_positions(s, d1, d1)
+            for step in trace.steps[1:]:
+                rel_terminal = tuple(
+                    falcon_compose(rel_terminal[j], step.rel_positions[j]) for j in range(s)
+                )
+            dim_s_in_v = dim_triple(trace.steps[0].amb_positions)
+            dim_t_in_s = dim_triple(rel_terminal)
+            dim_t_in_v = dim_triple(trace.terminal_positions)
+            lhs = dim_s_in_v + rappel_delta(problem.index_sets, trace.steps[0].amb_positions)
+            rhs = dim_t_in_v - dim_t_in_s + rappel_delta(
+                problem.index_sets, trace.terminal_positions
             )
-        dim_s_in_v = dim_triple(trace.steps[0].amb_positions)
-        dim_t_in_s = dim_triple(rel_terminal)
-        dim_t_in_v = dim_triple(trace.terminal_positions)
-        tangent1 = trace.steps[0].tangent_dim
-        bound = dim_s_in_v + dim_t_in_s - dim_t_in_v
-        record(
-            "tangent_bound",
-            tangent1 <= bound,
-            f"tangent {tangent1} <= {dim_s_in_v} + {dim_t_in_s} - {dim_t_in_v}",
-        )
-        lhs = dim_s_in_v + rappel_delta(problem.index_sets, trace.steps[0].amb_positions)
-        rhs = dim_t_in_v - dim_t_in_s + rappel_delta(
-            problem.index_sets, trace.terminal_positions
-        )
-        record("chain_bound", lhs <= rhs, f"{lhs} <= {rhs} (d taken as d_1)")
+        except ValueError as exc:
+            record("tangent_bound", False, f"malformed positions: {exc}")
+            record("chain_bound", False, f"malformed positions: {exc}")
+        else:
+            tangent1 = trace.steps[0].tangent_dim
+            bound = dim_s_in_v + dim_t_in_s - dim_t_in_v
+            record(
+                "tangent_bound",
+                tangent1 <= bound,
+                f"tangent {tangent1} <= {dim_s_in_v} + {dim_t_in_s} - {dim_t_in_v}",
+            )
+            record("chain_bound", lhs <= rhs, f"{lhs} <= {rhs} (d taken as d_1)")
 
-    ok = all(checks.values())
-    return TraceAudit(ok=ok, checks=checks, details=details, note=trace.note)
+    return TraceAudit(checks, details)
 
 
 def _entry_to_json(value, fld: Field):
@@ -603,13 +567,13 @@ def trace_to_dict(trace: FiltrationTrace, audit: TraceAudit | None = None) -> di
             for step in trace.steps
         ],
         "etas": [matrix_to_json(e) for e in trace.etas],
-        "note": trace.note,
+        "note": STOP_RULE_NOTE,
     }
     if audit is not None:
         doc["audit"] = {
             "ok": audit.ok,
             "checks": dict(audit.checks),
             "details": dict(audit.details),
-            "note": audit.note,
+            "note": STOP_RULE_NOTE,
         }
     return doc

@@ -51,7 +51,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field
+from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, SolverFault
 from .linalg import Flag, Matrix, contained_in, random_nonzero_combination, random_unitriangular
 from .partitions import SchubertProblem
 
@@ -59,11 +59,11 @@ from .partitions import SchubertProblem
 MAX_MISS_BOUND = Fraction(1, 10**6)
 
 
-class HomAuditError(RuntimeError):
+class HomAuditError(SolverFault):
     """A solved map failed direct re-verification of a step containment."""
 
 
-class GenericityError(RuntimeError):
+class GenericityError(SolverFault):
     """The generic value is undecided: the sampled dimensions never
     stabilized, or a sample fell below the proven floor, which a correct
     solver cannot produce."""
@@ -74,12 +74,18 @@ class HomSystem:
     """The assembled constraint system and its exact solution space."""
 
     problem: SchubertProblem
-    field: Field
     sub_flags: tuple[Flag, ...]
     quot_flags: tuple[Flag, ...]
     matrix: Matrix  # constraint rows over vec(phi), index u * sub_dim + v
-    dim: int
     kernel: Matrix  # columns are vec'd basis solutions
+
+    @property
+    def field(self) -> Field:
+        return self.matrix.field
+
+    @property
+    def dim(self) -> int:
+        return self.kernel.ncols
 
     @property
     def sub_dim(self) -> int:
@@ -132,15 +138,7 @@ def build_system(
     matrix = constraint_matrix(
         problem, tuple(f.matrix for f in sub_flags), tuple(g.inverse for g in quot_flags)
     )
-    system = HomSystem(
-        problem=problem,
-        field=field,
-        sub_flags=sub_flags,
-        quot_flags=quot_flags,
-        matrix=matrix,
-        dim=matrix.ncols - matrix.rank(),
-        kernel=matrix.kernel_basis(),
-    )
+    system = HomSystem(problem, sub_flags, quot_flags, matrix, matrix.kernel_basis())
     audit_system(system)
     return system
 

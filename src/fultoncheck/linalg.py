@@ -21,17 +21,17 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .field import Field
+from .field import Field, SolverFault
 from .rowred import rref_mod
 
 MAX_SAMPLE_ATTEMPTS = 100
 
 
-class LinAlgError(ValueError):
+class LinAlgError(ValueError, SolverFault):
     """Ill-posed exact linear algebra input (shape mismatch, singularity)."""
 
 
-class SamplingError(RuntimeError):
+class SamplingError(SolverFault):
     """Random sampling failed to produce a full-rank object within the cap."""
 
 

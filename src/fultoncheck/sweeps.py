@@ -5,8 +5,8 @@ per instance, and assembles a report; `filtration` and `lr` check one
 instance.  Randomness is derived per instance from the master seed via a
 keyed hash, so sweeps can be checkpointed and resumed with byte-identical
 results: restarting at instance k draws exactly the same random streams as an
-uninterrupted run.  A solver fault (`SOLVER_FAULTS`) fails its instance, not
-the run; a field too small to sample is refused (`_refuse_small_field`); and
+uninterrupted run.  A solver fault (`field.SolverFault`) fails its instance,
+not the run; a field too small to sample is refused (`_refuse_small_field`); and
 `_finish` assembles every report.
 
 At import this module loads only the layers every command uses (partitions,
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, field_from_name, least_prime_from
+from .field import (DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, SolverFault, field_from_name,
+                    least_prime_from)
 from .littlewood import lr_coefficient as _lr_tableau
 from .littlewood import lr_coefficient_pieri
 from .partitions import (
@@ -45,28 +46,6 @@ if TYPE_CHECKING:
 # Module-level reference so tests can substitute a deliberately corrupted
 # coefficient routine and watch the sweeps and `lr` catch it.
 lr_coefficient = _lr_tableau
-
-
-def _solver_faults() -> tuple[type[Exception], ...]:
-    """Samples that never stabilize, a solved map that breaks a containment, a
-    broken guarantee of the filtration recursion, a sampler that gives up, or
-    ill-posed exact linear algebra: each fails its instance, not the run.
-
-    The commands name it in an `except` clause, which calls it only once an
-    exception is raised."""
-    from .filtration import FiltrationError
-    from .homspace import GenericityError, HomAuditError
-    from .linalg import LinAlgError, SamplingError
-
-    return (GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError)
-
-
-def __getattr__(name: str):
-    # `SOLVER_FAULTS` is built on first access, so that importing this module
-    # loads no linear algebra.
-    if name == "SOLVER_FAULTS":
-        return _solver_faults()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 DEFAULT_SEED = 1
@@ -565,7 +544,7 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                             "trace": trace_to_dict(trace, audit),
                         }
                     )
-        except _solver_faults() as exc:
+        except SolverFault as exc:
             records.append({"kind": "run_error", "error": str(exc)})
         return counts, records
 
@@ -712,7 +691,7 @@ def cmd_filtration(cfg: SweepConfig, problem: SchubertProblem, seed_source: str 
     extra = None
     try:
         trace, audit = _audited_trace(cfg, fld, problem, "filtration")
-    except _solver_faults() as exc:
+    except SolverFault as exc:
         cxs = [{"kind": "run_error", "problem": problem.text(), "error": str(exc)}]
     else:
         extra = {"trace": trace_to_dict(trace, audit)}

@@ -239,25 +239,27 @@ def test_open_cell_flags_give_the_filtration_of_uniform_flags(field_name, ranges
 # ---------------------------------------------------------------------------
 
 
-def test_audit_rejects_corrupted_correction():
-    tr = _trace("1,4@4;2,3@4")
-    bad = dataclasses.replace(tr, correction=0)
-    audit = verify_trace(bad)
-    assert not audit.ok
-    assert not audit.checks["rank_formula"]
-
-
 def test_audit_rejects_corrupted_terminal_positions():
     tr = _trace("1,4@4;2,3@4")
     fake = (IndexSet(2, (2,)), IndexSet(2, (2,)))
-    bad = dataclasses.replace(
-        tr,
-        terminal_positions=fake,
-        steps=(dataclasses.replace(tr.steps[0], amb_positions=fake),),
-    )
+    bad = dataclasses.replace(tr, steps=(dataclasses.replace(tr.steps[0], amb_positions=fake),))
+    assert bad.terminal_positions == fake
     audit = verify_trace(bad)
     assert not audit.ok
     assert not audit.checks["positions_geometric"] or not audit.checks["rank_formula"]
+
+
+def test_audit_fails_malformed_terminal_positions_without_raising():
+    # Positions in a 3-dimensional ambient space for a rank-2 problem: the
+    # correction cannot be computed, so the rank identity fails as a check.
+    tr = _trace("1,4@4;2,3@4")
+    fake = (IndexSet(3, (1,)), IndexSet(3, (1,)))
+    bad = dataclasses.replace(tr, steps=(dataclasses.replace(tr.steps[-1], amb_positions=fake),))
+    audit = verify_trace(bad)
+    assert not audit.ok
+    assert not audit.checks["terminal_dim_zero"]
+    assert not audit.checks["rank_formula"]
+    assert "malformed terminal positions" in audit.details["rank_formula"]
 
 
 def test_audit_rejects_positions_from_a_planted_top_pivot_profile(monkeypatch):
@@ -319,6 +321,8 @@ def test_audit_rejects_wrong_hom_dim():
     bad = dataclasses.replace(tr, hom_dim=tr.hom_dim + 1)
     audit = verify_trace(bad)
     assert not audit.ok
+    assert not audit.checks["rank_formula"]
+    assert "!=" in audit.details["rank_formula"]
 
 
 # ---------------------------------------------------------------------------

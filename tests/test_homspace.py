@@ -306,6 +306,6 @@ def test_audit_catches_planted_violation():
     from fultoncheck.linalg import Matrix
 
     fake_kernel = Matrix.from_columns(PF, [[1] * sys.matrix.ncols])
-    tampered = replace(sys, kernel=fake_kernel, dim=1)
+    tampered = replace(sys, kernel=fake_kernel)
     with pytest.raises(HomAuditError):
         audit_system(tampered)
