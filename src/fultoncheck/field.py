@@ -107,7 +107,10 @@ def field_from_name(name: str) -> Field:
     if name == "prime":
         return Field(DEFAULT_PRIME)
     if name.startswith("prime:"):
-        p = int(name.split(":", 1)[1])
+        try:
+            p = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"field {name!r}: prime:P needs an integer prime P") from None
         if p == 0:
             raise ValueError("modulus 0 is not prime")
         return Field(p)

@@ -25,9 +25,10 @@ is freed by reference counting.
 `lr_coefficient_pieri` is the audit oracle: it expands the second factor
 through one-row (complete homogeneous) classes with the alternating-sum
 correction over the h-expansion of a Schur class, so it shares no code with
-the tableau path beyond the Partition type. Both read `Partition.parts` as
-given, since a partition holds no zero parts; the Pieri path trims the raw
-tuples it builds itself.
+the tableau path beyond the Partition type. When that factor has more rows
+than columns it expands the conjugate triple instead, whose second factor has
+fewer rows. Both read `Partition.parts` as given, since a partition holds no
+zero parts; the Pieri path trims the raw tuples it builds itself.
 """
 
 from __future__ import annotations
@@ -190,11 +191,24 @@ def lr_coefficient_pieri(mu: Partition, nu: Partition, lam: Partition) -> int:
     rule, one strip at a time. The permutations are searched depth first over
     their prefixes (`_pieri_prefixes`), so a prefix with a negative size or an
     empty expansion cuts every permutation that extends it.
+
+    There are len(nu)! permutations. The involution omega of symmetric
+    functions is a ring automorphism taking each Schur class to its conjugate's
+    (Stanley, EC2, 1999, 7.14.5), so c^lam_{mu,nu} = c^{lam'}_{mu',nu'}, and
+    when nu has more rows than columns the conjugate triple is expanded: nu'
+    has nu_1 rows, so nu = 1^10 needs one strip instead of up to 10! products.
     """
     lam_t, mu_t, nu_t = lam.parts, mu.parts, nu.parts
     if sum(lam_t) != sum(mu_t) + sum(nu_t):
         return 0
+    if nu_t and len(nu_t) > nu_t[0]:
+        lam_t, mu_t, nu_t = _conjugate(lam_t), _conjugate(mu_t), _conjugate(nu_t)
     return _pieri_prefixes(0, tuple(range(len(nu_t))), {mu_t: 1}, nu_t, lam_t)
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate partition: column j of the diagram becomes row j."""
+    return tuple(sum(1 for x in parts if x > j) for j in range(parts[0] if parts else 0))
 
 
 def _pieri_prefixes(

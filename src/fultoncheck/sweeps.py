@@ -12,7 +12,7 @@ not the run; a field too small to sample is refused (`_refuse_small_field`); and
 At import this module loads only the layers every command uses (partitions,
 the LR engines, fields and reports).  A command body imports the rest when it
 runs: `semistable` the cohomology and semistability layers, `crosscheck` and
-`filtration` also the linear algebra; `hashlib` is imported only to hash.
+`filtration` also the linear algebra; `_blake2b` loads BLAKE2 to hash.
 """
 
 from __future__ import annotations
@@ -111,11 +111,19 @@ class SweepConfig:
         return field_from_name(self.field_name)
 
 
+def _blake2b(data: bytes = b"", digest_size: int = 16):
+    """BLAKE2b from CPython's `_blake2`, the `blake2b` that `hashlib` returns,
+    imported at the first hash: `import hashlib` would also load OpenSSL."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # an interpreter built without the module
+        from hashlib import blake2b
+    return blake2b(data, digest_size=digest_size)
+
+
 def derive_seed(master: int, part: str) -> int:
     """Derive an independent 64-bit seed for one named part of a sweep."""
-    import hashlib
-
-    digest = hashlib.blake2b(f"{master}:{part}".encode(), digest_size=8).digest()
+    digest = _blake2b(f"{master}:{part}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -218,9 +226,7 @@ def _instance_text(item) -> str:
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> str:
     """Digest of the package's own `*.py` files, by name and bytes."""
-    import hashlib
-
-    digest = hashlib.blake2b(digest_size=16)
+    digest = _blake2b()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return digest.hexdigest()
@@ -234,11 +240,9 @@ def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
     a different instance after the enumeration order changes, and never
     takes results from other code as checked.
     """
-    import hashlib
-
     from . import __version__
 
-    items_digest = hashlib.blake2b(digest_size=16)
+    items_digest = _blake2b()
     for item in items:
         items_digest.update(_instance_text(item).encode() + b"\n")
     payload = {
@@ -249,7 +253,7 @@ def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
         **cfg.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+    return _blake2b(blob).hexdigest()
 
 
 def _load_checkpoint(

@@ -96,6 +96,9 @@ def test_field_from_name():
     for name in ("prime:0", "prime:1", "prime:4", "prime:-7"):
         with pytest.raises(ValueError, match="is not prime"):
             field_from_name(name)
+    for name in ("prime:x", "prime:", "prime:7.0", "prime:0x7"):
+        with pytest.raises(ValueError, match="prime:P needs an integer prime P"):
+            field_from_name(name)
 
 
 def test_characteristic_is_the_only_field_tag():

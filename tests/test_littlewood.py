@@ -108,8 +108,8 @@ def test_engines_agree_on_scaled_sweep_triples(factor):
 
 
 def test_pieri_oracle_handles_ten_row_content():
-    """nu = 1^10 has 10! Jacobi-Trudi permutations; the prefix search cuts all
-    but a few, and the oracle still equals the tableau engine."""
+    """nu = 1^10 has 10! Jacobi-Trudi permutations; the oracle expands its
+    conjugate (10) in one strip, and still equals the tableau engine."""
     nu = Partition((1,) * 10)
     assert lr_coefficient_pieri(P("1"), nu, P("2,1,1,1,1,1,1,1,1,1")) == 1
     checked = nonzero = 0
@@ -121,6 +121,25 @@ def test_pieri_oracle_handles_ten_row_content():
                 checked += 1
                 nonzero += c > 0
     assert (checked, nonzero) == (17, 11)
+
+
+def test_engines_agree_where_nu_is_taller_than_wide():
+    """Every nu of size 2..8 with more rows than columns, which the oracle
+    expands through the conjugate triple, against every mu of size <= 3 with
+    <= 3 rows and every lam of the right size, including the lam with fewer
+    rows than nu that the prefix search alone was slow to rule out."""
+    tall = [nu for size in range(2, 9) for nu in partitions_with(size, size)
+            if len(nu.parts) > nu.parts[0]]
+    checked = nonzero = 0
+    for mu in (mu for size in range(4) for mu in partitions_with(size, 3)):
+        for nu in tall:
+            size = mu.size + nu.size
+            for lam in partitions_with(size, size):
+                c = lr_coefficient(mu, nu, lam)
+                assert lr_coefficient_pieri(mu, nu, lam) == c, (mu.parts, nu.parts, lam.parts)
+                checked += 1
+                nonzero += c > 0
+    assert (len(tall), checked, nonzero) == (28, 5769, 894)
 
 
 def test_engines_leave_no_reference_cycles():

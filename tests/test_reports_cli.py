@@ -101,6 +101,8 @@ _LINALG_MODULES = {f"fultoncheck.{m}" for m in
                    ("filtration", "homspace", "linalg", "positions", "rowred")}
 _SOLVING_MODULES = {*_LINALG_MODULES, "fultoncheck.cohomology", "fultoncheck.semistability"}
 _TINY_SCALING = ("--r-max", "1", "--size-max", "2")
+# No command loads OpenSSL (`_hashlib`); one that hashes nothing loads no BLAKE2.
+_HASHING = {"_hashlib", "_blake2"}
 
 
 def _modules_loaded(route: str, argv: list[str]) -> set[str]:
@@ -124,15 +126,16 @@ def _modules_loaded(route: str, argv: list[str]) -> set[str]:
 
 @pytest.mark.parametrize("route", ["python -m", "main"])
 @pytest.mark.parametrize("argv, absent, present", [
-    (["fulton", *_TINY_SCALING], {*_SOLVING_MODULES, "_hashlib"}, set()),
-    (["saturation", *_TINY_SCALING], {*_SOLVING_MODULES, "_hashlib"}, set()),
-    (["lr", "--mu", "1", "--nu", "1", "--lam", "2"], {*_SOLVING_MODULES, "_hashlib"}, set()),
+    (["fulton", *_TINY_SCALING], {*_SOLVING_MODULES, *_HASHING}, set()),
+    (["saturation", *_TINY_SCALING], {*_SOLVING_MODULES, *_HASHING}, set()),
+    (["lr", "--mu", "1", "--nu", "1", "--lam", "2"], {*_SOLVING_MODULES, *_HASHING}, set()),
     (["semistable", "--r-max", "2", "--n-max", "3", "--s-max", "2"],
-     {*_LINALG_MODULES, "_hashlib"}, {"fultoncheck.cohomology", "fultoncheck.semistability"}),
+     {*_LINALG_MODULES, *_HASHING}, {"fultoncheck.cohomology", "fultoncheck.semistability"}),
     (["crosscheck", "--r-max", "1", "--n-max", "3", "--s-max", "2"],
-     set(), {*_LINALG_MODULES, "fultoncheck.cohomology"}),
-    (["filtration", "--problem", "1,4@4;2,3@4"], set(), _LINALG_MODULES),
-    (["fulton", *_TINY_SCALING, "--checkpoint", "CHECKPOINT"], _SOLVING_MODULES, {"hashlib"}),
+     {"_hashlib"}, {*_LINALG_MODULES, "fultoncheck.cohomology"}),
+    (["filtration", "--problem", "1,4@4;2,3@4"], {"_hashlib"}, _LINALG_MODULES),
+    (["fulton", *_TINY_SCALING, "--checkpoint", "CHECKPOINT"],
+     {*_SOLVING_MODULES, "_hashlib"}, set()),
 ], ids=["fulton", "saturation", "lr", "semistable", "crosscheck", "filtration",
         "fulton-checkpoint"])
 def test_each_command_loads_only_the_layers_it_runs(route, argv, absent, present, tmp_path):
@@ -296,6 +299,26 @@ def test_derived_seeds_are_stable_and_distinct():
     a = rng_for(9, "x").random()
     b = rng_for(9, "x").random()
     assert a == b
+
+
+def test_hashes_equal_the_hashlib_route(monkeypatch):
+    """Seeds, the source digest and the checkpoint fingerprint are the same
+    through `hashlib.blake2b`, so reports and checkpoints do not depend on
+    which module supplies BLAKE2."""
+    import hashlib
+
+    assert derive_seed(101, "hom:1,4@4;2,3@4") == 10561024361905499780
+    cfg = SweepConfig(r_max=2, n_max=3, s_max=2)
+    items = list(enumerate_problems(2, 3, 2))
+
+    def hashes():
+        return (derive_seed(101, "hom:1,4@4;2,3@4"), sweeps._source_digest.__wrapped__(),
+                sweeps._config_fingerprint("crosscheck", cfg, items))
+
+    ours = hashes()
+    monkeypatch.setattr(sweeps, "_blake2b", lambda data=b"", digest_size=16:
+                        hashlib.blake2b(data, digest_size=digest_size))
+    assert hashes() == ours
 
 
 def test_triple_enumeration_count_and_order():
