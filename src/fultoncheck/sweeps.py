@@ -114,10 +114,7 @@ class SweepConfig:
 def _blake2b(data: bytes = b"", digest_size: int = 16):
     """BLAKE2b from CPython's `_blake2`, the `blake2b` that `hashlib` returns,
     imported at the first hash: `import hashlib` would also load OpenSSL."""
-    try:
-        from _blake2 import blake2b
-    except ImportError:  # an interpreter built without the module
-        from hashlib import blake2b
+    from _blake2 import blake2b
     return blake2b(data, digest_size=digest_size)
 
 

@@ -101,7 +101,8 @@ _LINALG_MODULES = {f"fultoncheck.{m}" for m in
                    ("filtration", "homspace", "linalg", "positions", "rowred")}
 _SOLVING_MODULES = {*_LINALG_MODULES, "fultoncheck.cohomology", "fultoncheck.semistability"}
 _TINY_SCALING = ("--r-max", "1", "--size-max", "2")
-# No command loads OpenSSL (`_hashlib`); one that hashes nothing loads no BLAKE2.
+# No command loads OpenSSL (`_hashlib`); one that hashes nothing loads no BLAKE2
+# (`_blake2`), and one that hashes loads it.
 _HASHING = {"_hashlib", "_blake2"}
 
 
@@ -132,10 +133,10 @@ def _modules_loaded(route: str, argv: list[str]) -> set[str]:
     (["semistable", "--r-max", "2", "--n-max", "3", "--s-max", "2"],
      {*_LINALG_MODULES, *_HASHING}, {"fultoncheck.cohomology", "fultoncheck.semistability"}),
     (["crosscheck", "--r-max", "1", "--n-max", "3", "--s-max", "2"],
-     {"_hashlib"}, {*_LINALG_MODULES, "fultoncheck.cohomology"}),
-    (["filtration", "--problem", "1,4@4;2,3@4"], {"_hashlib"}, _LINALG_MODULES),
+     {"_hashlib"}, {*_LINALG_MODULES, "fultoncheck.cohomology", "_blake2"}),
+    (["filtration", "--problem", "1,4@4;2,3@4"], {"_hashlib"}, {*_LINALG_MODULES, "_blake2"}),
     (["fulton", *_TINY_SCALING, "--checkpoint", "CHECKPOINT"],
-     {*_SOLVING_MODULES, "_hashlib"}, set()),
+     {*_SOLVING_MODULES, "_hashlib"}, {"_blake2"}),
 ], ids=["fulton", "saturation", "lr", "semistable", "crosscheck", "filtration",
         "fulton-checkpoint"])
 def test_each_command_loads_only_the_layers_it_runs(route, argv, absent, present, tmp_path):
@@ -301,24 +302,22 @@ def test_derived_seeds_are_stable_and_distinct():
     assert a == b
 
 
-def test_hashes_equal_the_hashlib_route(monkeypatch):
-    """Seeds, the source digest and the checkpoint fingerprint are the same
-    through `hashlib.blake2b`, so reports and checkpoints do not depend on
-    which module supplies BLAKE2."""
+def test_hashes_equal_the_hashlib_route():
+    """Seeds, the source digest and the checkpoint fingerprint hash as
+    `hashlib.blake2b` does, so reports and checkpoints do not depend on which
+    module supplies BLAKE2; the literals were computed through `hashlib`."""
     import hashlib
 
     assert derive_seed(101, "hom:1,4@4;2,3@4") == 10561024361905499780
-    cfg = SweepConfig(r_max=2, n_max=3, s_max=2)
-    items = list(enumerate_problems(2, 3, 2))
-
-    def hashes():
-        return (derive_seed(101, "hom:1,4@4;2,3@4"), sweeps._source_digest.__wrapped__(),
-                sweeps._config_fingerprint("crosscheck", cfg, items))
-
-    ours = hashes()
-    monkeypatch.setattr(sweeps, "_blake2b", lambda data=b"", digest_size=16:
-                        hashlib.blake2b(data, digest_size=digest_size))
-    assert hashes() == ours
+    assert derive_seed(101, "hom:1,4@4;2,3@4") == int.from_bytes(
+        hashlib.blake2b(b"101:hom:1,4@4;2,3@4", digest_size=8).digest(), "big")
+    # `_config_fingerprint` hashes with the helper's default digest size.
+    assert sweeps._blake2b(b"x").hexdigest() == "442a44457137672b3218c1007dc8f76a"
+    assert sweeps._blake2b(b"x").hexdigest() == hashlib.blake2b(b"x", digest_size=16).hexdigest()
+    expected = hashlib.blake2b(digest_size=16)
+    for path in sorted(Path(sweeps.__file__).resolve().parent.glob("*.py")):
+        expected.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert sweeps._source_digest.__wrapped__() == expected.hexdigest()
 
 
 def test_triple_enumeration_count_and_order():
