@@ -111,6 +111,8 @@ def field_from_name(name: str) -> Field:
             p = int(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"field {name!r}: prime:P needs an integer prime P") from None
+        if name != f"prime:{p}":  # one spelling per field: P in plain decimal
+            raise ValueError(f"field {name!r}: prime:P needs an integer prime P")
         if p == 0:
             raise ValueError("modulus 0 is not prime")
         return Field(p)

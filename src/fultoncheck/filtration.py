@@ -37,7 +37,7 @@ from .homspace import (
 )
 from .linalg import Flag, Matrix, contained_in
 from .partitions import IndexSet, SchubertProblem
-from .positions import FlaggedSpace, dim_triple, falcon_compose, rappel_delta
+from .positions import cut, dim_triple, falcon_compose, rappel_delta
 
 TERMINATION_NO_MAPS = "no_maps"
 TERMINATION_INJECTIVE = "injective"
@@ -178,7 +178,7 @@ def run_filtration(
 
     steps: list[FiltrationStep] = []
     etas: list[Matrix] = [phi]
-    parent_space = FlaggedSpace(r, sub_flags)
+    parent_flags = sub_flags
     parent_basis_ambient = Matrix.identity(system.field, r)
     basis_in_parent = phi.kernel_basis()
     prev_amb = _full_positions(s, r, r)
@@ -192,15 +192,15 @@ def run_filtration(
             )
         d = basis_in_parent.ncols
         basis_in_ambient = parent_basis_ambient @ basis_in_parent
-        rel_positions, sub_space, quot_space, comp = parent_space.cut(basis_in_parent)
+        rel_positions, rel_subs, rel_quots, comp = cut(parent_flags, basis_in_parent)
         amb_positions = tuple(
             falcon_compose(prev_amb[j], rel_positions[j]) for j in range(s)
         )
 
         tangent_dim, psi = 0, None
         if d > 0:
-            rel_problem = SchubertProblem(parent_space.dim, d, rel_positions)
-            tangent = build_system(rel_problem, sub_space.flags, quot_space.flags)
+            rel_problem = SchubertProblem(basis_in_parent.nrows, d, rel_positions)
+            tangent = build_system(rel_problem, rel_subs, rel_quots)
             tangent_dim = tangent.dim
             if tangent_dim > 0:
                 psi, _ = _generic_kernel_element(
@@ -233,7 +233,7 @@ def run_filtration(
             return done(phi, steps, etas)
         eta_prev = eta_prev @ comp @ psi
         etas.append(eta_prev)
-        parent_space = sub_space
+        parent_flags = rel_subs
         parent_basis_ambient = basis_in_ambient
         prev_amb = amb_positions
         basis_in_parent = psi.kernel_basis()
@@ -282,28 +282,9 @@ def _rank_positions(basis: Matrix, flag: Flag) -> IndexSet:
     return IndexSet(n, tuple(u for u in range(1, n + 1) if dims[u] > dims[u - 1]))
 
 
-def verify_trace(trace: FiltrationTrace) -> TraceAudit:
-    """Re-check every verifiable claim of a completed trace, exactly.
-
-    Checks, in order: recorded shapes are coherent; dimensions strictly
-    descend; the terminal level solves a rigid problem (dim_triple = 0);
-    ambient bases compose and ambient positions match ranks alone; the
-    position chain composes exactly, pinning each relative position K as
-    falcon_compose(I, K) is injective in K; every comparison map eta_u
-    satisfies all step containments and has the next subspace as its exact
-    kernel; the rank identity hom = expected + correction holds; and the two
-    inequality bounds (tangent bound and the chain bound with d = d_1) hold.
-    """
+def _shape_consistency(trace: FiltrationTrace) -> tuple[bool, str]:
     problem = trace.problem
     r, s = problem.r, problem.s
-    checks: dict[str, bool] = {}
-    details: dict[str, str] = {}
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks[name] = ok
-        details[name] = detail if detail else ("ok" if ok else "failed")
-
-    # --- shape consistency -------------------------------------------------
     shape_problems: list[str] = []
     if len(trace.sub_flags) != s or len(trace.quot_flags) != s:
         shape_problems.append("flag tuple lengths")
@@ -313,7 +294,6 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
     for g in trace.quot_flags:
         if g.n != problem.n - r:
             shape_problems.append("quotient flag dimension")
-    dims = [step.dim for step in trace.steps]
     prev_dim = r
     for step in trace.steps:
         if len(step.rel_positions) != s or len(step.amb_positions) != s:
@@ -331,187 +311,175 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
         prev_dim = step.dim
     if trace.steps and trace.steps[-1].tangent_dim != 0:
         shape_problems.append("terminating level with nonzero tangent")
-    expected_etas = {
-        TERMINATION_NO_MAPS: 0,
-        TERMINATION_INJECTIVE: 1,
-        TERMINATION_TANGENT_ZERO: trace.h,
-        TERMINATION_KERNEL_VANISHED: trace.h,
-    }[trace.termination]
-    if len(trace.etas) != expected_etas:
+    expected_etas = {TERMINATION_NO_MAPS: 0, TERMINATION_INJECTIVE: 1}
+    if len(trace.etas) != expected_etas.get(trace.termination, trace.h):
         shape_problems.append("comparison map count")
     if trace.termination == TERMINATION_NO_MAPS and trace.hom_dim != 0:
         shape_problems.append("no_maps termination with nonzero solution space")
-    record("shape_consistency", not shape_problems, "; ".join(shape_problems))
+    return not shape_problems, "; ".join(shape_problems) or "ok"
 
-    # --- strict descent ----------------------------------------------------
-    descent_ok = True
-    descent_msg = ""
-    if trace.h:
-        seq = [r] + dims
-        for a, b in zip(seq, seq[1:]):
-            if b >= a:
-                descent_ok = False
-                descent_msg = f"non-strict descent {seq}"
-        if any(d == 0 for d in dims[:-1]):
-            descent_ok = False
-            descent_msg = "interior zero level"
-        if trace.h > r:
-            descent_ok = False
-            descent_msg = "chain longer than the rank bound"
-    record("strict_descent", descent_ok, descent_msg)
 
-    # --- terminal level is rigid --------------------------------------------
-    try:
-        terminal_value = dim_triple(trace.terminal_positions)
-        record(
-            "terminal_dim_zero",
-            terminal_value == 0,
-            f"dim_triple(terminal) = {terminal_value}",
-        )
-    except ValueError as exc:
-        record("terminal_dim_zero", False, f"malformed terminal positions: {exc}")
+def _strict_descent(trace: FiltrationTrace) -> tuple[bool, str]:
+    r = trace.problem.r
+    dims = [step.dim for step in trace.steps]
+    if trace.h > r:
+        return False, "chain longer than the rank bound"
+    if 0 in dims[:-1]:
+        return False, "interior zero level"
+    seq = [r, *dims]
+    if any(b >= a for a, b in zip(seq, seq[1:])):
+        return False, f"non-strict descent {seq}"
+    return True, "ok"
 
-    # --- ambient bases compose (so have full rank); positions from ranks ----
-    geo_msg = ""
-    try:
-        parent = Matrix.identity(trace.steps[0].basis_in_parent.field, r) if trace.steps else None
-        for step in trace.steps:
-            if step.basis_in_parent.rank() != step.dim:
-                geo_msg = f"level {step.level}: parent basis columns are dependent"
-                break
-            if step.basis_in_ambient != parent @ step.basis_in_parent:
-                geo_msg = f"level {step.level}: ambient basis is not parent @ basis_in_parent"
-                break
-            amb = tuple(_rank_positions(step.basis_in_ambient, f) for f in trace.sub_flags)
-            if amb != step.amb_positions:
-                geo_msg = f"level {step.level}: ambient positions differ"
-                break
-            parent = step.basis_in_ambient
-    except Exception as exc:  # exact arithmetic: any failure is a real defect
-        geo_msg = f"error: {exc}"
-    record("positions_geometric", not geo_msg, geo_msg)
 
-    # --- position chain composes exactly ------------------------------------
-    chain_ok = True
-    chain_msg = ""
+def _terminal_dim_zero(trace: FiltrationTrace) -> tuple[bool, str]:
+    value = dim_triple(trace.terminal_positions)
+    return value == 0, f"dim_triple(terminal) = {value}"
+
+
+def _positions_geometric(trace: FiltrationTrace) -> tuple[bool, str]:
+    """Ambient bases compose (so have full rank); positions follow from ranks."""
+    if not trace.steps:
+        return True, "ok"
+    parent = Matrix.identity(trace.steps[0].basis_in_parent.field, trace.problem.r)
+    for step in trace.steps:
+        if step.basis_in_parent.rank() != step.dim:
+            return False, f"level {step.level}: parent basis columns are dependent"
+        if step.basis_in_ambient != parent @ step.basis_in_parent:
+            return False, f"level {step.level}: ambient basis is not parent @ basis_in_parent"
+        amb = tuple(_rank_positions(step.basis_in_ambient, f) for f in trace.sub_flags)
+        if amb != step.amb_positions:
+            return False, f"level {step.level}: ambient positions differ"
+        parent = step.basis_in_ambient
+    return True, "ok"
+
+
+def _position_chain(trace: FiltrationTrace) -> tuple[bool, str]:
+    r, s = trace.problem.r, trace.problem.s
     prev_amb = _full_positions(s, r, r)
     for step in trace.steps:
-        composed = tuple(
-            falcon_compose(prev_amb[j], step.rel_positions[j]) for j in range(s)
-        )
+        composed = tuple(falcon_compose(prev_amb[j], step.rel_positions[j]) for j in range(s))
         if composed != step.amb_positions:
-            chain_ok = False
-            chain_msg = f"level {step.level}: composition mismatch"
-            break
+            return False, f"level {step.level}: composition mismatch"
         prev_amb = step.amb_positions
-    record("position_chain", chain_ok, chain_msg)
+    return True, "ok"
 
-    # --- containments of every comparison map -------------------------------
-    cont_ok = True
-    cont_msg = ""
-    if trace.etas:
-        field = trace.etas[0].field
-        m = problem.n - r
-        for u, eta in enumerate(trace.etas):
-            amb_basis = (
-                Matrix.identity(field, r) if u == 0 else trace.steps[u - 1].basis_in_ambient
-            )
-            for j in range(s):
-                i_set = problem.index_sets[j].elements
-                f_mat = trace.sub_flags[j].matrix
-                g_mat = trace.quot_flags[j].matrix
-                for a in range(1, r + 1):
-                    level_cap = i_set[a - 1] - a
-                    inter = _intersection_in_sub_coords(
-                        amb_basis, f_mat.prefix_columns(a)
-                    )
-                    image = eta @ inter
-                    if not contained_in(image, g_mat.prefix_columns(min(level_cap, m))):
-                        cont_ok = False
-                        cont_msg = f"eta_{u}, condition {j + 1}, step {a}"
-                        break
-                if not cont_ok:
-                    break
-            if not cont_ok:
-                break
-    record("containments", cont_ok, cont_msg)
 
-    # --- each comparison map kills exactly the next subspace ----------------
-    ker_ok = True
-    ker_msg = ""
+def _containments(trace: FiltrationTrace) -> tuple[bool, str]:
+    """eta_u(S^(u) cap F^j_a) <= G^j_{i^j_a - a} for every map, condition and step."""
+    problem = trace.problem
+    r, m = problem.r, problem.n - problem.r
     for u, eta in enumerate(trace.etas):
-        here_dim = r if u == 0 else trace.steps[u - 1].dim
-        if u < len(trace.steps):
-            next_dim = trace.steps[u].dim
-            next_basis = trace.steps[u].basis_in_parent
-        else:
-            next_dim = 0
-            next_basis = None
-        if eta.ncols != here_dim:
-            ker_ok = False
-            ker_msg = f"eta_{u} domain dimension"
-            break
-        if eta.ncols - eta.rank() != next_dim:
-            ker_ok = False
-            ker_msg = f"eta_{u} kernel dimension"
-            break
-        if next_basis is not None and next_basis.ncols and not (eta @ next_basis).is_zero():
-            ker_ok = False
-            ker_msg = f"eta_{u} does not kill level {u + 1}"
-            break
-    record("eta_kernels", ker_ok, ker_msg)
+        amb_basis = trace.steps[u - 1].basis_in_ambient if u else Matrix.identity(eta.field, r)
+        for j in range(problem.s):
+            i_set = problem.index_sets[j].elements
+            f_mat = trace.sub_flags[j].matrix
+            g_mat = trace.quot_flags[j].matrix
+            for a in range(1, r + 1):
+                inter = _intersection_in_sub_coords(amb_basis, f_mat.prefix_columns(a))
+                image = eta @ inter
+                if not contained_in(image, g_mat.prefix_columns(min(i_set[a - 1] - a, m))):
+                    return False, f"eta_{u}, condition {j + 1}, step {a}"
+    return True, "ok"
 
-    # --- exact rank identity -------------------------------------------------
-    try:
-        correction = trace.correction
-    except ValueError as exc:
-        record("rank_formula", False, f"malformed terminal positions: {exc}")
-    else:
-        rank_ok = trace.hom_dim == trace.expected_dim + correction
-        record(
-            "rank_formula",
-            rank_ok,
-            f"hom {trace.hom_dim} {'=' if rank_ok else '!='} expected {trace.expected_dim} "
-            f"+ correction {correction}",
+
+def _eta_kernels(trace: FiltrationTrace) -> tuple[bool, str]:
+    """Each comparison map kills exactly the next subspace."""
+    for u, eta in enumerate(trace.etas):
+        here_dim = trace.problem.r if u == 0 else trace.steps[u - 1].dim
+        nxt = trace.steps[u] if u < len(trace.steps) else None
+        if eta.ncols != here_dim:
+            return False, f"eta_{u} domain dimension"
+        if eta.ncols - eta.rank() != (0 if nxt is None else nxt.dim):
+            return False, f"eta_{u} kernel dimension"
+        basis = None if nxt is None else nxt.basis_in_parent
+        if basis is not None and basis.ncols and not (eta @ basis).is_zero():
+            return False, f"eta_{u} does not kill level {u + 1}"
+    return True, "ok"
+
+
+def _rank_formula(trace: FiltrationTrace) -> tuple[bool, str]:
+    correction, hom, expected = trace.correction, trace.hom_dim, trace.expected_dim
+    ok = hom == expected + correction
+    return ok, f"hom {hom} {'=' if ok else '!='} expected {expected} + correction {correction}"
+
+
+def _hom_lower_bound(trace: FiltrationTrace) -> tuple[bool, str]:
+    hom, expected = trace.hom_dim, trace.expected_dim
+    return hom >= max(0, expected), f"hom {hom} vs max(0, {expected})"
+
+
+def _bounds(trace: FiltrationTrace) -> tuple[tuple[bool, str], tuple[bool, str]]:
+    """The tangent bound and the chain bound, with d = d_1."""
+    if trace.h == 0:
+        vacuous = (True, "no level-1 subspace; vacuous")
+        return vacuous, vacuous
+    problem, first = trace.problem, trace.steps[0]
+    s = problem.s
+    rel_terminal = _full_positions(s, first.dim, first.dim)
+    for step in trace.steps[1:]:
+        rel_terminal = tuple(
+            falcon_compose(rel_terminal[j], step.rel_positions[j]) for j in range(s)
         )
-    record(
-        "hom_lower_bound",
-        trace.hom_dim >= max(0, trace.expected_dim),
-        f"hom {trace.hom_dim} vs max(0, {trace.expected_dim})",
+    dim_s_in_v = dim_triple(first.amb_positions)
+    dim_t_in_s = dim_triple(rel_terminal)
+    dim_t_in_v = dim_triple(trace.terminal_positions)
+    lhs = dim_s_in_v + rappel_delta(problem.index_sets, first.amb_positions)
+    rhs = dim_t_in_v - dim_t_in_s + rappel_delta(problem.index_sets, trace.terminal_positions)
+    return (
+        (
+            first.tangent_dim <= dim_s_in_v + dim_t_in_s - dim_t_in_v,
+            f"tangent {first.tangent_dim} <= {dim_s_in_v} + {dim_t_in_s} - {dim_t_in_v}",
+        ),
+        (lhs <= rhs, f"{lhs} <= {rhs} (d taken as d_1)"),
     )
 
-    # --- the two inequality bounds -------------------------------------------
-    if trace.h == 0:
-        record("tangent_bound", True, "no level-1 subspace; vacuous")
-        record("chain_bound", True, "no level-1 subspace; vacuous")
-    else:
-        d1 = trace.steps[0].dim
-        try:
-            rel_terminal = _full_positions(s, d1, d1)
-            for step in trace.steps[1:]:
-                rel_terminal = tuple(
-                    falcon_compose(rel_terminal[j], step.rel_positions[j]) for j in range(s)
-                )
-            dim_s_in_v = dim_triple(trace.steps[0].amb_positions)
-            dim_t_in_s = dim_triple(rel_terminal)
-            dim_t_in_v = dim_triple(trace.terminal_positions)
-            lhs = dim_s_in_v + rappel_delta(problem.index_sets, trace.steps[0].amb_positions)
-            rhs = dim_t_in_v - dim_t_in_s + rappel_delta(
-                problem.index_sets, trace.terminal_positions
-            )
-        except ValueError as exc:
-            record("tangent_bound", False, f"malformed positions: {exc}")
-            record("chain_bound", False, f"malformed positions: {exc}")
-        else:
-            tangent1 = trace.steps[0].tangent_dim
-            bound = dim_s_in_v + dim_t_in_s - dim_t_in_v
-            record(
-                "tangent_bound",
-                tangent1 <= bound,
-                f"tangent {tangent1} <= {dim_s_in_v} + {dim_t_in_s} - {dim_t_in_v}",
-            )
-            record("chain_bound", lhs <= rhs, f"{lhs} <= {rhs} (d taken as d_1)")
 
+# The audit's checks in report order: the names each function reports, and
+# the function, which returns one (passed, detail) per name.
+_CHECKS = (
+    (("shape_consistency",), _shape_consistency),
+    (("strict_descent",), _strict_descent),
+    (("terminal_dim_zero",), _terminal_dim_zero),
+    (("positions_geometric",), _positions_geometric),
+    (("position_chain",), _position_chain),
+    (("containments",), _containments),
+    (("eta_kernels",), _eta_kernels),
+    (("rank_formula",), _rank_formula),
+    (("hom_lower_bound",), _hom_lower_bound),
+    (("tangent_bound", "chain_bound"), _bounds),
+)
+
+
+def verify_trace(trace: FiltrationTrace) -> TraceAudit:
+    """Re-check every verifiable claim of a completed trace, exactly.
+
+    Checks, in order: recorded shapes are coherent; dimensions strictly
+    descend; the terminal level solves a rigid problem (dim_triple = 0);
+    ambient bases compose and ambient positions match ranks alone; the
+    position chain composes exactly, pinning each relative position K as
+    falcon_compose(I, K) is injective in K; every comparison map eta_u
+    satisfies all step containments and has the next subspace as its exact
+    kernel; the rank identity hom = expected + correction holds; and the two
+    inequality bounds (tangent bound and the chain bound with d = d_1) hold.
+
+    The audit never raises: the arithmetic is exact, so an exception in a
+    check is a malformed trace, and every name that check reports fails with
+    the detail `malformed trace: <error>`.
+    """
+    checks: dict[str, bool] = {}
+    details: dict[str, str] = {}
+    for names, check in _CHECKS:
+        try:
+            results = check(trace)
+        except Exception as exc:
+            results = ((False, f"malformed trace: {exc}"),) * len(names)
+        else:
+            if len(names) == 1:
+                results = (results,)
+        for name, (passed, detail) in zip(names, results):
+            checks[name] = passed
+            details[name] = detail
     return TraceAudit(checks, details)
 
 

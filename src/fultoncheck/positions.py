@@ -5,14 +5,12 @@ set of levels u where dim(V ∩ E_u) jumps. Induced flags come with explicit
 coordinates: on V, an ordered basis adapted to the jump levels, expressed in
 V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
 a fixed complement basis chosen once per call. A jump profile and a quotient
-map are one `Matrix.echelon_transform` each. `FlaggedSpace.cut` builds every
-induced flag of the filtration run off one jump profile per flag; the trace
-audit shares none of this, re-deriving positions from ranks.
+map are one `Matrix.echelon_transform` each. `cut` builds every induced flag
+of the filtration run off one jump profile per flag; the trace audit shares
+none of this, re-deriving positions from ranks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .linalg import Flag, LinAlgError, Matrix
 from .partitions import IndexSet
@@ -91,46 +89,29 @@ def rappel_delta(i_sets: tuple[IndexSet, ...], k_sets: tuple[IndexSet, ...]) -> 
     return total - d * (n - r)
 
 
-@dataclass(frozen=True)
-class FlaggedSpace:
-    """A vector space of dimension `dim` carrying s complete flags, all in the
-    space's own coordinates."""
+def cut(
+    flags: tuple[Flag, ...], basis: Matrix
+) -> tuple[tuple[IndexSet, ...], tuple[Flag, ...], tuple[Flag, ...], Matrix]:
+    """Cut the flags' space W along V = span(basis): (positions, sub, quot, comp).
 
-    dim: int
-    flags: tuple[Flag, ...]
-
-    def __post_init__(self) -> None:
-        for f in self.flags:
-            if f.n != self.dim:
-                raise LinAlgError("flag dimension does not match the space")
-
-    def cut(
-        self, basis: Matrix
-    ) -> tuple[tuple[IndexSet, ...], "FlaggedSpace", "FlaggedSpace", Matrix]:
-        """Cut the space along V = span(basis): (positions, sub, quot, comp).
-
-        `positions` holds the position I of V against each flag E. `sub`
-        carries E_a(V) = E_{i_a} ∩ V in the coordinates of `basis`. `quot`
-        carries on W/V the flag whose step b is the image of E_{alpha(b)},
-        alpha = [n] \\ I, in the coordinates of the complement basis `comp`
-        (the projection is the one `quotient_map` returns). All three come
-        from one jump profile per flag.
-        """
-        if basis.nrows != self.dim:
-            raise LinAlgError("subspace and flag ambient dimensions differ")
-        d = basis.ncols
-        proj, comp = quotient_map(basis)
-        positions, subs, quots = [], [], []
-        for f in self.flags:
-            items = _bottom_pivot_profile(f.inverse @ basis)
-            pos = IndexSet(self.dim, tuple(level for level, _ in items))
-            positions.append(pos)
-            subs.append(Flag(Matrix.from_columns(basis.field, [c for _, c in items], nrows=d)))
-            alpha = pos.complement().elements
-            quots.append(Flag(proj @ f.matrix.take_columns([a - 1 for a in alpha])))
-        return (
-            tuple(positions),
-            FlaggedSpace(d, tuple(subs)),
-            FlaggedSpace(self.dim - d, tuple(quots)),
-            comp,
-        )
+    `positions` holds the position I of V against each flag E. `sub` holds
+    E_a(V) = E_{i_a} ∩ V in the coordinates of `basis`. `quot` holds on W/V
+    the flag whose step b is the image of E_{alpha(b)}, alpha = [n] \\ I, in
+    the coordinates of the complement basis `comp` (the projection is the one
+    `quotient_map` returns). All three come from one jump profile per flag.
+    """
+    n, d = basis.nrows, basis.ncols
+    if not flags:
+        raise LinAlgError("need at least one flag")
+    if any(f.n != n for f in flags):
+        raise LinAlgError("subspace and flag ambient dimensions differ")
+    proj, comp = quotient_map(basis)
+    positions, subs, quots = [], [], []
+    for f in flags:
+        items = _bottom_pivot_profile(f.inverse @ basis)
+        pos = IndexSet(n, tuple(level for level, _ in items))
+        positions.append(pos)
+        subs.append(Flag(Matrix.from_columns(basis.field, [c for _, c in items], nrows=d)))
+        alpha = pos.complement().elements
+        quots.append(Flag(proj @ f.matrix.take_columns([a - 1 for a in alpha])))
+    return tuple(positions), tuple(subs), tuple(quots), comp

@@ -23,7 +23,7 @@ from fultoncheck.partitions import (
     partitions_with,
 )
 from fultoncheck.positions import (
-    FlaggedSpace,
+    cut,
     dim_triple,
     falcon_compose,
     rappel_delta,
@@ -188,9 +188,9 @@ def test_criterion_6_chain_identities_hold_exactly(criterion_lines):
         w_in_v = uniform_subspace(PF, r, d, rng)
         w = v @ w_in_v
         flags = [uniform_flag(PF, n, rng) for _ in range(s)]
-        i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v)
+        i_sets, inner, _, _ = cut(tuple(flags), v)
         ranked = tuple(_rank_positions(v, e) for e in flags)
-        k_sets = inner.cut(w_in_v)[0]
+        k_sets = cut(inner, w_in_v)[0]
         direct = tuple(_rank_positions(w, e) for e in flags)
         composed = tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets))
         ledger = dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)

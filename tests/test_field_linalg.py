@@ -24,7 +24,7 @@ from fultoncheck.linalg import (
     random_nonzero_combination,
     random_unitriangular,
 )
-from fultoncheck.positions import FlaggedSpace, quotient_map
+from fultoncheck.positions import cut, quotient_map
 from fultoncheck.rowred import rref_mod
 
 PF = Field(DEFAULT_PRIME)
@@ -97,6 +97,12 @@ def test_field_from_name():
         with pytest.raises(ValueError, match="is not prime"):
             field_from_name(name)
     for name in ("prime:x", "prime:", "prime:7.0", "prime:0x7"):
+        with pytest.raises(ValueError, match="prime:P needs an integer prime P"):
+            field_from_name(name)
+    # One spelling per field: P only in plain decimal, so that a report's
+    # field and a checkpoint's config name the field one way.
+    assert field_from_name("prime:12000017").name == "prime:12000017"
+    for name in ("prime:2_000_003", "prime: 12000017", "prime:+12000017", "prime:012000017"):
         with pytest.raises(ValueError, match="prime:P needs an integer prime P"):
             field_from_name(name)
 
@@ -414,7 +420,7 @@ def test_subspace_requires_independent_basis():
     with pytest.raises(LinAlgError):
         quotient_map(dependent)
     with pytest.raises(LinAlgError):
-        FlaggedSpace(2, (Flag(Matrix.identity(PF, 2)),)).cut(dependent)
+        cut((Flag(Matrix.identity(PF, 2)),), dependent)
 
 
 def test_subspace_contains_and_coords():

@@ -259,7 +259,32 @@ def test_audit_fails_malformed_terminal_positions_without_raising():
     assert not audit.ok
     assert not audit.checks["terminal_dim_zero"]
     assert not audit.checks["rank_formula"]
-    assert "malformed terminal positions" in audit.details["rank_formula"]
+    assert "malformed trace" in audit.details["rank_formula"]
+
+
+AUDIT_CHECKS = [
+    "shape_consistency", "strict_descent", "terminal_dim_zero", "positions_geometric",
+    "position_chain", "containments", "eta_kernels", "rank_formula", "hom_lower_bound",
+    "tangent_bound", "chain_bound",
+]
+
+
+def test_audit_fails_a_malformed_trace_and_never_raises():
+    # Each tampered copy makes one check raise: the repeated last level
+    # breaks `falcon_compose` in the position chain, and a one-column eta_0
+    # breaks the product `eta @ inter` in the containments.  The audit fails
+    # that check and still reports all 11, in order.
+    tr = _trace("1,4@4;2,3@4")
+    assert list(verify_trace(tr).checks) == AUDIT_CHECKS
+    repeated = dataclasses.replace(tr, steps=tr.steps + tr.steps[-1:])
+    cut_eta = dataclasses.replace(tr, etas=(tr.etas[0].take_columns([0]),))
+    for bad, failed in ((repeated, "position_chain"), (cut_eta, "containments")):
+        audit = verify_trace(bad)
+        assert list(audit.checks) == AUDIT_CHECKS
+        assert not audit.ok
+        assert not audit.checks[failed]
+        assert audit.details[failed].startswith("malformed trace: ")
+        assert audit.failed_checks() == [name for name in AUDIT_CHECKS if not audit.checks[name]]
 
 
 def test_audit_rejects_positions_from_a_planted_top_pivot_profile(monkeypatch):

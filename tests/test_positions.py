@@ -15,7 +15,7 @@ from fultoncheck.linalg import (
 )
 from fultoncheck.partitions import IndexSet
 from fultoncheck.positions import (
-    FlaggedSpace,
+    cut,
     dim_triple,
     falcon_compose,
     quotient_map,
@@ -28,7 +28,7 @@ QF = Field(0)
 
 def _position(basis: Matrix, e: Flag) -> IndexSet:
     """The position of span(basis) against `e`, read through `cut`."""
-    return FlaggedSpace(e.n, (e,)).cut(basis)[0][0]
+    return cut((e,), basis)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +81,9 @@ def test_induced_flag_on_subspace_realizes_jumps():
         r = rng.randint(1, n)
         v = uniform_subspace(PF, n, r, rng)
         e = uniform_flag(PF, n, rng)
-        (pos,), sub, _, _ = FlaggedSpace(n, (e,)).cut(v)
+        (pos,), sub, _, _ = cut((e,), v)
         assert pos == _rank_positions(v, e)
-        l = sub.flags[0]
+        l = sub[0]
         # the a-th induced step, sent back to ambient coordinates, lies in
         # the Schubert level where the a-th jump happens
         for a in range(1, r + 1):
@@ -128,26 +128,26 @@ def test_quotient_map_is_the_bottom_of_the_inverse(field_name):
 def test_induced_quotient_flag_of_coordinate_line():
     e = Flag(Matrix.identity(QF, 3))
     v = Matrix.from_columns(QF, [[1, 0, 0]])
-    _, _, quot, comp = FlaggedSpace(3, (e,)).cut(v)
+    _, _, quot, comp = cut((e,), v)
     proj, comp_again = quotient_map(v)
     assert comp == comp_again
     assert (proj @ v).is_zero()
     # images of e2, e3 under projection along e1 give the standard flag
-    assert quot.flags[0].matrix.rows == Matrix.identity(QF, 2).rows
+    assert quot[0].matrix.rows == Matrix.identity(QF, 2).rows
 
 
 def test_induced_quotient_flag_of_zero_space_is_original():
     e = Flag(Matrix.identity(QF, 3))
-    _, _, quot, _ = FlaggedSpace(3, (e,)).cut(Matrix(QF, 3, 0, ((),) * 3))
-    assert quot.flags[0].matrix.rows == e.matrix.rows
+    _, _, quot, _ = cut((e,), Matrix(QF, 3, 0, ((),) * 3))
+    assert quot[0].matrix.rows == e.matrix.rows
 
 
 def test_induced_quotient_flag_rejects_ambient_mismatch():
     line = Matrix.from_columns(QF, [[1, 0, 0, 0]])
     with pytest.raises(LinAlgError):
-        FlaggedSpace(3, (Flag(Matrix.identity(QF, 3)),)).cut(line)
+        cut((Flag(Matrix.identity(QF, 3)),), line)
     with pytest.raises(LinAlgError):
-        FlaggedSpace(3, ()).cut(line)
+        cut((), line)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +213,16 @@ def test_chain_identity_on_random_subspace_chains():
         w_in_v = uniform_subspace(PF, r, d, rng)
         w = v @ w_in_v
         flags = [uniform_flag(PF, n, rng) for _ in range(s)]
-        i_sets, inner, _, _ = FlaggedSpace(n, tuple(flags)).cut(v)
+        i_sets, inner, _, _ = cut(tuple(flags), v)
         assert i_sets == tuple(_rank_positions(v, e) for e in flags)
-        k_sets = inner.cut(w_in_v)[0]
+        k_sets = cut(inner, w_in_v)[0]
         direct = tuple(_rank_positions(w, e) for e in flags)
         assert tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets)) == direct
         assert dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)
 
 
 # ---------------------------------------------------------------------------
-# Flagged-space wrappers
+# Cutting a flagged space
 # ---------------------------------------------------------------------------
 
 
@@ -231,18 +231,17 @@ def test_flagged_space_restrict_and_quotient():
     for field in (PF, QF):
         rng = random.Random(21)
         flags = tuple(uniform_flag(field, n, rng) for _ in range(2))
-        space = FlaggedSpace(n, flags)
         basis = uniform_subspace(field, n, r, rng)
-        positions, inner, quot, comp = space.cut(basis)
-        assert inner.dim == r
-        assert len(inner.flags) == 2
+        positions, inner, quot, comp = cut(flags, basis)
+        assert all(f.n == r for f in inner)
+        assert len(inner) == 2
         assert positions == tuple(_rank_positions(basis, f) for f in flags)
         proj, comp_again = quotient_map(basis)
         assert comp == comp_again
-        assert quot.dim == n - r
+        assert all(q.n == n - r for q in quot)
         assert (proj @ basis).is_zero()
         assert (proj @ comp).rows == Matrix.identity(field, n - r).rows
-        for f, q, pos in zip(flags, quot.flags, positions):
+        for f, q, pos in zip(flags, quot, positions):
             # step b of the quotient flag is the image of E_{alpha(b)}, all of it
             alpha = pos.complement().elements
             for b, level in enumerate(alpha, start=1):
@@ -278,13 +277,13 @@ def test_cut_agrees_with_rank_oracle(field_name):
             basis = inside.hstack(uniform_matrix(field, n, d - k, rng))
             if basis.rank() == d:
                 break
-        positions, sub, quot, comp = FlaggedSpace(n, flags).cut(basis)
+        positions, sub, quot, comp = cut(flags, basis)
         proj, comp_again = quotient_map(basis)
         assert comp == comp_again
-        assert (sub.dim, len(sub.flags), quot.dim, len(quot.flags)) == (d, s, n - d, s)
+        assert ({f.n for f in sub}, len(sub), {q.n for q in quot}, len(quot)) == ({d}, s, {n - d}, s)
         generic = tuple(range(n - d + 1, n + 1))
         special += any(pos.elements != generic for pos in positions)
-        for e, pos, l, q in zip(flags, positions, sub.flags, quot.flags):
+        for e, pos, l, q in zip(flags, positions, sub, quot):
             assert pos.elements == _oracle_positions(basis, e) == _rank_positions(basis, e).elements
             for a, level in enumerate(pos.elements, start=1):
                 step_amb = basis @ l.step(a)
