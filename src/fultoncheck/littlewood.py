@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import add
+from operator import add, le
 
 from .partitions import Partition, _parts_contain
 
@@ -197,9 +197,16 @@ def lr_coefficient_pieri(mu: Partition, nu: Partition, lam: Partition) -> int:
     (Stanley, EC2, 1999, 7.14.5), so c^lam_{mu,nu} = c^{lam'}_{mu',nu'}, and
     when nu has more rows than columns the conjugate triple is expanded: nu'
     has nu_1 rows, so nu = 1^10 needs one strip instead of up to 10! products.
+
+    Every class in a product of h-classes with the kappa class contains kappa
+    (Pieri adds boxes), and the product commutes, so the coefficient is 0
+    unless lam contains both mu and nu; that is checked first, since a nu
+    that does not fit would otherwise walk every dead permutation.
     """
     lam_t, mu_t, nu_t = lam.parts, mu.parts, nu.parts
     if sum(lam_t) != sum(mu_t) + sum(nu_t):
+        return 0
+    if any(len(f) > len(lam_t) or not all(map(le, f, lam_t)) for f in (mu_t, nu_t)):
         return 0
     if nu_t and len(nu_t) > nu_t[0]:
         lam_t, mu_t, nu_t = _conjugate(lam_t), _conjugate(mu_t), _conjugate(nu_t)

@@ -1,6 +1,6 @@
 """The command layer: each subcommand, from a validated config to its report.
 
-Each sweep enumerates a deterministic list of instances, checks one property
+Each sweep streams a deterministic sequence of instances, checks one property
 per instance, and assembles a report; `filtration` and `lr` check one
 instance.  Randomness is derived per instance from the master seed via a
 keyed hash, so sweeps can be checkpointed and resumed with byte-identical
@@ -24,11 +24,13 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .field import (DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, SolverFault, field_from_name,
                     least_prime_from)
+from .littlewood import _lr
 from .littlewood import lr_coefficient as _lr_tableau
 from .littlewood import lr_coefficient_pieri
 from .partitions import (
@@ -229,8 +231,9 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
-    """Digest of everything a checkpoint's partial results depend on.
+def _config_fingerprint(command: str, cfg: SweepConfig, items: Iterable) -> tuple[str, int]:
+    """Digest of everything a checkpoint's partial results depend on, and the
+    number of instances in `items`.
 
     Besides the command and configuration this covers the tool version, the
     package's source and the exact instance list, so a resume never lands on
@@ -240,7 +243,8 @@ def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
     from . import __version__
 
     items_digest = _blake2b()
-    for item in items:
+    count = 0
+    for count, item in enumerate(items, 1):
         items_digest.update(_instance_text(item).encode() + b"\n")
     payload = {
         "command": command,
@@ -250,7 +254,7 @@ def _config_fingerprint(command: str, cfg: SweepConfig, items: list) -> str:
         **cfg.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
-    return _blake2b(blob).hexdigest()
+    return _blake2b(blob).hexdigest(), count
 
 
 def _load_checkpoint(
@@ -297,23 +301,27 @@ def _load_checkpoint(
 def _run_sweep(
     command: str,
     cfg: SweepConfig,
-    items: list,
+    items: Callable[[], Iterable],
     check: Callable[[int, object, dict], list[dict]],
     state: dict,
 ) -> tuple[int, int, list[dict], dict]:
-    """Run `check` over `items` with optional checkpoint/resume.
+    """Run `check` over the instances `items()` yields, with optional
+    checkpoint/resume.
 
-    `check(index, item, state)` returns the counterexample records for that
-    instance (empty when it passes) and may update `state` (JSON-plain
-    counters that the report's `extra` section is built from).  Returns
-    (instances, failures, counterexamples, state).
+    Each call of `items` streams the same instances afresh: with a checkpoint,
+    one pass hashes and counts them for the fingerprint, and a resume skips
+    the first `next_index`.  `check(index, item, state)` returns the
+    counterexample records for that instance (empty when it passes) and may
+    update `state` (JSON-plain counters that the report's `extra` section is
+    built from).  Returns (instances, failures, counterexamples, state).
     """
-    fingerprint = _config_fingerprint(command, cfg, items) if cfg.checkpoint else None
+    fingerprint = None
     start_index = 0
     failures = 0
     counterexamples: list[dict] = []
     if cfg.checkpoint:
-        saved = _load_checkpoint(cfg.checkpoint, fingerprint, len(items), state)
+        fingerprint, n_items = _config_fingerprint(command, cfg, items())
+        saved = _load_checkpoint(cfg.checkpoint, fingerprint, n_items, state)
         if saved is not None:
             start_index, failures, counterexamples, state = saved
 
@@ -328,8 +336,9 @@ def _run_sweep(
         }
         write_text(cfg.checkpoint, json.dumps(data, sort_keys=True) + "\n")
 
-    for index in range(start_index, len(items)):
-        records = check(index, items[index], state)
+    done = start_index
+    for index, item in enumerate(islice(items(), start_index, None), start_index):
+        records = check(index, item, state)
         if records:
             failures += 1
             counterexamples.extend(records)
@@ -338,9 +347,9 @@ def _run_sweep(
             save(done)
 
     if cfg.checkpoint:
-        save(len(items))
+        save(done)
 
-    return len(items), failures, counterexamples, state
+    return done, failures, counterexamples, state
 
 
 def _finish(command: str, config: dict, cfg: SweepConfig, seed_source: str, instances: int,
@@ -410,9 +419,10 @@ def _scaling_sweep(
 
     The coefficient routine is the module global `lr_coefficient`, looked up
     at call time, so a substituted routine is the one under test, for the
-    scaled coefficients too.  Each distinct partition is scaled once per
+    scaled coefficients too.  Each partition in range is scaled once per
     factor, before the sweep, into a table from its parts to its scaled
-    copies in the order of `n_list`.
+    copies in the order of `n_list`.  Triples come in order of |lam|, and the
+    `_lr` cache is cleared whenever |lam| changes, so it holds one size class.
 
     Neither predicate tells one coefficient c >= 2 from another, so a fault
     that turns one such value into another would pass them; every base
@@ -420,15 +430,19 @@ def _scaling_sweep(
     does, and a disagreement is an `engine_mismatch` record.
     """
     started = time.perf_counter()
-    items = list(enumerate_triples(cfg.r_max, cfg.size_max))
-    distinct = {part.parts: part for item in items for part in item}
     scaled_copies = {
-        parts: tuple(part.scale(factor) for factor in cfg.n_list)
-        for parts, part in distinct.items()
+        part.parts: tuple(part.scale(factor) for factor in cfg.n_list)
+        for size in range(cfg.size_max + 1)
+        for part in partitions_with(size, cfg.r_max)
     }
+    lam_size = None
 
     def check(index: int, item, state: dict) -> list[dict]:
+        nonlocal lam_size
         mu, nu, lam = item
+        if lam.size != lam_size:
+            lam_size = lam.size
+            _lr.cache_clear()
         c = lr_coefficient(mu, nu, lam)
         records = []
         if c >= 2:
@@ -455,6 +469,7 @@ def _scaling_sweep(
                 )
         return records
 
+    items = functools.partial(enumerate_triples, cfg.r_max, cfg.size_max)
     instances, failures, cxs, state = _run_sweep(command, cfg, items, check, {})
     extra = {"triples": instances, "scalings": list(cfg.n_list)}
     return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
@@ -494,7 +509,7 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     that are their own core, that is, the traces an uninterrupted run computes.
 
     A field too small for the range (`_refuse_small_field`, rho the largest
-    r(n - r) in range) is refused before any instance runs.
+    r(n - r) over the (n, r) in range) is refused before any instance runs.
     """
     from .cohomology import intersection_number
     from .filtration import trace_to_dict
@@ -502,8 +517,8 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
 
     started = time.perf_counter()
     fld = cfg.field()
-    items = list(enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max))
-    _refuse_small_field(fld, max(problem.r * (problem.n - problem.r) for problem in items))
+    _refuse_small_field(fld, max(r * (n - r) for n in range(2, cfg.n_max + 1)
+                                 for r in range(1, min(cfg.r_max, n - 1) + 1)))
     state = {"with_maps": 0, "traces_audited": 0, "intersection_positive": 0, "cores_traced": 0}
     # Per core: the counters it adds and its records less `index` and
     # `problem`.  No `FiltrationTrace` is kept; a trace is rendered into a
@@ -560,13 +575,14 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
             state["cores_traced"] += 1
         return [{**record, "index": index, "problem": problem.text()} for record in records]
 
+    items = functools.partial(enumerate_problems, cfg.r_max, cfg.n_max, cfg.s_max)
     instances, failures, cxs, state = _run_sweep(command := "crosscheck", cfg, items, check, state)
     extra = {"problems": instances, **state}
     return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
                    started)
 
 
-def _solvable_problems(cfg: SweepConfig) -> list[SchubertProblem]:
+def _solvable_problems(cfg: SweepConfig) -> Iterator[SchubertProblem]:
     """The problems in range with positive intersection number, computed once
     per core (`SchubertProblem.core`).  A core has its padded copies' n and r,
     and the enumeration runs through one (n, r) at a time, so the numbers of
@@ -575,7 +591,6 @@ def _solvable_problems(cfg: SweepConfig) -> list[SchubertProblem]:
 
     numbers: dict[tuple[IndexSet, ...], int] = {}
     shape = None
-    solvable = []
     for problem in enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max):
         if (problem.n, problem.r) != shape:
             shape = problem.n, problem.r
@@ -585,8 +600,7 @@ def _solvable_problems(cfg: SweepConfig) -> list[SchubertProblem]:
         if key not in numbers:
             numbers[key] = intersection_number(core)
         if numbers[key] > 0:
-            solvable.append(problem)
-    return solvable
+            yield problem
 
 
 def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
@@ -609,7 +623,6 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     from .semistability import ParabolicWeights, clinchers, find_violations
 
     started = time.perf_counter()
-    items = _solvable_problems(cfg)
     state = {"max_clincher": None}
 
     def examine(problem: SchubertProblem) -> tuple[int | None, list[dict]]:
@@ -671,6 +684,7 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
             state["max_clincher"] = worst
         return [{**record, "index": index, "problem": problem.text()} for record in records]
 
+    items = functools.partial(_solvable_problems, cfg)
     instances, failures, cxs, state = _run_sweep(command := "semistable", cfg, items, check, state)
     extra = {"problems": instances, **state}
     return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,

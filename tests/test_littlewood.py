@@ -142,6 +142,31 @@ def test_engines_agree_where_nu_is_taller_than_wide():
     assert (len(tall), checked, nonzero) == (28, 5769, 894)
 
 
+def test_pieri_oracle_returns_zero_when_a_factor_does_not_fit(monkeypatch):
+    """A factor outside lam gives 0 before any permutation is walked: the
+    square nu = 6^6 has 720 permutations, and lam has one row too few for it."""
+    from fultoncheck import littlewood
+
+    def walked(*args):
+        raise AssertionError("a permutation was walked")
+
+    outside = [
+        (P("1"), P("6,6,6,6,6,6"), P("9,8,8,8,4")),  # nu has more rows than lam
+        (P("3,3"), P("2,2"), P("4,2,2,2")),  # mu is wider than lam's second row
+        (P("2"), P("3,1,1"), P("5,2")),  # nu has more rows than lam
+        (P("1,1,1,1"), P("1,1,1"), P("4,3")),  # neither fits; nu is taller than wide
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(littlewood, "_pieri_prefixes", walked)
+        for mu, nu, lam in outside:
+            assert lr_coefficient_pieri(mu, nu, lam) == 0, (mu.parts, nu.parts, lam.parts)
+            assert lr_coefficient_pieri(nu, mu, lam) == 0, (mu.parts, nu.parts, lam.parts)
+    for mu, nu, lam in outside:
+        assert lr_coefficient(mu, nu, lam) == 0
+    # Both factors fit: the oracle walks its permutations and agrees.
+    assert lr_coefficient_pieri(P("1"), P("6,6,6,6,6"), P("7,6,6,6,6")) == 1
+
+
 def test_engines_leave_no_reference_cycles():
     """Everything the engines allocate is freed by reference counting, so a
     sweep of counts leaves the cyclic garbage collector nothing to find."""

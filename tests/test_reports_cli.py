@@ -400,6 +400,91 @@ def test_fulton_sweep_small_fixture():
     assert rep["counts"] == {"instances": 71, "passes": 71, "failures": 0}
 
 
+def test_scaling_sweep_memory_is_bounded_by_one_size_class():
+    """The sweep streams its triples and keeps `_lr` for one |lam| at a time,
+    so its memory does not grow with the instance count.  At this range the
+    traced peak was 3.13 MiB with the triples listed and every count kept,
+    and is about 0.68 MiB streamed; the cache ends holding the counts of
+    |lam| = 12 alone, 4,446 entries against 11,433 for the whole range."""
+    import tracemalloc
+
+    from fultoncheck.littlewood import _lr
+
+    _lr.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = cmd_fulton(SweepConfig(r_max=3, size_max=12, n_list=(2, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"] is True and rep["counts"]["instances"] == 19855
+    assert peak < 1.5 * 2**20, peak
+    assert 0 < _lr.cache_info().currsize <= 4446
+
+
+class _Stopped(Exception):
+    """Raised right after a sweep writes its first mid-sweep checkpoint."""
+
+
+def _stop_after_first_checkpoint(patch: pytest.MonkeyPatch, every: int) -> None:
+    real_write = sweeps.write_text
+
+    def write_then_stop(path, text):
+        real_write(path, text)
+        raise _Stopped
+
+    patch.setattr(sweeps, "CHECKPOINT_EVERY", every)
+    patch.setattr(sweeps, "write_text", write_then_stop)
+
+
+def test_fulton_resumes_at_the_checkpointed_index(tmp_path):
+    """A resumed scaling sweep checks exactly the triples from `next_index`
+    on, in order, each through the module-global coefficient routine."""
+    from fultoncheck.littlewood import lr_coefficient as real
+
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=2, size_max=6, n_list=(2,), checkpoint=str(ck))
+    uninterrupted = strip_volatile(cmd_fulton(SweepConfig(r_max=2, size_max=6, n_list=(2,))))
+    with pytest.MonkeyPatch.context() as patch:
+        _stop_after_first_checkpoint(patch, 40)
+        with pytest.raises(_Stopped):
+            cmd_fulton(cfg)
+    assert json.loads(ck.read_text())["next_index"] == 40
+    calls = []
+
+    def recording(mu, nu, lam):
+        calls.append((mu, nu, lam))
+        return real(mu, nu, lam)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweeps, "lr_coefficient", recording)
+        assert strip_volatile(cmd_fulton(cfg)) == uninterrupted
+    items = list(enumerate_triples(2, 6))
+    # One base and one scaled coefficient per instance, no call skipped.
+    assert calls[::2] == items[40:]
+    assert calls[1::2] == [tuple(part.scale(2) for part in item) for item in items[40:]]
+
+
+def test_semistable_checkpoint_resume_is_byte_identical(tmp_path):
+    """`semistable` streams its solvable problems, filtered as they are
+    enumerated; a run stopped after a mid-sweep checkpoint resumes at the
+    next solvable problem, and its report is the uninterrupted one."""
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=3, n_max=6, s_max=4, seed=7, checkpoint=str(ck))
+    uninterrupted = strip_volatile(sweeps.cmd_semistable(
+        SweepConfig(r_max=3, n_max=6, s_max=4, seed=7)))
+    assert uninterrupted["counts"]["instances"] == 393
+    with pytest.MonkeyPatch.context() as patch:
+        _stop_after_first_checkpoint(patch, 100)
+        with pytest.raises(_Stopped):
+            sweeps.cmd_semistable(cfg)
+    saved = json.loads(ck.read_text())
+    assert saved["next_index"] == 100 and saved["state"]["max_clincher"] is not None
+    assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
+    # The finished checkpoint is resumed too.
+    assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
+
+
 def test_crosscheck_checkpoint_resume_is_byte_identical(tmp_path):
     ck = tmp_path / "ck.json"
     cfg = SweepConfig(r_max=2, n_max=4, s_max=2, seed=5, checkpoint=str(ck))
