@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from .field import (DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, SolverFault, field_from_name,
                     least_prime_from)
@@ -52,6 +52,8 @@ lr_coefficient = _lr_tableau
 
 DEFAULT_SEED = 1
 CHECKPOINT_EVERY = 10_000
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -170,7 +172,7 @@ def enumerate_problems(
     codimension once per (n, r) and prunes any branch whose codimension
     already exceeds r*(n-r).  The order is that of
     `itertools.combinations_with_replacement` filtered by total codimension,
-    which fixes the instance indices and the checkpoint digest.
+    which fixes the instance indices that a checkpoint resumes at.
     """
     for n in range(2, n_max + 1):
         for r in range(1, min(r_max, n - 1) + 1):
@@ -215,13 +217,6 @@ def _multisets_with_sum(weights: list[int], size: int, total: int) -> Iterator[t
 # ---------------------------------------------------------------------------
 
 
-def _instance_text(item) -> str:
-    """Canonical text of one sweep instance: a problem or a partition triple."""
-    if isinstance(item, tuple):
-        return " ".join(part.text() for part in item)
-    return item.text()
-
-
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> str:
     """Digest of the package's own `*.py` files, by name and bytes."""
@@ -231,34 +226,24 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def _config_fingerprint(command: str, cfg: SweepConfig, items: Iterable) -> tuple[str, int]:
-    """Digest of everything a checkpoint's partial results depend on, and the
-    number of instances in `items`.
+def _config_fingerprint(command: str, cfg: SweepConfig) -> str:
+    """Digest of everything a checkpoint's partial results depend on.
 
-    Besides the command and configuration this covers the tool version, the
-    package's source and the exact instance list, so a resume never lands on
-    a different instance after the enumeration order changes, and never
-    takes results from other code as checked.
+    Besides the command and configuration this covers the tool version and
+    the package's source.  A sweep's instances are a function of the source
+    and the configuration, so a resume never lands on a different instance
+    after the enumeration order changes, and never takes results from other
+    code as checked.
     """
     from . import __version__
 
-    items_digest = _blake2b()
-    count = 0
-    for count, item in enumerate(items, 1):
-        items_digest.update(_instance_text(item).encode() + b"\n")
-    payload = {
-        "command": command,
-        "version": __version__,
-        "source": _source_digest(),
-        "items": items_digest.hexdigest(),
-        **cfg.as_dict(),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return _blake2b(blob).hexdigest(), count
+    payload = {"command": command, "version": __version__, "source": _source_digest(),
+               **cfg.as_dict()}
+    return _blake2b(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _load_checkpoint(
-    path: str, fingerprint: str, n_items: int, fresh_state: dict
+    path: str, fingerprint: str, fresh_state: dict
 ) -> tuple[int, int, list[dict], dict] | None:
     """The (next_index, failures, counterexamples, state) saved at `path`.
 
@@ -268,7 +253,8 @@ def _load_checkpoint(
     a checkpoint never makes a sweep skip instances it has not checked.  The
     state must have the keys of `fresh_state`, each holding an int or a value
     of its fresh type (the sweeps' counters are ints, or None before a first
-    value).
+    value).  A `next_index` past the last instance is caught by `_run_sweep`,
+    whose stream then ends before it.
     """
     if not os.path.exists(path):
         return None
@@ -285,7 +271,7 @@ def _load_checkpoint(
     state = saved.get("state")
     if (
         type(next_index) is int
-        and 0 <= next_index <= n_items
+        and 0 <= next_index
         and type(failures) is int
         and 0 <= failures <= next_index
         and isinstance(counterexamples, list)
@@ -308,22 +294,28 @@ def _run_sweep(
     """Run `check` over the instances `items()` yields, with optional
     checkpoint/resume.
 
-    Each call of `items` streams the same instances afresh: with a checkpoint,
-    one pass hashes and counts them for the fingerprint, and a resume skips
-    the first `next_index`.  `check(index, item, state)` returns the
-    counterexample records for that instance (empty when it passes) and may
-    update `state` (JSON-plain counters that the report's `extra` section is
-    built from).  Returns (instances, failures, counterexamples, state).
+    The instances are streamed once: a resume skips the first `next_index`,
+    and only a checkpoint whose `next_index` lies past the end of the stream
+    makes the sweep start over on a fresh `items()`.  `check(index, item,
+    state)` returns the counterexample records for that instance (empty when
+    it passes) and may update `state` (JSON-plain counters that the report's
+    `extra` section is built from).  Returns (instances, failures,
+    counterexamples, state).
     """
     fingerprint = None
     start_index = 0
     failures = 0
     counterexamples: list[dict] = []
+    stream = iter(items())
     if cfg.checkpoint:
-        fingerprint, n_items = _config_fingerprint(command, cfg, items())
-        saved = _load_checkpoint(cfg.checkpoint, fingerprint, n_items, state)
+        fingerprint = _config_fingerprint(command, cfg)
+        saved = _load_checkpoint(cfg.checkpoint, fingerprint, state)
         if saved is not None:
-            start_index, failures, counterexamples, state = saved
+            next_index = saved[0]
+            if sum(1 for _ in islice(stream, next_index)) == next_index:
+                start_index, failures, counterexamples, state = saved
+            else:  # a forged index past the last instance
+                stream = iter(items())
 
     def save(next_index: int) -> None:
         data = {
@@ -337,7 +329,7 @@ def _run_sweep(
         write_text(cfg.checkpoint, json.dumps(data, sort_keys=True) + "\n")
 
     done = start_index
-    for index, item in enumerate(islice(items(), start_index, None), start_index):
+    for index, item in enumerate(stream, start_index):
         records = check(index, item, state)
         if records:
             failures += 1
@@ -490,6 +482,31 @@ def cmd_saturation(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     )
 
 
+def _per_core(solve: Callable[[SchubertProblem], T]) -> Callable[[SchubertProblem], T]:
+    """`solve` computed once per core (`SchubertProblem.core`): the returned
+    function takes a core and looks its value up.
+
+    A core has its padded copies' n and r, and `enumerate_problems` runs
+    through one (n, r) at a time, so the values of one (n, r) are dropped
+    when a core of the next is asked for: the table holds one (n, r), not the
+    range.
+    """
+    values: dict[tuple[IndexSet, ...], T] = {}  # one (n, r): keyed by the sets alone
+    shape = None
+
+    def of_core(core: SchubertProblem) -> T:
+        nonlocal shape
+        if (core.n, core.r) != shape:
+            shape = core.n, core.r
+            values.clear()
+        key = core.index_sets
+        if key not in values:
+            values[key] = solve(core)
+        return values[key]
+
+    return of_core
+
+
 def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     """Cross-validate combinatorial counts against generic linear algebra.
 
@@ -499,14 +516,14 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     the resulting trace, and require the trace's exact map-space dimension to
     equal the generic one.
 
-    Each check runs once per core (`SchubertProblem.core`), within one call:
-    a codimension-0 condition changes neither the intersection number nor the
-    constraint matrix, so a problem padded with such conditions reads its
-    core's verdicts, and its records carry its own `index` and `problem`.  The
-    core names the random streams, so a resumed sweep recomputes a core solved
-    before its checkpoint exactly.  `traces_audited` counts the problems
-    covered by an audited trace; `cores_traced` counts the problems with maps
-    that are their own core, that is, the traces an uninterrupted run computes.
+    Each check runs once per core (`_per_core`): a codimension-0 condition
+    changes neither the intersection number nor the constraint matrix, so a
+    problem padded with such conditions reads its core's verdicts, and its
+    records carry its own `index` and `problem`.  The core names the random
+    streams, so a resumed sweep recomputes a core solved before its
+    checkpoint exactly.  `traces_audited` counts the problems covered by an
+    audited trace; `cores_traced` counts the problems with maps that are their
+    own core, that is, the traces an uninterrupted run computes.
 
     A field too small for the range (`_refuse_small_field`, rho the largest
     r(n - r) over the (n, r) in range) is refused before any instance runs.
@@ -520,12 +537,12 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     _refuse_small_field(fld, max(r * (n - r) for n in range(2, cfg.n_max + 1)
                                  for r in range(1, min(cfg.r_max, n - 1) + 1)))
     state = {"with_maps": 0, "traces_audited": 0, "intersection_positive": 0, "cores_traced": 0}
-    # Per core: the counters it adds and its records less `index` and
-    # `problem`.  No `FiltrationTrace` is kept; a trace is rendered into a
-    # record only when its audit failed.
-    solved: dict[SchubertProblem, tuple[dict[str, int], list[dict]]] = {}
 
+    @_per_core
     def solve(core: SchubertProblem) -> tuple[dict[str, int], list[dict]]:
+        """The counters a core adds and its records less `index` and
+        `problem`.  No `FiltrationTrace` is kept; a trace is rendered into a
+        record only when its audit failed."""
         number = intersection_number(core)
         counts = {"intersection_positive": int(number > 0), "with_maps": 0, "traces_audited": 0}
         records = []
@@ -566,9 +583,7 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
 
     def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
         core = problem.core()
-        if core not in solved:
-            solved[core] = solve(core)
-        counts, records = solved[core]
+        counts, records = solve(core)
         for key, count in counts.items():
             state[key] += count
         if counts["with_maps"] and core == problem:
@@ -584,22 +599,12 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
 
 def _solvable_problems(cfg: SweepConfig) -> Iterator[SchubertProblem]:
     """The problems in range with positive intersection number, computed once
-    per core (`SchubertProblem.core`).  A core has its padded copies' n and r,
-    and the enumeration runs through one (n, r) at a time, so the numbers of
-    one (n, r) are dropped when the next begins."""
+    per core (`_per_core`)."""
     from .cohomology import intersection_number
 
-    numbers: dict[tuple[IndexSet, ...], int] = {}
-    shape = None
+    number = _per_core(intersection_number)
     for problem in enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max):
-        if (problem.n, problem.r) != shape:
-            shape = problem.n, problem.r
-            numbers.clear()
-        core = problem.core()
-        key = core.index_sets
-        if key not in numbers:
-            numbers[key] = intersection_number(core)
-        if numbers[key] > 0:
+        if number(problem.core()) > 0:
             yield problem
 
 
@@ -611,13 +616,13 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     are generically semistable, every candidate subspace position has
     nonpositive clincher value, and the two statements agree with each other.
 
-    The intersection number and the check run once per core
-    (`SchubertProblem.core`), within one call.  A codimension-0 condition has
-    a zero weight row, and its position slot can take the codimension-0 set,
-    so a padded problem has its core's clincher values and its core's slope
-    violations, if any.  A padded problem whose core passed adds the core's
-    largest clincher and passes; one whose core failed is checked itself, so
-    each record names positions of its own problem.
+    The intersection number and the check run once per core (`_per_core`).
+    A codimension-0 condition has a zero weight row, and its position slot
+    can take the codimension-0 set, so a padded problem has its core's
+    clincher values and its core's slope violations, if any.  A padded
+    problem whose core passed adds the core's largest clincher and passes;
+    one whose core failed is checked itself, so each record names positions
+    of its own problem.
     """
     from .cohomology import nonvanishing_positions
     from .semistability import ParabolicWeights, clinchers, find_violations
@@ -667,19 +672,13 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
             )
         return worst, records
 
-    # The largest clincher of each core that passed.  A core precedes its
-    # padded copies; one checked before a resumed checkpoint is not here, and
-    # its copies are then checked themselves.
-    clean: dict[SchubertProblem, int | None] = {}
+    examine_core = _per_core(examine)
 
     def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
         core = problem.core()
-        if core in clean:
-            worst, records = clean[core], []
-        else:
+        worst, records = examine_core(core)
+        if records and core != problem:
             worst, records = examine(problem)
-            if not records and core == problem:
-                clean[core] = worst
         if worst is not None and (state["max_clincher"] is None or worst > state["max_clincher"]):
             state["max_clincher"] = worst
         return [{**record, "index": index, "problem": problem.text()} for record in records]

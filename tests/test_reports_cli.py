@@ -7,7 +7,7 @@ import random
 import stat
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from pathlib import Path
 
 import pytest
@@ -485,6 +485,46 @@ def test_semistable_checkpoint_resume_is_byte_identical(tmp_path):
     assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
 
 
+def test_checkpointed_semistable_computes_each_intersection_number_once(tmp_path, monkeypatch):
+    """A checkpoint is fingerprinted from the configuration and the source, not
+    from the instances, so a checkpointed run filters its solvable problems in
+    one pass, as a plain run does, and so does a resumed one."""
+    calls = []
+    real = cohomology.intersection_number
+    monkeypatch.setattr(cohomology, "intersection_number",
+                        lambda problem: calls.append(problem) or real(problem))
+    plain = SweepConfig(r_max=3, n_max=6, s_max=4, seed=7)
+    checkpointed = SweepConfig(r_max=3, n_max=6, s_max=4, seed=7,
+                               checkpoint=str(tmp_path / "ck.json"))
+    counts = []
+    for cfg in (plain, checkpointed, checkpointed):
+        calls.clear()
+        sweeps.cmd_semistable(cfg)
+        counts.append(len(calls))
+    # The third run resumes the finished checkpoint of the second.
+    assert counts == [278, 278, 278]
+    assert len(set(calls)) == len(calls)
+
+
+def test_semistable_resumes_between_a_core_and_its_padded_copy(tmp_path):
+    """A run stopped after the core `1@2` resumes at its padded copy
+    `1@2;2@2`, which reads the core's check again, and its report is the
+    uninterrupted one."""
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=3, n_max=6, s_max=4, seed=7, checkpoint=str(ck))
+    solvable = list(islice(sweeps._solvable_problems(cfg), 2))
+    assert [p.text() for p in solvable] == ["1@2", "1@2;2@2"]
+    assert solvable[1].core() == solvable[0]
+    uninterrupted = strip_volatile(sweeps.cmd_semistable(
+        SweepConfig(r_max=3, n_max=6, s_max=4, seed=7)))
+    with pytest.MonkeyPatch.context() as patch:
+        _stop_after_first_checkpoint(patch, 1)
+        with pytest.raises(_Stopped):
+            sweeps.cmd_semistable(cfg)
+    assert json.loads(ck.read_text())["next_index"] == 1
+    assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
+
+
 def test_crosscheck_checkpoint_resume_is_byte_identical(tmp_path):
     ck = tmp_path / "ck.json"
     cfg = SweepConfig(r_max=2, n_max=4, s_max=2, seed=5, checkpoint=str(ck))
@@ -563,6 +603,7 @@ def test_checkpoint_with_forged_next_index_is_ignored(tmp_path, monkeypatch):
     planted = {"failures": 1, "counterexamples": [{"kind": "planted"}]}
     without_failures = {k: v for k, v in saved.items() if k != "failures"}
     forgeries = [
+        {**saved, "next_index": saved["next_index"] + 1},
         {**saved, "next_index": 10**9},
         {**saved, "next_index": -1},
         {**saved, "next_index": "3"},
@@ -587,29 +628,17 @@ def test_checkpoint_with_forged_next_index_is_ignored(tmp_path, monkeypatch):
         assert strip_volatile(cmd_fulton(cfg)) == fresh
 
 
-def test_checkpoint_for_other_instances_is_ignored(tmp_path, monkeypatch):
-    ck = str(tmp_path / "ck.json")
-    cfg = SweepConfig(r_max=2, n_max=4, s_max=2, seed=5, checkpoint=ck)
-    problems = list(enumerate_problems(2, 4, 2))
-    cmd_crosscheck(cfg)
-    # Same configuration and length, different instances: the checkpoint
-    # from the first list must not be resumed for the second.
-    changed = [problems[-1]] * len(problems)
-    monkeypatch.setattr(sweeps, "enumerate_problems", lambda *args: iter(changed))
-    resumed = cmd_crosscheck(cfg)
-    fresh = cmd_crosscheck(SweepConfig(r_max=2, n_max=4, s_max=2, seed=5))
-    assert strip_volatile(resumed) == strip_volatile(fresh)
-
-
-def test_checkpoint_fingerprint_covers_version_and_items(monkeypatch):
+def test_checkpoint_fingerprint_covers_version_and_source(monkeypatch):
     import fultoncheck
 
     cfg = SweepConfig()
-    items = list(enumerate_problems(2, 4, 2))
-    base = sweeps._config_fingerprint("crosscheck", cfg, items)
-    assert sweeps._config_fingerprint("crosscheck", cfg, items[::-1]) != base
+    base = sweeps._config_fingerprint("crosscheck", cfg)
     monkeypatch.setattr(fultoncheck, "__version__", "0.0.0-other")
-    assert sweeps._config_fingerprint("crosscheck", cfg, items) != base
+    assert sweeps._config_fingerprint("crosscheck", cfg) != base
+    monkeypatch.undo()
+    assert sweeps._config_fingerprint("crosscheck", cfg) == base
+    monkeypatch.setattr(sweeps, "_source_digest", lambda: "other-source")
+    assert sweeps._config_fingerprint("crosscheck", cfg) != base
 
 
 def test_checkpoint_from_other_source_is_recomputed(tmp_path, monkeypatch):
