@@ -1,13 +1,14 @@
 """The command layer: each subcommand, from a validated config to its report.
 
 Each sweep streams a deterministic sequence of instances, checks one property
-per instance, and assembles a report; `filtration` and `lr` check one
-instance.  Randomness is derived per instance from the master seed via a
-keyed hash, so sweeps can be checkpointed and resumed with byte-identical
-results: restarting at instance k draws exactly the same random streams as an
-uninterrupted run.  A solver fault (`field.SolverFault`) fails its instance,
-not the run; a field too small to sample is refused (`_refuse_small_field`); and
-`_finish` assembles every report.
+per instance, and assembles a report; `semistable` streams every problem and
+counts the solvable ones as instances, and `filtration` and `lr` check one.
+Randomness is derived per instance from the master seed via a keyed hash, so
+sweeps can be checkpointed and resumed with byte-identical results: resuming
+at item k of the stream draws the same random streams as an uninterrupted run.
+A solver fault (`field.SolverFault`) fails its instance, not the run; a field
+too small to sample is refused (`_refuse_small_field`); and `_finish`
+assembles every report.
 
 At import this module loads only the layers every command uses (partitions,
 the LR engines, fields and reports).  A command body imports the rest when it
@@ -52,6 +53,7 @@ lr_coefficient = _lr_tableau
 
 DEFAULT_SEED = 1
 CHECKPOINT_EVERY = 10_000
+_UNSOLVABLE = (None, [])  # `cmd_semistable`'s verdict on a core with intersection number 0
 
 T = TypeVar("T")
 
@@ -253,7 +255,7 @@ def _load_checkpoint(
     a checkpoint never makes a sweep skip instances it has not checked.  The
     state must have the keys of `fresh_state`, each holding an int or a value
     of its fresh type (the sweeps' counters are ints, or None before a first
-    value).  A `next_index` past the last instance is caught by `_run_sweep`,
+    value).  A `next_index` past the stream's end is caught by `_run_sweep`,
     whose stream then ends before it.
     """
     if not os.path.exists(path):
@@ -291,16 +293,16 @@ def _run_sweep(
     check: Callable[[int, object, dict], list[dict]],
     state: dict,
 ) -> tuple[int, int, list[dict], dict]:
-    """Run `check` over the instances `items()` yields, with optional
+    """Run `check` over the items `items()` yields, with optional
     checkpoint/resume.
 
-    The instances are streamed once: a resume skips the first `next_index`,
-    and only a checkpoint whose `next_index` lies past the end of the stream
-    makes the sweep start over on a fresh `items()`.  `check(index, item,
-    state)` returns the counterexample records for that instance (empty when
+    The items are streamed once: a resume skips the first `next_index`
+    unchecked, and only a checkpoint whose `next_index` lies past the end of
+    the stream makes the sweep start over on a fresh `items()`.  `check(index,
+    item, state)` returns the counterexample records for that item (empty when
     it passes) and may update `state` (JSON-plain counters that the report's
-    `extra` section is built from).  Returns (instances, failures,
-    counterexamples, state).
+    `extra` section is built from).  Returns (the stream's length, failures,
+    counterexamples, state); `semistable` counts its instances in `state`.
     """
     fingerprint = None
     start_index = 0
@@ -483,8 +485,8 @@ def cmd_saturation(cfg: SweepConfig, seed_source: str = "flag") -> dict:
 
 
 def _per_core(solve: Callable[[SchubertProblem], T]) -> Callable[[SchubertProblem], T]:
-    """`solve` computed once per core (`SchubertProblem.core`): the returned
-    function takes a core and looks its value up.
+    """`solve` computed once per core (`SchubertProblem.core`) in a problem
+    stream: the returned function takes a core and looks its value up.
 
     A core has its padded copies' n and r, and `enumerate_problems` runs
     through one (n, r) at a time, so the values of one (n, r) are dropped
@@ -597,17 +599,6 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                    started)
 
 
-def _solvable_problems(cfg: SweepConfig) -> Iterator[SchubertProblem]:
-    """The problems in range with positive intersection number, computed once
-    per core (`_per_core`)."""
-    from .cohomology import intersection_number
-
-    number = _per_core(intersection_number)
-    for problem in enumerate_problems(cfg.r_max, cfg.n_max, cfg.s_max):
-        if number(problem.core()) > 0:
-            yield problem
-
-
 def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     """Check semistability of the natural weights on solvable problems.
 
@@ -616,19 +607,20 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     are generically semistable, every candidate subspace position has
     nonpositive clincher value, and the two statements agree with each other.
 
-    The intersection number and the check run once per core (`_per_core`).
-    A codimension-0 condition has a zero weight row, and its position slot
-    can take the codimension-0 set, so a padded problem has its core's
-    clincher values and its core's slope violations, if any.  A padded
-    problem whose core passed adds the core's largest clincher and passes;
-    one whose core failed is checked itself, so each record names positions
-    of its own problem.
+    The intersection number and the check run once per core (`_per_core`) of
+    every problem in range; `state["solvable"]` numbers the solvable ones.  A
+    codimension-0 condition has a zero weight row, and its position slot can
+    take the codimension-0 set, so a padded problem has its core's clincher
+    values and its core's slope violations, if any.  A padded problem whose
+    core passed adds the core's largest clincher and passes; one whose core
+    failed is checked itself, so each record names positions of its own
+    problem.
     """
-    from .cohomology import nonvanishing_positions
+    from .cohomology import intersection_number, nonvanishing_positions
     from .semistability import ParabolicWeights, clinchers, find_violations
 
     started = time.perf_counter()
-    state = {"max_clincher": None}
+    state = {"solvable": 0, "max_clincher": None}
 
     def examine(problem: SchubertProblem) -> tuple[int | None, list[dict]]:
         """The largest clincher value (None when there is no position) and
@@ -672,19 +664,26 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
             )
         return worst, records
 
-    examine_core = _per_core(examine)
+    examine_core = _per_core(
+        lambda core: examine(core) if intersection_number(core) > 0 else _UNSOLVABLE)
 
     def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
         core = problem.core()
-        worst, records = examine_core(core)
+        verdict = examine_core(core)
+        if verdict is _UNSOLVABLE:
+            return []
+        worst, records = verdict
         if records and core != problem:
             worst, records = examine(problem)
         if worst is not None and (state["max_clincher"] is None or worst > state["max_clincher"]):
             state["max_clincher"] = worst
+        index = state["solvable"]  # the problem's position among the solvable ones
+        state["solvable"] += 1
         return [{**record, "index": index, "problem": problem.text()} for record in records]
 
-    items = functools.partial(_solvable_problems, cfg)
-    instances, failures, cxs, state = _run_sweep(command := "semistable", cfg, items, check, state)
+    items = functools.partial(enumerate_problems, cfg.r_max, cfg.n_max, cfg.s_max)
+    _, failures, cxs, state = _run_sweep(command := "semistable", cfg, items, check, state)
+    instances = state.pop("solvable")
     extra = {"problems": instances, **state}
     return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
                    started)

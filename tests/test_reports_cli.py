@@ -466,9 +466,9 @@ def test_fulton_resumes_at_the_checkpointed_index(tmp_path):
 
 
 def test_semistable_checkpoint_resume_is_byte_identical(tmp_path):
-    """`semistable` streams its solvable problems, filtered as they are
-    enumerated; a run stopped after a mid-sweep checkpoint resumes at the
-    next solvable problem, and its report is the uninterrupted one."""
+    """`semistable` streams every problem in range and counts the solvable
+    ones; a run stopped after a mid-sweep checkpoint resumes at the next
+    enumerated problem, and its report is the uninterrupted one."""
     ck = tmp_path / "ck.json"
     cfg = SweepConfig(r_max=3, n_max=6, s_max=4, seed=7, checkpoint=str(ck))
     uninterrupted = strip_volatile(sweeps.cmd_semistable(
@@ -487,8 +487,9 @@ def test_semistable_checkpoint_resume_is_byte_identical(tmp_path):
 
 def test_checkpointed_semistable_computes_each_intersection_number_once(tmp_path, monkeypatch):
     """A checkpoint is fingerprinted from the configuration and the source, not
-    from the instances, so a checkpointed run filters its solvable problems in
-    one pass, as a plain run does, and so does a resumed one."""
+    from the instances, so a checkpointed run solves each core once, as a
+    plain run does; its `next_index` counts enumerated problems, so resuming
+    the finished checkpoint skips them all without solving any."""
     calls = []
     real = cohomology.intersection_number
     monkeypatch.setattr(cohomology, "intersection_number",
@@ -501,9 +502,9 @@ def test_checkpointed_semistable_computes_each_intersection_number_once(tmp_path
         calls.clear()
         sweeps.cmd_semistable(cfg)
         counts.append(len(calls))
+        assert len(set(calls)) == len(calls)
     # The third run resumes the finished checkpoint of the second.
-    assert counts == [278, 278, 278]
-    assert len(set(calls)) == len(calls)
+    assert counts == [278, 278, 0]
 
 
 def test_semistable_resumes_between_a_core_and_its_padded_copy(tmp_path):
@@ -512,9 +513,9 @@ def test_semistable_resumes_between_a_core_and_its_padded_copy(tmp_path):
     uninterrupted one."""
     ck = tmp_path / "ck.json"
     cfg = SweepConfig(r_max=3, n_max=6, s_max=4, seed=7, checkpoint=str(ck))
-    solvable = list(islice(sweeps._solvable_problems(cfg), 2))
-    assert [p.text() for p in solvable] == ["1@2", "1@2;2@2"]
-    assert solvable[1].core() == solvable[0]
+    first = list(islice(enumerate_problems(3, 6, 4), 2))
+    assert [p.text() for p in first] == ["1@2", "1@2;2@2"]
+    assert first[1].core() == first[0]
     uninterrupted = strip_volatile(sweeps.cmd_semistable(
         SweepConfig(r_max=3, n_max=6, s_max=4, seed=7)))
     with pytest.MonkeyPatch.context() as patch:
@@ -715,6 +716,23 @@ def test_positive_clinchers_are_reported(tmp_path, monkeypatch):
     )
     assert disagreement["semistable"] is True
     assert disagreement["all_clinchers_nonpositive"] is False
+
+
+def test_semistable_record_index_counts_solvable_problems(monkeypatch):
+    """`semistable` streams every problem in range, and a record's `index` is
+    its problem's position among the solvable ones, in enumeration order."""
+    monkeypatch.setattr(
+        semistability,
+        "clinchers",
+        lambda problem, d: [1] * len(nonvanishing_positions(d, problem.r, problem.s)),
+    )
+    rep = sweeps.cmd_semistable(SweepConfig(r_max=3, n_max=5, s_max=3))
+    solvable = [problem.text() for problem in enumerate_problems(3, 5, 3)
+                if intersection_number(problem) > 0]
+    assert rep["counts"]["instances"] == rep["extra"]["problems"] == len(solvable)
+    assert rep["counterexamples"]
+    for rec in rep["counterexamples"]:
+        assert solvable[rec["index"]] == rec["problem"]
 
 
 # ---------------------------------------------------------------------------
