@@ -5,7 +5,7 @@ prime below PRIME_BOUND, where the primality test is proven exact, is
 accepted); Q audits it on small instances. Elements are plain Python
 numbers, and `Field` only names, reduces and samples them: callers write
 `+`, `*` and literal 0 and 1, reducing with `reduce`, and row reduction
-(`rowred`) inverts its own pivots.
+(`rowred`) divides by its own pivots.
 """
 
 from __future__ import annotations

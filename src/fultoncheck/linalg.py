@@ -2,7 +2,9 @@
 
 Matrices are immutable; columns are the vectors. Entries are plain Python
 numbers (see `field`), and of the field the arithmetic reads only p (0 for Q):
-products reduce mod p > 0, and rank, kernel and containment come from the one
+products reduce mod p > 0, and over Q they take integer dot products of rows
+and columns scaled to integers, making a `Fraction` only for an entry that is
+not an integer. Rank, kernel and containment come from the one
 exact RREF `rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances),
 cached per matrix. Every question that needs the row operations themselves
 (inverse, the coefficients of a jump profile, a quotient map) reads them off
@@ -22,7 +24,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .field import Field, SolverFault
-from .rowred import rref_mod
+from .rowred import _integer_vector, rref_mod
 
 MAX_SAMPLE_ATTEMPTS = 100
 
@@ -97,10 +99,21 @@ class Matrix:
             raise LinAlgError("matmul shape or field mismatch")
         p = self.field.p
         bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = tuple(
-            tuple(s % p if p else s for s in (sum(x * y for x, y in zip(row, col)) for col in bt))
-            for row in self.rows
-        )
+        if p:
+            out = tuple(
+                tuple(s % p for s in (sum(x * y for x, y in zip(row, col)) for col in bt))
+                for row in self.rows
+            )
+        else:
+            left = [_integer_vector(row) for row in self.rows]
+            right = [_integer_vector(col) for col in bt]
+            out = tuple(
+                tuple(
+                    s // d if s % d == 0 else Fraction(s, d)
+                    for s, d in ((sum(x * y for x, y in zip(a, b)), da * db) for b, db in right)
+                )
+                for a, da in left
+            )
         return Matrix(self.field, self.nrows, other.ncols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

@@ -255,8 +255,11 @@ def _load_checkpoint(
     a checkpoint never makes a sweep skip instances it has not checked.  The
     state must have the keys of `fresh_state`, each holding an int or a value
     of its fresh type (the sweeps' counters are ints, or None before a first
-    value).  A `next_index` past the stream's end is caught by `_run_sweep`,
-    whose stream then ends before it.
+    value).  A key that is 0 in `fresh_state` is a count of items, at most
+    one per item, so it must lie in [0, next_index]; a key that starts as
+    None (`semistable`'s `max_clincher`, a maximum) has no range.  A
+    `next_index` past the stream's end is caught by `_run_sweep`, whose stream
+    then ends before it.
     """
     if not os.path.exists(path):
         return None
@@ -280,7 +283,10 @@ def _load_checkpoint(
         and (failures == 0) == (not counterexamples)
         and isinstance(state, dict)
         and state.keys() == fresh_state.keys()
-        and all(type(state[k]) in (int, type(v)) for k, v in fresh_state.items())
+        and all(
+            type(state[k]) in (int, type(v)) and (v is None or 0 <= state[k] <= next_index)
+            for k, v in fresh_state.items()
+        )
     ):
         return next_index, failures, counterexamples, state
     return None

@@ -399,6 +399,82 @@ def test_int_entries_over_q_divide_into_fractions_not_floats():
     assert m @ inv == Matrix.identity(QF, 2)
 
 
+def _fraction_rref(rows):
+    """Reference: Gauss-Jordan over `Fraction`s with first-nonzero pivoting."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _rational_entry(rng: random.Random):
+    """Mostly zeros and small ints of either sign, and `Fraction`s, some of
+    them with denominator 1."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _exact_types(rows) -> bool:
+    """Every entry is an int or a `Fraction`, and an int exactly when it is
+    an integer."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for row in rows for x in row)
+
+
+def test_rational_rref_matches_a_fraction_reference():
+    """The fraction-free reduction over Q gives the RREF and pivots of plain
+    `Fraction` Gauss-Jordan on 600 seeded matrices up to 9x10: int and
+    `Fraction` entries, denominator-1 `Fraction`s, negative pivots, zero
+    rows, and rows of length 0."""
+    rng = random.Random(31)
+    for _ in range(600):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 10)
+        rows = [[_rational_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        for i in range(nrows):
+            if rng.random() < 0.1:
+                rows[i] = [0] * ncols
+            elif rng.random() < 0.2 and i:  # a dependent row
+                k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                rows[i] = [k * x + y for x, y in zip(rows[i - 1], rows[rng.randrange(i)])]
+        want, want_piv = _fraction_rref(rows)
+        red, piv = rref_mod([list(row) for row in rows], 0)
+        assert (red, piv) == (want, want_piv), rows
+        assert _exact_types(red)
+
+
+def test_rational_product_matches_a_fraction_reference():
+    """`Matrix.mul` over Q on 300 seeded pairs with `Fraction` operands: the
+    entries are the `Fraction` dot products, ints where they are integers."""
+    rng = random.Random(32)
+    for _ in range(300):
+        m, k, n = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = [[_rational_entry(rng) for _ in range(k)] for _ in range(m)]
+        b = [[_rational_entry(rng) for _ in range(n)] for _ in range(k)]
+        got = Matrix.from_rows(QF, a, ncols=k) @ Matrix.from_rows(QF, b, ncols=n)
+        want = [[sum((Fraction(a[i][t]) * b[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+                for i in range(m)]
+        assert (got.nrows, got.ncols) == (m, n)
+        assert [list(row) for row in got.rows] == want
+        assert _exact_types(got.rows)
+
+
 def test_rational_reduction_matches_modular_pivots():
     rng = random.Random(7)
     for _ in range(100):

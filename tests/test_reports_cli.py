@@ -573,6 +573,37 @@ def test_crosscheck_checkpoint_resume_is_byte_identical(tmp_path):
     assert resumed["extra"]["cores_traced"] == 6
 
 
+def test_crosscheck_checkpoint_with_a_count_out_of_range_starts_over(tmp_path):
+    """A state counter counts at most one per problem, so one past
+    `next_index` or below 0 marks an edited checkpoint: the sweep starts
+    over, and the report is the uninterrupted one, not the forged count."""
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=2, n_max=4, s_max=3, checkpoint=str(ck))
+    uninterrupted = strip_volatile(cmd_crosscheck(SweepConfig(r_max=2, n_max=4, s_max=3)))
+    assert strip_volatile(cmd_crosscheck(cfg)) == uninterrupted
+    saved = json.loads(ck.read_text())
+    assert saved["next_index"] == uninterrupted["extra"]["problems"] == 32
+    for with_maps in (999, saved["next_index"] + 1, -1):
+        ck.write_text(json.dumps({**saved, "state": {**saved["state"], "with_maps": with_maps}}))
+        assert strip_volatile(cmd_crosscheck(cfg)) == uninterrupted, with_maps
+
+
+def test_semistable_checkpoint_with_a_count_out_of_range_starts_over(tmp_path):
+    """`solvable` past `next_index` is refused like any malformed field;
+    `max_clincher` is a maximum, not a count, and has no range."""
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=2, n_max=4, s_max=3, checkpoint=str(ck))
+    uninterrupted = strip_volatile(sweeps.cmd_semistable(SweepConfig(r_max=2, n_max=4, s_max=3)))
+    assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
+    saved = json.loads(ck.read_text())
+    assert (saved["next_index"], saved["state"]["solvable"]) == (32, 30)
+    ck.write_text(json.dumps({**saved, "state": {**saved["state"], "solvable": 33}}))
+    assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
+    assert json.loads(ck.read_text())["state"]["solvable"] == 30
+    ck.write_text(json.dumps({**saved, "state": {**saved["state"], "max_clincher": -10**6}}))
+    assert sweeps.cmd_semistable(cfg)["extra"]["max_clincher"] == -10**6
+
+
 def test_checkpoint_with_other_config_is_ignored(tmp_path):
     ck = str(tmp_path / "ck.json")
     cfg_a = SweepConfig(r_max=2, n_max=4, s_max=2, seed=5, checkpoint=ck)
