@@ -1,8 +1,9 @@
 """The command layer: each subcommand, from a validated config to its report.
 
 Each sweep streams a deterministic sequence of instances, checks one property
-per instance, and assembles a report; `semistable` streams every problem and
-counts the solvable ones as instances, and `filtration` and `lr` check one.
+per instance, and assembles a report: `_scaling_sweep` drives `fulton` and
+`saturation`, `_problem_sweep` (one solve per core) drives `crosscheck` and
+`semistable`, and `filtration` and `lr` check one.
 Randomness is derived per instance from the master seed via a keyed hash, so
 sweeps can be checkpointed and resumed with byte-identical results: resuming
 at item k of the stream draws the same random streams as an uninterrupted run.
@@ -53,7 +54,6 @@ lr_coefficient = _lr_tableau
 
 DEFAULT_SEED = 1
 CHECKPOINT_EVERY = 10_000
-_UNSOLVABLE = (None, [])  # `cmd_semistable`'s verdict on a core with intersection number 0
 
 T = TypeVar("T")
 
@@ -308,7 +308,7 @@ def _run_sweep(
     item, state)` returns the counterexample records for that item (empty when
     it passes) and may update `state` (JSON-plain counters that the report's
     `extra` section is built from).  Returns (the stream's length, failures,
-    counterexamples, state); `semistable` counts its instances in `state`.
+    counterexamples, state); `_problem_sweep` counts its instances in `state`.
     """
     fingerprint = None
     start_index = 0
@@ -490,29 +490,48 @@ def cmd_saturation(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     )
 
 
-def _per_core(solve: Callable[[SchubertProblem], T]) -> Callable[[SchubertProblem], T]:
-    """`solve` computed once per core (`SchubertProblem.core`) in a problem
-    stream: the returned function takes a core and looks its value up.
+def _problem_sweep(cfg: SweepConfig, command: str, seed_source: str, state: dict,
+                   solve: Callable[[SchubertProblem], T],
+                   tally: Callable[..., list[dict] | None]) -> dict:
+    """The report of a sweep over the problems `enumerate_problems` streams.
 
-    A core has its padded copies' n and r, and `enumerate_problems` runs
-    through one (n, r) at a time, so the values of one (n, r) are dropped
-    when a core of the next is asked for: the table holds one (n, r), not the
-    range.
+    `solve(core)` runs once per core (`SchubertProblem.core`), and a problem
+    padded with codimension-0 conditions reads its core's value.  A core has
+    its padded copies' n and r, and the stream runs through one (n, r) at a
+    time, so the table of values holds one (n, r), not the range.  A core
+    names its random streams, so a resumed sweep recomputes a core solved
+    before its checkpoint exactly.
+
+    `tally(state, problem, core, value)` adds the problem to the counters in
+    `state` and returns its records less `index` and `problem`, or None when
+    the problem is not an instance.  `state["problems"]` numbers the
+    instances: it is each record's `index` and the report's instance count,
+    and the final `state` is the report's `extra`.
     """
+    started = time.perf_counter()
     values: dict[tuple[IndexSet, ...], T] = {}  # one (n, r): keyed by the sets alone
     shape = None
 
-    def of_core(core: SchubertProblem) -> T:
+    def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
         nonlocal shape
+        core = problem.core()
         if (core.n, core.r) != shape:
             shape = core.n, core.r
             values.clear()
         key = core.index_sets
         if key not in values:
             values[key] = solve(core)
-        return values[key]
+        records = tally(state, problem, core, values[key])
+        if records is None:
+            return []
+        index = state["problems"]
+        state["problems"] += 1
+        return [{**record, "index": index, "problem": problem.text()} for record in records]
 
-    return of_core
+    items = functools.partial(enumerate_problems, cfg.r_max, cfg.n_max, cfg.s_max)
+    _, failures, cxs, state = _run_sweep(command, cfg, items, check, state)
+    return _finish(command, cfg.as_dict(), cfg, seed_source, state["problems"], failures, cxs,
+                   state, started)
 
 
 def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
@@ -524,14 +543,11 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     the resulting trace, and require the trace's exact map-space dimension to
     equal the generic one.
 
-    Each check runs once per core (`_per_core`): a codimension-0 condition
-    changes neither the intersection number nor the constraint matrix, so a
-    problem padded with such conditions reads its core's verdicts, and its
-    records carry its own `index` and `problem`.  The core names the random
-    streams, so a resumed sweep recomputes a core solved before its
-    checkpoint exactly.  `traces_audited` counts the problems covered by an
-    audited trace; `cores_traced` counts the problems with maps that are their
-    own core, that is, the traces an uninterrupted run computes.
+    Each check runs once per core (`_problem_sweep`): a codimension-0
+    condition changes neither the intersection number nor the constraint
+    matrix.  `traces_audited` counts the problems covered by an audited trace;
+    `cores_traced` counts the problems with maps that are their own core,
+    that is, the traces an uninterrupted run computes.
 
     A field too small for the range (`_refuse_small_field`, rho the largest
     r(n - r) over the (n, r) in range) is refused before any instance runs.
@@ -540,36 +556,24 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     from .filtration import trace_to_dict
     from .homspace import generic_hom_dim
 
-    started = time.perf_counter()
     fld = cfg.field()
     _refuse_small_field(fld, max(r * (n - r) for n in range(2, cfg.n_max + 1)
                                  for r in range(1, min(cfg.r_max, n - 1) + 1)))
-    state = {"with_maps": 0, "traces_audited": 0, "intersection_positive": 0, "cores_traced": 0}
+    state = {"problems": 0, "with_maps": 0, "traces_audited": 0, "intersection_positive": 0,
+             "cores_traced": 0}
 
-    @_per_core
     def solve(core: SchubertProblem) -> tuple[dict[str, int], list[dict]]:
-        """The counters a core adds and its records less `index` and
-        `problem`.  No `FiltrationTrace` is kept; a trace is rendered into a
-        record only when its audit failed."""
+        """The counters a core adds and its records.  No `FiltrationTrace` is
+        kept; a trace is rendered into a record only when its audit failed."""
         number = intersection_number(core)
         counts = {"intersection_positive": int(number > 0), "with_maps": 0, "traces_audited": 0}
         records = []
         try:
-            result = generic_hom_dim(
-                core,
-                rng_for(cfg.seed, f"hom:{core.text()}"),
-                fld,
-                trials=cfg.trials,
-            )
+            result = generic_hom_dim(core, rng_for(cfg.seed, f"hom:{core.text()}"), fld,
+                                     trials=cfg.trials)
             if (number > 0) != (result.dim == 0):
-                records.append(
-                    {
-                        "kind": "count_rank_mismatch",
-                        "intersection_number": number,
-                        "generic_hom_dim": result.dim,
-                        "samples": result.samples,
-                    }
-                )
+                records.append({"kind": "count_rank_mismatch", "intersection_number": number,
+                                "generic_hom_dim": result.dim, "samples": result.samples})
             if result.dim > 0:
                 counts["with_maps"] = 1
                 trace, audit = _audited_trace(cfg, fld, core, "trace")
@@ -578,31 +582,22 @@ def cmd_crosscheck(cfg: SweepConfig, seed_source: str = "flag") -> dict:
                     records.append({"kind": "hom_dim_mismatch", "generic_hom_dim": result.dim,
                                     "trace_hom_dim": trace.hom_dim})
                 if not audit.ok:
-                    records.append(
-                        {
-                            "kind": "trace_audit_failed",
-                            "failed_checks": audit.failed_checks(),
-                            "trace": trace_to_dict(trace, audit),
-                        }
-                    )
+                    records.append({"kind": "trace_audit_failed",
+                                    "failed_checks": audit.failed_checks(),
+                                    "trace": trace_to_dict(trace, audit)})
         except SolverFault as exc:
             records.append({"kind": "run_error", "error": str(exc)})
         return counts, records
 
-    def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
-        core = problem.core()
-        counts, records = solve(core)
+    def tally(state: dict, problem, core, solved) -> list[dict]:
+        counts, records = solved
         for key, count in counts.items():
             state[key] += count
         if counts["with_maps"] and core == problem:
             state["cores_traced"] += 1
-        return [{**record, "index": index, "problem": problem.text()} for record in records]
+        return records
 
-    items = functools.partial(enumerate_problems, cfg.r_max, cfg.n_max, cfg.s_max)
-    instances, failures, cxs, state = _run_sweep(command := "crosscheck", cfg, items, check, state)
-    extra = {"problems": instances, **state}
-    return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
-                   started)
+    return _problem_sweep(cfg, "crosscheck", seed_source, state, solve, tally)
 
 
 def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
@@ -613,8 +608,8 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     are generically semistable, every candidate subspace position has
     nonpositive clincher value, and the two statements agree with each other.
 
-    The intersection number and the check run once per core (`_per_core`) of
-    every problem in range; `state["solvable"]` numbers the solvable ones.  A
+    The intersection number and the check run once per core
+    (`_problem_sweep`), and only the solvable problems are instances.  A
     codimension-0 condition has a zero weight row, and its position slot can
     take the codimension-0 set, so a padded problem has its core's clincher
     values and its core's slope violations, if any.  A padded problem whose
@@ -625,12 +620,11 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
     from .cohomology import intersection_number, nonvanishing_positions
     from .semistability import ParabolicWeights, clinchers, find_violations
 
-    started = time.perf_counter()
-    state = {"solvable": 0, "max_clincher": None}
+    state = {"problems": 0, "max_clincher": None}
 
     def examine(problem: SchubertProblem) -> tuple[int | None, list[dict]]:
         """The largest clincher value (None when there is no position) and
-        the records, less `index` and `problem`."""
+        the records."""
         records = []
         violations = find_violations(ParabolicWeights.from_problem(problem))
         margins = {d: clinchers(problem, d) for d in range(1, problem.r)}
@@ -670,29 +664,19 @@ def cmd_semistable(cfg: SweepConfig, seed_source: str = "flag") -> dict:
             )
         return worst, records
 
-    examine_core = _per_core(
-        lambda core: examine(core) if intersection_number(core) > 0 else _UNSOLVABLE)
-
-    def check(index: int, problem: SchubertProblem, state: dict) -> list[dict]:
-        core = problem.core()
-        verdict = examine_core(core)
-        if verdict is _UNSOLVABLE:
-            return []
+    def tally(state: dict, problem, core, verdict) -> list[dict] | None:
+        if verdict is None:  # intersection number 0: not an instance
+            return None
         worst, records = verdict
         if records and core != problem:
             worst, records = examine(problem)
         if worst is not None and (state["max_clincher"] is None or worst > state["max_clincher"]):
             state["max_clincher"] = worst
-        index = state["solvable"]  # the problem's position among the solvable ones
-        state["solvable"] += 1
-        return [{**record, "index": index, "problem": problem.text()} for record in records]
+        return records
 
-    items = functools.partial(enumerate_problems, cfg.r_max, cfg.n_max, cfg.s_max)
-    _, failures, cxs, state = _run_sweep(command := "semistable", cfg, items, check, state)
-    instances = state.pop("solvable")
-    extra = {"problems": instances, **state}
-    return _finish(command, cfg.as_dict(), cfg, seed_source, instances, failures, cxs, extra,
-                   started)
+    return _problem_sweep(
+        cfg, "semistable", seed_source, state,
+        lambda core: examine(core) if intersection_number(core) > 0 else None, tally)
 
 
 def cmd_filtration(cfg: SweepConfig, problem: SchubertProblem, seed_source: str = "flag") -> dict:
@@ -724,10 +708,16 @@ def cmd_lr(
     cfg: SweepConfig, mu: Partition, nu: Partition, lam: Partition, seed_source: str = "flag"
 ) -> dict:
     """Compute one coefficient with the tableau engine (the module global
-    `lr_coefficient`) and the Pieri engine, and require them to agree."""
+    `lr_coefficient`) and the Pieri engine, and require them to agree.
+
+    Both engines recurse at least once per row of lam, so a triple too deep
+    for the recursion limit is refused (`ConfigError`), not a traceback."""
     started = time.perf_counter()
-    by_tableau = lr_coefficient(mu, nu, lam)
-    by_pieri = lr_coefficient_pieri(mu, nu, lam)
+    try:
+        by_tableau = lr_coefficient(mu, nu, lam)
+        by_pieri = lr_coefficient_pieri(mu, nu, lam)
+    except RecursionError as exc:
+        raise ConfigError(f"lam has {len(lam.parts)} rows, too many for the LR engines") from exc
     cxs = [] if by_tableau == by_pieri else [_engine_mismatch(mu, nu, lam, by_tableau, by_pieri)]
     config = {"mu": mu.text(), "nu": nu.text(), "lam": lam.text()}
     extra = {"coefficient": by_tableau, "tableau_engine": by_tableau, "pieri_engine": by_pieri}

@@ -465,6 +465,33 @@ def test_fulton_resumes_at_the_checkpointed_index(tmp_path):
     assert calls[1::2] == [tuple(part.scale(2) for part in item) for item in items[40:]]
 
 
+@pytest.mark.parametrize("run, cfg, stream, count", [
+    (cmd_crosscheck, SweepConfig(r_max=2, n_max=5, s_max=3), lambda: enumerate_problems(2, 5, 3),
+     69),
+    (sweeps.cmd_semistable, SweepConfig(r_max=2, n_max=5, s_max=3),
+     lambda: enumerate_problems(2, 5, 3), 69),
+    (cmd_fulton, SweepConfig(r_max=2, size_max=4), lambda: enumerate_triples(2, 4), 71),
+], ids=["crosscheck", "semistable", "fulton"])
+def test_a_swapped_run_sweep_sees_every_streamed_item(monkeypatch, run, cfg, stream, count):
+    """A tracer swaps the module global `_run_sweep` for a wrapper of its
+    `check` (as `perfbench/tracing.py` does); every command calls it through
+    that global, with five arguments, and every streamed item reaches it."""
+    real = sweeps._run_sweep
+    seen = []
+
+    def counting(command, cfg, items, check, state):
+        def counted(index, item, st):
+            seen.append((index, item))
+            return check(index, item, st)
+
+        return real(command, cfg, items, counted, state)
+
+    monkeypatch.setattr(sweeps, "_run_sweep", counting)
+    run(cfg)
+    assert seen == list(enumerate(stream()))
+    assert len(seen) == count
+
+
 def test_semistable_checkpoint_resume_is_byte_identical(tmp_path):
     """`semistable` streams every problem in range and counts the solvable
     ones; a run stopped after a mid-sweep checkpoint resumes at the next
@@ -589,17 +616,17 @@ def test_crosscheck_checkpoint_with_a_count_out_of_range_starts_over(tmp_path):
 
 
 def test_semistable_checkpoint_with_a_count_out_of_range_starts_over(tmp_path):
-    """`solvable` past `next_index` is refused like any malformed field;
+    """`problems` past `next_index` is refused like any malformed field;
     `max_clincher` is a maximum, not a count, and has no range."""
     ck = tmp_path / "ck.json"
     cfg = SweepConfig(r_max=2, n_max=4, s_max=3, checkpoint=str(ck))
     uninterrupted = strip_volatile(sweeps.cmd_semistable(SweepConfig(r_max=2, n_max=4, s_max=3)))
     assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
     saved = json.loads(ck.read_text())
-    assert (saved["next_index"], saved["state"]["solvable"]) == (32, 30)
-    ck.write_text(json.dumps({**saved, "state": {**saved["state"], "solvable": 33}}))
+    assert (saved["next_index"], saved["state"]["problems"]) == (32, 30)
+    ck.write_text(json.dumps({**saved, "state": {**saved["state"], "problems": 33}}))
     assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
-    assert json.loads(ck.read_text())["state"]["solvable"] == 30
+    assert json.loads(ck.read_text())["state"]["problems"] == 30
     ck.write_text(json.dumps({**saved, "state": {**saved["state"], "max_clincher": -10**6}}))
     assert sweeps.cmd_semistable(cfg)["extra"]["max_clincher"] == -10**6
 
@@ -1026,6 +1053,24 @@ def test_cli_lr_dual_engine(capsys):
     rep = json.loads(out)
     assert rep["extra"]["coefficient"] == 2
     assert rep["extra"]["tableau_engine"] == rep["extra"]["pieri_engine"] == 2
+
+
+def test_cli_lr_refuses_a_lam_too_long_for_the_recursion(capsys):
+    """Both engines recurse per row of lam: 600 rows is a usage error (exit
+    2, one line naming the row count), not a traceback, and 450 rows still
+    runs in both engines."""
+    def argv(rows):
+        return ["lr", "--mu", "1", "--nu", ",".join(["1"] * (rows - 1)),
+                "--lam", ",".join(["1"] * rows)]
+
+    assert cli.main(argv(600)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lam has 600 rows, too many for the LR engines\n"
+    code, out = _run_cli(capsys, argv(450))
+    assert code == 0
+    extra = json.loads(out)["extra"]
+    assert extra["tableau_engine"] == extra["pieri_engine"] == 1
 
 
 def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
