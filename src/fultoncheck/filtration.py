@@ -28,7 +28,6 @@ from random import Random
 from .field import Field, SolverFault
 from .homspace import (
     DEFAULT_TRIALS,
-    GenericDimResult,
     HomSystem,
     build_system,
     random_flag_tuples,
@@ -121,9 +120,7 @@ class FiltrationTrace:
         return self.sub_flags[0].field.name
 
 
-def _generic_kernel_element(
-    system: HomSystem, rng: Random, trials: int, context: str
-) -> tuple[Matrix, GenericDimResult]:
+def _generic_kernel_element(system: HomSystem, rng: Random, trials: int, context: str) -> Matrix:
     """A sampled map whose kernel dimension equals the stabilized generic one."""
     drawn: list[tuple[int, Matrix]] = []
 
@@ -133,9 +130,8 @@ def _generic_kernel_element(
         drawn.append((k, candidate))
         return k
 
-    result = stabilized_min(draw, trials, context=context)
-    chosen = next(mat for k, mat in drawn if k == result.dim)
-    return chosen, result
+    dim = stabilized_min(draw, trials, context=context).dim
+    return next(mat for k, mat in drawn if k == dim)
 
 
 def _full_positions(s: int, n: int, d: int) -> tuple[IndexSet, ...]:
@@ -170,7 +166,7 @@ def run_filtration(
         # terminal level is V itself (full positions).
         return done(None)
 
-    phi, _ = _generic_kernel_element(
+    phi = _generic_kernel_element(
         system, rng, trials, context=f"initial map for {problem.text()}"
     )
     if phi.ncols - phi.rank() == 0:
@@ -203,7 +199,7 @@ def run_filtration(
             tangent = build_system(rel_problem, rel_subs, rel_quots)
             tangent_dim = tangent.dim
             if tangent_dim > 0:
-                psi, _ = _generic_kernel_element(
+                psi = _generic_kernel_element(
                     tangent,
                     rng,
                     trials,

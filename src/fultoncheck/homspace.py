@@ -125,8 +125,6 @@ def build_system(
     s = problem.s
     if len(sub_flags) != s or len(quot_flags) != s:
         raise ValueError("flag tuple length does not match the number of conditions")
-    if s == 0:
-        raise ValueError("need at least one condition")
     field = sub_flags[0].matrix.field
     for f in sub_flags:
         if f.n != r or f.matrix.field != field:

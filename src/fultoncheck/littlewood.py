@@ -44,9 +44,10 @@ def _tableau_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...
     """Number of LR skew tableaux of shape lam/mu with content nu.
 
     The row recursion (`_fill_row`) and the value recursion within a row
-    (`_choose`) are module-level functions that take their state as arguments
-    and return counts, so a count forms no reference cycle and triggers no
-    pass of the cyclic garbage collector (see the module docstring).
+    (`_choose`, which lists the rows' successor states) are module-level
+    functions that take their state as arguments, so a count forms no
+    reference cycle and triggers no pass of the cyclic garbage collector (see
+    the module docstring).
     """
     nvals = len(nu)
     if nvals == 0:
@@ -73,7 +74,12 @@ def _fill_row(
     row_len = lam[i] - mu[i]
     indent = mu[i - 1] - mu[i] if i else 0
     if i < len(lam) - 1:
-        return _choose(0, 0, [0] * len(nu), i, row_len, indent, lam, mu, nu, tot, prev_cum)
+        below: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        _choose(0, 0, [0] * len(nu), i, row_len, indent, nu, tot, prev_cum, below)
+        count = 0
+        for tot_below, cum_below in below:
+            count += _fill_row(i + 1, lam, mu, nu, tot_below, cum_below)
+        return count
     # The last row holds every value not yet placed; check its bounds once
     # instead of enumerating.
     cum = 0
@@ -95,14 +101,15 @@ def _choose(
     i: int,
     row_len: int,
     indent: int,
-    lam: tuple[int, ...],
-    mu: tuple[int, ...],
     nu: tuple[int, ...],
     tot: tuple[int, ...],
     prev_cum: tuple[int, ...],
-) -> int:
-    """Fillings that place values t+1, t+2, ... in row i and then fill the rows
-    below, given `cum` entries of row i already chosen in `row[:t]`."""
+    below: list[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> None:
+    """Append to `below` the (tot, prev_cum) state that `_fill_row` starts row
+    i+1 from, for each way to place values t+1, t+2, ... in row i, given `cum`
+    entries of row i already chosen in `row[:t]`.  Only `_fill_row` recurses
+    across rows, so a count nests one frame per row, not one per value too."""
     rest = row_len - cum
     ub = nu[t] - tot[t]
     if rest < ub:
@@ -120,15 +127,13 @@ def _choose(
             ub = lat
     if t == len(nu) - 1:
         # The last value fills the row, so it takes exactly `rest`.
-        if ub != rest:
-            return 0
-        row[t] = rest
-        return _fill_row(i + 1, lam, mu, nu, tuple(map(add, tot, row)), tuple(accumulate(row)))
-    count = 0
+        if ub == rest:
+            row[t] = rest
+            below.append((tuple(map(add, tot, row)), tuple(accumulate(row))))
+        return
     for m in range(ub, -1, -1):
         row[t] = m
-        count += _choose(t + 1, cum + m, row, i, row_len, indent, lam, mu, nu, tot, prev_cum)
-    return count
+        _choose(t + 1, cum + m, row, i, row_len, indent, nu, tot, prev_cum, below)
 
 
 @lru_cache(maxsize=None)

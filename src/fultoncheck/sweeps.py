@@ -7,6 +7,8 @@ per instance, and assembles a report: `_scaling_sweep` drives `fulton` and
 Randomness is derived per instance from the master seed via a keyed hash, so
 sweeps can be checkpointed and resumed with byte-identical results: resuming
 at item k of the stream draws the same random streams as an uninterrupted run.
+A checkpoint is sealed with one digest of its command, configuration, version,
+source and fields (`_seal`); a file that fails the seal starts the sweep over.
 A solver fault (`field.SolverFault`) fails its instance, not the run; a field
 too small to sample is refused (`_refuse_small_field`); and `_finish`
 assembles every report.
@@ -22,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -244,52 +245,31 @@ def _config_fingerprint(command: str, cfg: SweepConfig) -> str:
     return _blake2b(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _load_checkpoint(
-    path: str, fingerprint: str, fresh_state: dict
-) -> tuple[int, int, list[dict], dict] | None:
+def _seal(fingerprint: str, fields: dict) -> str:
+    """The digest that seals a checkpoint: the fingerprint followed by the
+    canonical JSON of the checkpoint's other fields."""
+    body = json.dumps(fields, sort_keys=True)
+    return _blake2b(fingerprint.encode() + body.encode()).hexdigest()
+
+
+def _load_checkpoint(path: str, fingerprint: str) -> tuple[int, int, list[dict], dict] | None:
     """The (next_index, failures, counterexamples, state) saved at `path`.
 
-    A missing file, a file that is not JSON or is nested too deeply to parse,
-    another fingerprint, or any field of the wrong type or out of range gives
-    None, and the sweep starts over:
-    a checkpoint never makes a sweep skip instances it has not checked.  The
-    state must have the keys of `fresh_state`, each holding an int or a value
-    of its fresh type (the sweeps' counters are ints, or None before a first
-    value).  A key that is 0 in `fresh_state` is a count of items, at most
-    one per item, so it must lie in [0, next_index]; a key that starts as
-    None (`semistable`'s `max_clincher`, a maximum) has no range.  A
-    `next_index` past the stream's end is caught by `_run_sweep`, whose stream
-    then ends before it.
+    The file resumes only when its `digest` seals its other fields to
+    `fingerprint` (`_seal`).  A missing file, a file that is not JSON or is
+    nested too deeply to parse, one from another command, configuration,
+    version or source, and one edited in any way give None, and the sweep
+    starts over: a checkpoint never makes a sweep skip instances it has not
+    checked, nor carries an edited count into its report.
     """
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
-    except (ValueError, RecursionError):
+        if not isinstance(saved, dict) or saved.pop("digest", None) != _seal(fingerprint, saved):
+            return None
+    except (FileNotFoundError, ValueError, RecursionError):
         return None
-    if not isinstance(saved, dict) or saved.get("fingerprint") != fingerprint:
-        return None
-    next_index = saved.get("next_index")
-    failures = saved.get("failures")
-    counterexamples = saved.get("counterexamples")
-    state = saved.get("state")
-    if (
-        type(next_index) is int
-        and 0 <= next_index
-        and type(failures) is int
-        and 0 <= failures <= next_index
-        and isinstance(counterexamples, list)
-        and (failures == 0) == (not counterexamples)
-        and isinstance(state, dict)
-        and state.keys() == fresh_state.keys()
-        and all(
-            type(state[k]) in (int, type(v)) and (v is None or 0 <= state[k] <= next_index)
-            for k, v in fresh_state.items()
-        )
-    ):
-        return next_index, failures, counterexamples, state
-    return None
+    return saved["next_index"], saved["failures"], saved["counterexamples"], saved["state"]
 
 
 def _run_sweep(
@@ -302,9 +282,8 @@ def _run_sweep(
     """Run `check` over the items `items()` yields, with optional
     checkpoint/resume.
 
-    The items are streamed once: a resume skips the first `next_index`
-    unchecked, and only a checkpoint whose `next_index` lies past the end of
-    the stream makes the sweep start over on a fresh `items()`.  `check(index,
+    The items are streamed once: a resume from a sealed checkpoint
+    (`_load_checkpoint`) skips the first `next_index` unchecked.  `check(index,
     item, state)` returns the counterexample records for that item (empty when
     it passes) and may update `state` (JSON-plain counters that the report's
     `extra` section is built from).  Returns (the stream's length, failures,
@@ -314,30 +293,25 @@ def _run_sweep(
     start_index = 0
     failures = 0
     counterexamples: list[dict] = []
-    stream = iter(items())
     if cfg.checkpoint:
         fingerprint = _config_fingerprint(command, cfg)
-        saved = _load_checkpoint(cfg.checkpoint, fingerprint, state)
+        saved = _load_checkpoint(cfg.checkpoint, fingerprint)
         if saved is not None:
-            next_index = saved[0]
-            if sum(1 for _ in islice(stream, next_index)) == next_index:
-                start_index, failures, counterexamples, state = saved
-            else:  # a forged index past the last instance
-                stream = iter(items())
+            start_index, failures, counterexamples, state = saved
 
     def save(next_index: int) -> None:
         data = {
-            "fingerprint": fingerprint,
             "command": command,
             "next_index": next_index,
             "failures": failures,
             "counterexamples": counterexamples,
             "state": state,
         }
+        data["digest"] = _seal(fingerprint, data)
         write_text(cfg.checkpoint, json.dumps(data, sort_keys=True) + "\n")
 
     done = start_index
-    for index, item in enumerate(stream, start_index):
+    for index, item in enumerate(islice(items(), start_index, None), start_index):
         records = check(index, item, state)
         if records:
             failures += 1

@@ -616,8 +616,8 @@ def test_crosscheck_checkpoint_with_a_count_out_of_range_starts_over(tmp_path):
 
 
 def test_semistable_checkpoint_with_a_count_out_of_range_starts_over(tmp_path):
-    """`problems` past `next_index` is refused like any malformed field;
-    `max_clincher` is a maximum, not a count, and has no range."""
+    """`problems` past `next_index` breaks the seal like any edit, and so does
+    an edited `max_clincher`, a maximum with no range: the sweep starts over."""
     ck = tmp_path / "ck.json"
     cfg = SweepConfig(r_max=2, n_max=4, s_max=3, checkpoint=str(ck))
     uninterrupted = strip_volatile(sweeps.cmd_semistable(SweepConfig(r_max=2, n_max=4, s_max=3)))
@@ -628,7 +628,90 @@ def test_semistable_checkpoint_with_a_count_out_of_range_starts_over(tmp_path):
     assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
     assert json.loads(ck.read_text())["state"]["problems"] == 30
     ck.write_text(json.dumps({**saved, "state": {**saved["state"], "max_clincher": -10**6}}))
-    assert sweeps.cmd_semistable(cfg)["extra"]["max_clincher"] == -10**6
+    assert strip_volatile(sweeps.cmd_semistable(cfg)) == uninterrupted
+
+
+@pytest.mark.parametrize("run, edit", [
+    (cmd_crosscheck, lambda saved: saved["state"].update(with_maps=saved["state"]["with_maps"] - 1)),
+    (sweeps.cmd_semistable, lambda saved: saved["state"].update(max_clincher=-10**6)),
+    (cmd_crosscheck, lambda saved: saved.update(failures=1, counterexamples=[{"kind": "planted"}])),
+], ids=["crosscheck-with-maps", "semistable-max-clincher", "crosscheck-planted"])
+def test_a_finished_checkpoint_edited_within_range_starts_over(tmp_path, run, edit):
+    """Every field stays well formed and in range, but the edit breaks the
+    checkpoint's seal, so the resume gives the uninterrupted report, not the
+    edited one."""
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=2, n_max=4, s_max=3, checkpoint=str(ck))
+    uninterrupted = strip_volatile(run(SweepConfig(r_max=2, n_max=4, s_max=3)))
+    assert uninterrupted["ok"] is True
+    assert strip_volatile(run(cfg)) == uninterrupted
+    saved = json.loads(ck.read_text())
+    assert "digest" in saved and "fingerprint" not in saved
+    edit(saved)
+    ck.write_text(json.dumps(saved))
+    assert strip_volatile(run(cfg)) == uninterrupted
+
+
+def test_a_failing_checkpoint_resumes_after_reserialization(tmp_path, monkeypatch):
+    """The seal hashes the canonical JSON of the fields, so a failing sweep's
+    records (`samples` tuples, rendered traces) resume as saved, with no
+    instance solved again, also after the file is re-serialized."""
+    import dataclasses
+
+    from fultoncheck import filtration
+
+    real_dim, real_audit = homspace.generic_hom_dim, filtration.verify_trace
+
+    def inflated(*args, **kwargs):
+        result = real_dim(*args, **kwargs)
+        return dataclasses.replace(result, dim=result.dim + 1)
+
+    def failing(trace):
+        audit = real_audit(trace)
+        audit.checks["planted"] = False
+        return audit
+
+    ck = tmp_path / "ck.json"
+    cfg = SweepConfig(r_max=2, n_max=5, s_max=3, seed=5, checkpoint=str(ck))
+    with monkeypatch.context() as patch:
+        patch.setattr(homspace, "generic_hom_dim", inflated)
+        patch.setattr(filtration, "verify_trace", failing)
+        first = strip_volatile(cmd_crosscheck(cfg))
+    kinds = [record["kind"] for record in first["counterexamples"]]
+    assert (kinds.count("count_rank_mismatch"), kinds.count("hom_dim_mismatch"),
+            kinds.count("trace_audit_failed")) == (59, 69, 69)
+    assert isinstance(first["counterexamples"][0]["samples"], tuple)
+    calls = []
+    monkeypatch.setattr(homspace, "generic_hom_dim", lambda *a, **k: calls.append(a))
+    assert to_json_str(strip_volatile(cmd_crosscheck(cfg))) == to_json_str(first)
+    ck.write_text(json.dumps(json.loads(ck.read_text()), indent=3))
+    assert to_json_str(strip_volatile(cmd_crosscheck(cfg))) == to_json_str(first)
+    assert calls == []
+
+
+def test_crosscheck_over_q_and_over_f_p_agree_at_the_workload_range():
+    """Q and F_p give the same counts and counters at the crosscheck
+    workload's range and one seed."""
+    want = {"problems": 560, "with_maps": 167, "traces_audited": 167,
+            "intersection_positive": 393, "cores_traced": 75}
+    over_q, over_p = (cmd_crosscheck(SweepConfig(r_max=3, n_max=6, s_max=4, seed=1,
+                                                 field_name=name))
+                      for name in ("rational", "prime"))
+    assert over_q["ok"] is True
+    assert over_q["counts"] == over_p["counts"]
+    assert over_q["extra"] == over_p["extra"] == want
+
+
+def test_crosscheck_solves_a_thousand_padded_copies_once(monkeypatch):
+    """The 1,000 one-point problems on P^1 are padded copies of one core, so
+    the map space is sampled once, not once per problem."""
+    calls = []
+    real = homspace.generic_hom_dim
+    monkeypatch.setattr(homspace, "generic_hom_dim",
+                        lambda problem, *a, **k: calls.append(problem) or real(problem, *a, **k))
+    report = cmd_crosscheck(SweepConfig(r_max=1, n_max=2, s_max=1000))
+    assert report["ok"] is True and report["counts"]["instances"] == 1000
+    assert [problem.text() for problem in calls] == ["1@2"]
 
 
 def test_checkpoint_with_other_config_is_ignored(tmp_path):
@@ -1056,21 +1139,22 @@ def test_cli_lr_dual_engine(capsys):
 
 
 def test_cli_lr_refuses_a_lam_too_long_for_the_recursion(capsys):
-    """Both engines recurse per row of lam: 600 rows is a usage error (exit
-    2, one line naming the row count), not a traceback, and 450 rows still
-    runs in both engines."""
-    def argv(rows):
-        return ["lr", "--mu", "1", "--nu", ",".join(["1"] * (rows - 1)),
-                "--lam", ",".join(["1"] * rows)]
+    """Both engines recurse per row of lam: 1,200 rows is a usage error (exit
+    2, one line naming the row count), not a traceback, and 600 rows, like the
+    40-row triple 1^40 * 1^40 -> 2^40, still runs in both engines."""
+    def ones(rows, part="1"):
+        return ",".join([part] * rows)
 
-    assert cli.main(argv(600)) == 2
+    assert cli.main(["lr", "--mu", "1", "--nu", ones(1199), "--lam", ones(1200)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: lam has 600 rows, too many for the LR engines\n"
-    code, out = _run_cli(capsys, argv(450))
-    assert code == 0
-    extra = json.loads(out)["extra"]
-    assert extra["tableau_engine"] == extra["pieri_engine"] == 1
+    assert captured.err == "error: lam has 1200 rows, too many for the LR engines\n"
+    for argv in (["lr", "--mu", "1", "--nu", ones(599), "--lam", ones(600)],
+                 ["lr", "--mu", ones(40), "--nu", ones(40), "--lam", ones(40, "2")]):
+        code, out = _run_cli(capsys, argv)
+        assert code == 0
+        extra = json.loads(out)["extra"]
+        assert extra["tableau_engine"] == extra["pieri_engine"] == 1
 
 
 def test_cli_corrupted_engine_exits_one(capsys, monkeypatch):
