@@ -4,6 +4,12 @@ A class is a plain dict from `Partition` (inside the r x (n-r) rectangle) to
 its nonzero integer coefficient; the empty dict is zero.
 Products expand through `lr_coefficient` and truncate to the rectangle. The
 point class is the full rectangle partition.
+
+An intersection number is read inside the dual of its largest condition
+(`intersection_number`), not off the full product.  The position tables of
+`nonvanishing_positions` have a top-degree subsequence
+(`_top_degree_indices`) on which `semistability.find_violations` decides
+each subspace dimension first.
 """
 
 from __future__ import annotations
@@ -12,7 +18,14 @@ from functools import lru_cache
 from typing import Iterator
 
 from .littlewood import lr_coefficient
-from .partitions import IndexSet, Partition, SchubertProblem, all_index_sets, partitions_with
+from .partitions import (
+    IndexSet,
+    Partition,
+    SchubertProblem,
+    _parts_contain,
+    all_index_sets,
+    partitions_with,
+)
 
 
 def schubert_class(lam: Partition, r: int, n: int) -> dict[Partition, int]:
@@ -22,29 +35,36 @@ def schubert_class(lam: Partition, r: int, n: int) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
-def _shapes(size: int, rows: int, cols: int) -> tuple[Partition, ...]:
-    """The partitions of `size` inside the rows x cols rectangle."""
-    return tuple(partitions_with(size, rows, cols))
+def _shapes_within(size: int, outer: tuple[int, ...]) -> tuple[Partition, ...]:
+    """The partitions of `size` inside the partition `outer` (given as its
+    parts), in descending lexicographic order."""
+    return tuple(lam for lam in partitions_with(size, len(outer), outer[0] if outer else 0)
+                 if _parts_contain(outer, lam.parts))
 
 
-def class_product(
-    x: dict[Partition, int], y: dict[Partition, int], r: int, n: int
+def _product_within(
+    x: dict[Partition, int], y: dict[Partition, int], outer: tuple[int, ...]
 ) -> dict[Partition, int]:
-    """The product of two classes on Gr(r, n).
+    """The product of two classes, keeping only the shapes inside `outer`.
 
     Schubert classes and their products have positive coefficients, so no
     entry of the product cancels to zero."""
     out: dict[Partition, int] = {}
     for mu, cx in x.items():
         for nu, cy in y.items():
-            total = mu.size + nu.size
-            if total > r * (n - r):
-                continue
-            for lam in _shapes(total, r, n - r):
+            for lam in _shapes_within(mu.size + nu.size, outer):
                 c = lr_coefficient(mu, nu, lam)
                 if c:
                     out[lam] = out.get(lam, 0) + cx * cy * c
     return out
+
+
+def class_product(
+    x: dict[Partition, int], y: dict[Partition, int], r: int, n: int
+) -> dict[Partition, int]:
+    """The product of two classes on Gr(r, n): every shape inside the
+    r x (n-r) rectangle."""
+    return _product_within(x, y, (n - r,) * r)
 
 
 def problem_class(problem: SchubertProblem) -> dict[Partition, int]:
@@ -68,13 +88,31 @@ def problem_class(problem: SchubertProblem) -> dict[Partition, int]:
 
 
 def intersection_number(problem: SchubertProblem) -> int:
-    """Coefficient of the point class; requires total codim = dim Gr(r, n)."""
+    """Coefficient of the point class; requires total codim = dim Gr(r, n).
+
+    By the duality theorem, for |mu| + |lam| = r(n - r), sigma_mu * sigma_lam
+    is the point class when mu is the dual lam^v = (n-r-lam_r, ...,
+    n-r-lam_1), and 0 otherwise (Fulton, Young Tableaux, 1997, ch. 9).  So the number is the coefficient of lam^v in
+    the product of the other classes, lam being a condition of largest
+    codimension.  A shape nu in that product reaches lam^v only if nu is
+    inside lam^v, since c^kappa_{nu,mu} = 0 unless nu is inside kappa; so each
+    partial product keeps only the shapes inside lam^v.
+    """
     r, n = problem.r, problem.n
     if problem.total_codim() != r * (n - r):
         raise ValueError(
             f"dimension condition fails: total codim {problem.total_codim()} != {r * (n - r)}"
         )
-    return problem_class(problem).get(Partition((n - r,) * r), 0)
+    lams = problem.partitions()
+    last = max(range(len(lams)), key=lambda j: lams[j].size)
+    dual = Partition(tuple(n - r - x for x in reversed(lams[last].padded(r))))
+    acc = {Partition(()): 1}
+    for j, lam in enumerate(lams):
+        if j != last and lam.size:
+            acc = _product_within(acc, {lam: 1}, dual.parts)
+            if not acc:
+                return 0
+    return acc.get(dual, 0)
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +167,16 @@ def _tuples_within(weights: list[int], size: int, cap: int) -> Iterator[tuple[in
             tup[k], tup[k + 1] = i, 0
             left[k + 1] = room - weights[i]
             k += 1
+
+
+@lru_cache(maxsize=None)
+def _top_degree_indices(d: int, r: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The tuples of `_position_indices(d, r, s)` whose codimensions sum to
+    dim Gr(d, r) = d(r - d), in the same order: those whose class product is
+    a positive multiple of the point class."""
+    sets, tuples = _position_indices(d, r, s)
+    top = d * (r - d)
+    return tuple(tup for tup in tuples if sum(sets[i].codim() for i in tup) == top)
 
 
 @lru_cache(maxsize=None)

@@ -111,7 +111,6 @@ class IndexSet:
         # Cached in an attribute outside the fields, so equality, hashing,
         # order and repr are unchanged.  It is read and set as an attribute:
         # touching `__dict__` would give every set its own dict object.
-        # `to_partition` is not cached: a kept `Partition` per set costs memory.
         try:
             return self._codim
         except AttributeError:
@@ -121,8 +120,16 @@ class IndexSet:
             return value
 
     def to_partition(self) -> Partition:
-        n, r = self.n, self.r
-        return Partition(tuple(n - r + a - i for a, i in enumerate(self.elements, start=1)))
+        # Cached like `codim`.  The problem stream shares its index-set objects
+        # within one (n, r), so a sweep builds one `Partition` per set, not one
+        # per condition of every problem.
+        try:
+            return self._partition
+        except AttributeError:
+            n, r = self.n, self.r
+            value = Partition(tuple(n - r + a - i for a, i in enumerate(self.elements, start=1)))
+            object.__setattr__(self, "_partition", value)
+            return value
 
     def complement(self) -> "IndexSet":
         mem = set(self.elements)

@@ -18,6 +18,11 @@ a weight table.  The two tables hold the same numbers for a problem's own
 weights, and computing them by separate routes is what makes agreement
 between the slope verdict and the margins a cross-check.
 
+`find_violations` first decides each d on the top-degree tuples alone and
+scans every tuple only for a d that has a violation; `clinchers` always
+scans every tuple.  So a wrong shortcut makes the two routes disagree
+instead of passing unseen.
+
 All slope comparisons are exact rationals; nothing here floats.
 """
 
@@ -25,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import getitem
 
-from .cohomology import _position_indices
+from .cohomology import _position_indices, _top_degree_indices
 from .partitions import IndexSet, SchubertProblem
 
 
@@ -107,6 +113,22 @@ def find_violations(weights: ParabolicWeights) -> list[SlopeViolation]:
     A tuple's weight is then one lookup per row.
     Comparisons are done on cross-multiplied integers; Fraction would also be
     exact, but keeping the comparison integral makes that explicit.
+
+    A d is first decided on the tuples of top degree d(r - d)
+    (`_top_degree_indices`): when none of them exceeds the bound, d is
+    skipped, and otherwise every tuple is scanned, so the list is the one a
+    full scan returns.  The skip is exact because every nonvanishing tuple K
+    is dominated by a top-degree tuple L, L^j_a <= K^j_a for all j and a.
+    By Pieri's rule sigma_1 * sigma_lam is the sum of the classes of lam
+    with one box added inside the d x (r - d) rectangle.  Below top degree
+    the product of K's classes is a nonzero sum of Schubert classes with
+    nonnegative coefficients, none of them the full rectangle, so sigma_1
+    times it is nonzero: nothing cancels.  The product commutes, so that is
+    a sum of products in which one factor of K has gained one box, and one
+    of them is nonzero.  A box added to row a of lam lowers the index i_a of
+    its index set by one, as lam_a = r - d + a - i_a.  Repeat until top
+    degree.  A weakly decreasing row takes no smaller a sum at lower
+    positions, so L weighs at least as much as K.
     """
     r, s = weights.r, weights.s
     mu_total = total_slope(weights)
@@ -114,10 +136,13 @@ def find_violations(weights: ParabolicWeights) -> list[SlopeViolation]:
     for d in range(1, r):
         sets, tuples = _position_indices(d, r, s)
         tables = [list(map(sum, combinations(row, d))) for row in weights.rows]
+        # slope_sub > slope_total  <=>  total * r_den > num * d
         bound = mu_total.numerator * d
+        top = max(sum(map(getitem, tables, tup)) for tup in _top_degree_indices(d, r, s))
+        if top * mu_total.denominator <= bound:
+            continue
         for tup in tuples:
             total = sum(map(getitem, tables, tup))
-            # slope_sub > slope_total  <=>  total * r_den > num * d
             if total * mu_total.denominator > bound:
                 out.append(
                     SlopeViolation(
@@ -142,16 +167,21 @@ def clinchers(problem: SchubertProblem, d: int) -> list[int]:
     `nonvanishing_positions(d, r, s)`, in that order.
 
     Each condition becomes a table of its `_margins` share at each d-subset
-    of [r], so a tuple's margin is s lookups minus d(n - r).
+    of [r] (`_margin_table`), so a tuple's margin is s lookups minus d(n - r).
     """
     n, r = problem.n, problem.r
-    sets, tuples = _position_indices(d, r, problem.s)
-    tables = []
-    for ix in problem.index_sets:
-        at = _margins(ix, n, r).__getitem__
-        tables.append([sum(map(at, k.elements)) for k in sets])
+    _, tuples = _position_indices(d, r, problem.s)
+    tables = [_margin_table(ix, d) for ix in problem.index_sets]
     base = d * (n - r)
     return [sum(map(getitem, tables, tup)) - base for tup in tuples]
+
+
+@lru_cache(maxsize=None)
+def _margin_table(ix: IndexSet, d: int) -> tuple[int, ...]:
+    """One condition's `_margins` share at each d-subset of [ix.r], in the
+    lexicographic order of `_position_indices`."""
+    at = _margins(ix, ix.n, ix.r).__getitem__
+    return tuple(sum(map(at, k)) for k in combinations(range(1, ix.r + 1), d))
 
 
 def clincher(problem: SchubertProblem, positions: tuple[IndexSet, ...]) -> int:

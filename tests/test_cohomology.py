@@ -15,6 +15,7 @@ from fultoncheck.cohomology import (
 )
 from fultoncheck.littlewood import lr_coefficient, lr_coefficient_pieri
 from fultoncheck.partitions import Partition, SchubertProblem, partition_to_index, partitions_with
+from fultoncheck.sweeps import enumerate_problems
 
 P = Partition.parse
 
@@ -196,3 +197,20 @@ def test_nonvanishing_positions_caps_total_codimension():
         got = nonvanishing_positions(d, r, s)
         assert got
         assert all(sum(k.codim() for k in t) <= d * (r - d) for t in got)
+
+
+def test_intersection_numbers_inside_the_dual_equal_the_full_product():
+    """Every core of r <= 4, n <= 7, s <= 4, as enumerated and reversed: the
+    number read inside the dual of the largest condition is the point
+    coefficient of the whole product.  The enumeration orders conditions by
+    index set, not by size, so the largest condition is often not last."""
+    cores = {prob.core() for prob in enumerate_problems(4, 7, 4)}
+    largest_not_last = 0
+    for core in cores:
+        point = Partition((core.n - core.r,) * core.r)
+        expected = problem_class(core).get(point, 0)
+        flipped = SchubertProblem(core.n, core.r, core.index_sets[::-1])
+        assert intersection_number(core) == intersection_number(flipped) == expected, core.text()
+        sizes = [ix.codim() for ix in core.index_sets]
+        largest_not_last += sizes[-1] < max(sizes)
+    assert (len(cores), largest_not_last) == (1795, 1582)

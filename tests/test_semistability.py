@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import le
 
 import pytest
 
 from fultoncheck.cohomology import (
+    _position_indices,
+    _top_degree_indices,
     _tuples_within,
     intersection_number,
     nonvanishing_positions,
@@ -237,3 +240,56 @@ def test_codim_cache_leaves_identity_unchanged():
     for k, f in zip(cached, fresh):
         assert (k == f, hash(k), repr(k), k.text()) == (True, hash(f), repr(f), f.text())
     assert sorted(cached[::-1]) == fresh and sorted(fresh[::-1]) == cached
+
+
+# ---------------------------------------------------------------------------
+# Top-degree tuples decide each subspace dimension
+# ---------------------------------------------------------------------------
+
+
+def _dominated(tup, trie, below) -> bool:
+    """Whether some tuple stored in `trie` (nested dicts of set indices) has,
+    at every position j, a set in `below[tup[j]]`."""
+    if not tup:
+        return True
+    return any(i in below[tup[0]] and _dominated(tup[1:], sub, below) for i, sub in trie.items())
+
+
+def test_every_position_tuple_is_dominated_by_a_top_degree_tuple():
+    """The lemma behind `find_violations`' shortcut, on the tables: for each
+    nonvanishing K there is a top-degree L with L^j_a <= K^j_a everywhere."""
+    tuples_checked = 0
+    for r in range(1, 7):
+        for s in range(1, 5):
+            for d in range(1, r + 1):
+                sets, tuples = _position_indices(d, r, s)
+                top = _top_degree_indices(d, r, s)
+                assert bool(top) == bool(tuples), (d, r, s)
+                assert all(sum(sets[i].codim() for i in tup) == d * (r - d) for tup in top)
+                assert set(top) <= set(tuples)
+                below = [{i for i, low in enumerate(sets) if all(map(le, low.elements, k.elements))}
+                         for k in sets]
+                trie: dict = {}
+                for tup in top:
+                    node = trie
+                    for i in tup:
+                        node = node.setdefault(i, {})
+                for tup in tuples:
+                    assert _dominated(tup, trie, below), (d, r, s, tup)
+                tuples_checked += len(tuples)
+    assert tuples_checked == 12256
+
+
+def test_violations_of_unsolvable_problems_equal_a_full_scan():
+    """Destabilized weights take the shortcut's full-scan branch; the list
+    must be the one a plain scan of every tuple finds, in its order."""
+    unsolvable = destabilized = 0
+    for prob in enumerate_problems(4, 7, 3):
+        if prob.r == 1 or intersection_number(prob):
+            continue
+        w = ParabolicWeights.from_problem(prob)
+        expected = _violations_by_fractions(w)
+        assert find_violations(w) == expected, prob.text()
+        unsolvable += 1
+        destabilized += bool(expected)
+    assert (unsolvable, destabilized) == (585, 585)
