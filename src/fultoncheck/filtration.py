@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 from .field import Field, SolverFault
@@ -34,7 +35,7 @@ from .homspace import (
     sample_generic,
     stabilized_min,
 )
-from .linalg import Flag, Matrix, contained_in
+from .linalg import Flag, Matrix
 from .partitions import IndexSet, SchubertProblem
 from .positions import cut, dim_triple, falcon_compose, rappel_delta
 
@@ -261,21 +262,49 @@ class TraceAudit:
         return [name for name, passed in self.checks.items() if not passed]
 
 
-def _intersection_in_sub_coords(amb_basis: Matrix, step_cols: Matrix) -> Matrix:
-    """Coordinates (in the columns of amb_basis) of span(amb_basis) cap
-    span(step_cols): the top block of the kernel of [amb_basis | step_cols]."""
-    stacked = amb_basis.hstack(step_cols)
-    ker = stacked.kernel_basis()
-    d = amb_basis.ncols
-    rows = ker.rows[:d]
-    return Matrix(amb_basis.field, d, ker.ncols, tuple(rows))
+def _lowest_rows(coords: Matrix) -> tuple[list[int], Matrix] | None:
+    """Column-reduce `coords` until its columns' lowest nonzero rows are distinct.
 
-
-def _rank_positions(basis: Matrix, flag: Flag) -> IndexSet:
-    """Position of span(basis), of full rank d: jumps of d + u - rank[basis | E_u]."""
-    d, n = basis.ncols, flag.n
-    dims = [0, *(d + u - basis.hstack(flag.step(u)).rank() for u in range(1, n)), d]
-    return IndexSet(n, tuple(u for u in range(1, n + 1) if dims[u] > dims[u - 1]))
+    Returns (lows, t): t is invertible and column k of coords @ t has its
+    lowest nonzero entry in row lows[k] (0-based). None means a column
+    reduced to zero, so the columns of `coords` are dependent. This is the
+    audit's own elimination, sharing nothing with `rowred`: a column is
+    cleared against the earlier one with the same lowest row as
+    pv * col - f * pcol, and over Q every column starts scaled to integers
+    and stays primitive together with its column of t.
+    """
+    field = coords.field
+    p = field.p
+    n, d = coords.nrows, coords.ncols
+    by_low: dict[int, tuple[list, list]] = {}
+    for k in range(d):
+        col = [row[k] for row in coords.rows]
+        unit = [0] * d
+        scale = 1 if p else lcm(*[x.denominator for x in col])
+        if scale > 1:  # Q: clear the denominators of the entries
+            col = [x.numerator * (scale // x.denominator) for x in col]
+        unit[k] = scale
+        low = next((i for i in range(n - 1, -1, -1) if col[i]), -1)
+        while low in by_low:
+            pcol, punit = by_low[low]
+            pv, f = pcol[low], col[low]
+            col = [pv * x - f * y for x, y in zip(col, pcol)]
+            unit = [pv * x - f * y for x, y in zip(unit, punit)]
+            if p:
+                col = [x % p for x in col]
+                unit = [x % p for x in unit]
+            else:
+                g = gcd(*col, *unit)
+                if g > 1:
+                    col = [x // g for x in col]
+                    unit = [x // g for x in unit]
+            low = next((i for i in range(low - 1, -1, -1) if col[i]), -1)
+        if low < 0:
+            return None
+        by_low[low] = (col, unit)
+    units = [unit for _, unit in by_low.values()]
+    lows = list(by_low)
+    return lows, Matrix(field, d, d, tuple(zip(*units)) if units else ())
 
 
 def _shape_consistency(trace: FiltrationTrace) -> tuple[bool, str]:
@@ -334,17 +363,29 @@ def _terminal_dim_zero(trace: FiltrationTrace) -> tuple[bool, str]:
 
 
 def _positions_geometric(trace: FiltrationTrace) -> tuple[bool, str]:
-    """Ambient bases compose (so have full rank); positions follow from ranks."""
+    """Ambient bases compose and have full rank; positions are read off lowest rows.
+
+    With F^-1 certified, the columns of F^-1 @ basis reduced to distinct
+    lowest rows prove the basis has full rank d, and dim(S cap F_u) jumps
+    exactly at those rows plus one.
+    """
     if not trace.steps:
         return True, "ok"
-    parent = Matrix.identity(trace.steps[0].basis_in_parent.field, trace.problem.r)
+    r = trace.problem.r
+    parent = Matrix.identity(trace.steps[0].basis_in_parent.field, r)
     for step in trace.steps:
-        if step.basis_in_parent.rank() != step.dim:
-            return False, f"level {step.level}: parent basis columns are dependent"
         if step.basis_in_ambient != parent @ step.basis_in_parent:
             return False, f"level {step.level}: ambient basis is not parent @ basis_in_parent"
-        amb = tuple(_rank_positions(step.basis_in_ambient, f) for f in trace.sub_flags)
-        if amb != step.amb_positions:
+        amb = []
+        for j, flag in enumerate(trace.sub_flags):
+            f_inv = flag._certified_inverse()
+            if f_inv is None:
+                return False, f"sub flag {j + 1}: stored inverse is not its inverse"
+            reduced = _lowest_rows(f_inv @ step.basis_in_ambient)
+            if reduced is None:
+                return False, f"level {step.level}: parent basis columns are dependent"
+            amb.append(IndexSet(r, tuple(sorted(low + 1 for low in reduced[0]))))
+        if tuple(amb) != step.amb_positions:
             return False, f"level {step.level}: ambient positions differ"
         parent = step.basis_in_ambient
     return True, "ok"
@@ -362,19 +403,36 @@ def _position_chain(trace: FiltrationTrace) -> tuple[bool, str]:
 
 
 def _containments(trace: FiltrationTrace) -> tuple[bool, str]:
-    """eta_u(S^(u) cap F^j_a) <= G^j_{i^j_a - a} for every map, condition and step."""
+    """eta_u(S^(u) cap F^j_a) <= G^j_{i^j_a - a} for every map, condition and step.
+
+    Once per (level, condition), the basis of S^(u) is reduced in F^j's
+    coordinates to columns with distinct lowest rows (`_lowest_rows`):
+    S^(u) cap F^j_a is spanned by the columns whose lowest row is below a,
+    and their images must vanish in the rows of (G^j)^-1 eta_u from
+    i^j_a - a on. Both stored inverses are certified first.
+    """
     problem = trace.problem
     r, m = problem.r, problem.n - problem.r
     for u, eta in enumerate(trace.etas):
-        amb_basis = trace.steps[u - 1].basis_in_ambient if u else Matrix.identity(eta.field, r)
         for j in range(problem.s):
             i_set = problem.index_sets[j].elements
-            f_mat = trace.sub_flags[j].matrix
-            g_mat = trace.quot_flags[j].matrix
+            f_inv = trace.sub_flags[j]._certified_inverse()
+            g_inv = trace.quot_flags[j]._certified_inverse()
+            if f_inv is None or g_inv is None:
+                kind = "sub" if f_inv is None else "quotient"
+                return False, f"{kind} flag {j + 1}: stored inverse is not its inverse"
+            if u:
+                reduced = _lowest_rows(f_inv @ trace.steps[u - 1].basis_in_ambient)
+                if reduced is None:
+                    return False, f"eta_{u}: level {u} basis columns are dependent"
+                lows, t = reduced
+            else:  # S^(0) = V, and F^j's own columns are adapted to F^j
+                lows, t = range(r), trace.sub_flags[j].matrix
+            image = g_inv @ eta @ t
             for a in range(1, r + 1):
-                inter = _intersection_in_sub_coords(amb_basis, f_mat.prefix_columns(a))
-                image = eta @ inter
-                if not contained_in(image, g_mat.prefix_columns(min(i_set[a - 1] - a, m))):
+                level = min(i_set[a - 1] - a, m)
+                inside = [k for k, low in enumerate(lows) if low < a]
+                if any(row[k] for row in image.rows[level:] for k in inside):
                     return False, f"eta_{u}, condition {j + 1}, step {a}"
     return True, "ok"
 
@@ -452,12 +510,20 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
 
     Checks, in order: recorded shapes are coherent; dimensions strictly
     descend; the terminal level solves a rigid problem (dim_triple = 0);
-    ambient bases compose and ambient positions match ranks alone; the
-    position chain composes exactly, pinning each relative position K as
-    falcon_compose(I, K) is injective in K; every comparison map eta_u
-    satisfies all step containments and has the next subspace as its exact
-    kernel; the rank identity hom = expected + correction holds; and the two
-    inequality bounds (tangent bound and the chain bound with d = d_1) hold.
+    ambient bases compose, have full rank and sit in their recorded ambient
+    positions; the position chain composes exactly, pinning each relative
+    position K as falcon_compose(I, K) is injective in K; every comparison
+    map eta_u satisfies all step containments and has the next subspace as
+    its exact kernel; the rank identity hom = expected + correction holds;
+    and the two inequality bounds (tangent bound and the chain bound with
+    d = d_1) hold.
+
+    Ranks, positions and containments are checked by certificate, with no
+    row reduction and nothing shared with the run's `positions.cut`: each
+    flag's stored inverse passes one product (`Flag._certified_inverse`),
+    and each level basis, in each sub flag's coordinates, is brought to
+    columns with distinct lowest rows by the audit's own elimination
+    (`_lowest_rows`). Only the kernel dimension of eta_u is still a rank.
 
     The audit never raises: the arithmetic is exact, so an exception in a
     check is a malformed trace, and every name that check reports fails with

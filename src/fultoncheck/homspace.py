@@ -12,7 +12,9 @@ nested step conditions reduce to one condition per flag generator, giving
 exactly sum_j codim(I^j) constraint rows; the dimension of the solution space
 is therefore always at least the expected dimension of the problem.
 `build_system` always audits what it solves: `audit_system` re-checks every
-solution against the step containments through column spans, not the rows.
+solution against the step containments by products alone, not through the
+rows and with no row reduction, after certifying each quotient flag's stored
+inverse by one product.
 
 Every random flag is drawn in the open Bruhat cell: a uniform lower
 unitriangular basis, which needs no singular retry. The product of these
@@ -52,7 +54,7 @@ from random import Random
 from typing import Callable
 
 from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, SolverFault
-from .linalg import Flag, Matrix, contained_in, random_nonzero_combination, random_unitriangular
+from .linalg import Flag, Matrix, random_nonzero_combination, random_unitriangular
 from .partitions import SchubertProblem
 
 # The largest accepted chance that one chart sample misses the generic rank.
@@ -173,22 +175,34 @@ def constraint_matrix(
 def audit_system(system: HomSystem) -> None:
     """Re-verify every solved map against every step containment directly.
 
-    This route never looks at the constraint rows: it compares column spans,
-    so it independently checks the row construction and the solver.
+    This route never looks at the constraint rows and makes no row
+    reduction, so it checks the row construction and the solver
+    independently. Each quotient flag's stored inverse is first certified by
+    one product (G @ G^-1 = I); then phi maps the first a vectors of F^j
+    into G^j_level exactly when rows level.. of the first a columns of
+    (G^j)^-1 phi F^j vanish.
     """
+    problem = system.problem
     r, m = system.sub_dim, system.quot_dim
+    quot_invs = []
+    for j, g in enumerate(system.quot_flags):
+        g_inv = g._certified_inverse()
+        if g_inv is None:
+            raise HomAuditError(
+                f"stored inverse of quotient flag j={j + 1} is not its inverse "
+                f"for problem {problem.text()}"
+            )
+        quot_invs.append(g_inv)
     for phi in system.solutions():
-        for j in range(system.problem.s):
-            i_set = system.problem.index_sets[j].elements
-            f_mat = system.sub_flags[j].matrix
-            g_mat = system.quot_flags[j].matrix
+        for j in range(problem.s):
+            i_set = problem.index_sets[j].elements
+            coords = quot_invs[j] @ phi @ system.sub_flags[j].matrix
             for a in range(1, r + 1):
                 level = min(i_set[a - 1] - a, m)
-                image = phi @ f_mat.prefix_columns(a)
-                if not contained_in(image, g_mat.prefix_columns(level)):
+                if any(x for row in coords.rows[level:] for x in row[:a]):
                     raise HomAuditError(
                         f"solved map violates condition j={j + 1}, a={a} "
-                        f"for problem {system.problem.text()}"
+                        f"for problem {problem.text()}"
                     )
 
 

@@ -4,22 +4,26 @@ Matrices are immutable; columns are the vectors. Entries are plain Python
 numbers (see `field`), and of the field the arithmetic reads only p (0 for Q):
 products reduce mod p > 0, and over Q they take integer dot products of rows
 and columns scaled to integers, making a `Fraction` only for an entry that is
-not an integer. Rank, kernel and containment come from the one
-exact RREF `rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances),
-cached per matrix. Every question that needs the row operations themselves
+not an integer. Rank and kernel come from the one exact RREF
+`rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances), cached
+per matrix. Every question that needs the row operations themselves
 (inverse, the coefficients of a jump profile, a quotient map) reads them off
 one routine, `Matrix.echelon_transform`, which reduces `[M | I]` once. Random
 flags are drawn in the open Bruhat cell of the flag variety: uniform lower
 unitriangular bases (`random_unitriangular`), which are always invertible and
 so need no retry. The only resampling left is `random_nonzero_combination`'s.
+A flag's stored inverse is certified by one product (`Flag._certified_inverse`),
+so the audits that read it make no reduction.
 Every draw is a deterministic function of the supplied RNG state.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from dataclasses import field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 
@@ -37,14 +41,24 @@ class SamplingError(SolverFault):
     """Random sampling failed to produce a full-rank object within the cap."""
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable matrix; `rows` is a tuple of row tuples of field elements."""
+    """Immutable matrix; `rows` is a tuple of row tuples of field elements.
 
-    field: Field
-    nrows: int
-    ncols: int
-    rows: tuple[tuple[object, ...], ...]
+    A plain slotted class rather than a frozen dataclass, which pays for an
+    `object.__setattr__` per field on every construction; nothing assigns to
+    its fields after `__init__`. Equality, hashing and repr are a frozen
+    dataclass's over the four fields. Validation stays in `__post_init__`,
+    which `__init__` calls by name.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "_echelon")
+
+    def __init__(self, field: Field, nrows: int, ncols: int, rows: tuple[tuple[object, ...], ...]) -> None:
+        self.field = field
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = rows
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.nrows < 0 or self.ncols < 0:
@@ -54,6 +68,20 @@ class Matrix:
         for row in self.rows:
             if len(row) != self.ncols:
                 raise LinAlgError("ragged matrix rows")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.nrows, self.ncols, self.rows) == (
+            other.field, other.nrows, other.ncols, other.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.nrows, self.ncols, self.rows))
+
+    def __repr__(self) -> str:
+        return (f"Matrix(field={self.field!r}, nrows={self.nrows!r}, "
+                f"ncols={self.ncols!r}, rows={self.rows!r})")
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[int | Fraction]], ncols: int | None = None) -> "Matrix":
@@ -70,7 +98,10 @@ class Matrix:
         return cls(field, nrows, len(cols), tuple(tuple(r) for r in rows))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, field: Field, n: int) -> "Matrix":
+        """The n x n identity: one shared instance per (field, n), since
+        matrices are immutable."""
         return cls(field, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def column(self, j: int) -> tuple:
@@ -80,19 +111,11 @@ class Matrix:
         idx = list(idx)
         return Matrix(self.field, self.nrows, len(idx), tuple(tuple(row[j] for j in idx) for row in self.rows))
 
-    def prefix_columns(self, k: int) -> "Matrix":
-        return self.take_columns(range(k))
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.rows)) if self.rows else tuple(() for _ in range(self.ncols)))
 
     def reverse_rows(self) -> "Matrix":
         return Matrix(self.field, self.nrows, self.ncols, tuple(reversed(self.rows)))
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if other.nrows != self.nrows or other.field != self.field:
-            raise LinAlgError("hstack shape or field mismatch")
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols, tuple(a + b for a, b in zip(self.rows, other.rows)))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows or self.field != other.field:
@@ -101,7 +124,7 @@ class Matrix:
         bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         if p:
             out = tuple(
-                tuple(s % p for s in (sum(x * y for x, y in zip(row, col)) for col in bt))
+                tuple(sum(map(operator.mul, row, col)) % p for col in bt)
                 for row in self.rows
             )
         else:
@@ -110,7 +133,7 @@ class Matrix:
             out = tuple(
                 tuple(
                     s // d if s % d == 0 else Fraction(s, d)
-                    for s, d in ((sum(x * y for x, y in zip(a, b)), da * db) for b, db in right)
+                    for s, d in ((sum(map(operator.mul, a, b)), da * db) for b, db in right)
                 )
                 for a, da in left
             )
@@ -124,14 +147,13 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """The reduced row echelon form and its pivot columns, computed once."""
-        # Cached in the instance dict directly: unlike
-        # `functools.cached_property`, this takes no lock on first access.
-        cached = self.__dict__.get("_echelon")
-        if cached is not None:
-            return cached
+        try:
+            return self._echelon
+        except AttributeError:  # the slot is left unset until the first call
+            pass
         f = self.field
         red, piv = rref_mod([list(row) for row in self.rows], f.p)
-        cached = self.__dict__["_echelon"] = (
+        cached = self._echelon = (
             Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in red)),
             tuple(piv),
         )
@@ -183,12 +205,6 @@ class Matrix:
         return t
 
 
-def contained_in(small: Matrix, big: Matrix) -> bool:
-    """True when every column of `small` lies in the column span of `big`:
-    one reduction of `[big | small]` puts no pivot in `small`'s columns."""
-    return all(q < big.ncols for q in big.hstack(small).rref()[1])
-
-
 @dataclass(frozen=True)
 class Flag:
     """A complete flag given by an ordered basis (invertible matrix).
@@ -196,7 +212,9 @@ class Flag:
     Step i is the span of the first i columns. Construction inverts the
     basis with one `[M | I]` reduction, which both checks invertibility
     (a singular or non-square basis raises `LinAlgError`) and stores the
-    inverse; `inverse` takes no part in equality or hashing.
+    inverse; `inverse` takes no part in equality or hashing. The audits read
+    the inverse only through `_certified_inverse`, which checks it by one
+    product and no reduction.
     """
 
     matrix: Matrix
@@ -213,10 +231,20 @@ class Flag:
     def n(self) -> int:
         return self.matrix.nrows
 
-    def step(self, i: int) -> Matrix:
-        if not 0 <= i <= self.n:
-            raise LinAlgError(f"flag step {i} outside [0, {self.n}]")
-        return self.matrix.prefix_columns(i)
+    def _certified_inverse(self) -> Matrix | None:
+        """The stored inverse if `matrix @ inverse` is the identity, else None.
+
+        For square matrices one product is a certificate: M X = I gives
+        X M = I. It is checked once per stored inverse and remembered outside
+        the fields, so a later swap of `inverse` is checked afresh.
+        """
+        inverse = self.inverse
+        if self.__dict__.get("_certified") is inverse:
+            return inverse
+        if self.matrix @ inverse != Matrix.identity(self.field, self.n):
+            return None
+        self.__dict__["_certified"] = inverse
+        return inverse
 
 
 def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:

@@ -7,7 +7,8 @@ V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
 a fixed complement basis chosen once per call. A jump profile and a quotient
 map are one `Matrix.echelon_transform` each. `cut` builds every induced flag
 of the filtration run off one jump profile per flag; the trace audit shares
-none of this, re-deriving positions from ranks.
+none of this, reading positions off its own certified elimination
+(`filtration._lowest_rows`).
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ import random
 
 import pytest
 
-from conftest import uniform_flag, uniform_subspace
+from conftest import rank_positions, uniform_flag, uniform_subspace
 from fultoncheck import cli, sweeps
 from fultoncheck.field import DEFAULT_PRIME, field_from_name
-from fultoncheck.filtration import _rank_positions, run_filtration_random, verify_trace
+from fultoncheck.filtration import run_filtration_random, verify_trace
 from fultoncheck.littlewood import lr_coefficient, lr_coefficient_pieri
 from fultoncheck.partitions import (
     Partition,
@@ -189,9 +189,9 @@ def test_criterion_6_chain_identities_hold_exactly(criterion_lines):
         w = v @ w_in_v
         flags = [uniform_flag(PF, n, rng) for _ in range(s)]
         i_sets, inner, _, _ = cut(tuple(flags), v)
-        ranked = tuple(_rank_positions(v, e) for e in flags)
+        ranked = tuple(rank_positions(v, e) for e in flags)
         k_sets = cut(inner, w_in_v)[0]
-        direct = tuple(_rank_positions(w, e) for e in flags)
+        direct = tuple(rank_positions(w, e) for e in flags)
         composed = tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets))
         ledger = dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)
         checked += 1

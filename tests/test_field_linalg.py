@@ -1,5 +1,7 @@
 """Exact field arithmetic and the matrix/subspace/flag layer."""
 
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import uniform_flag, uniform_matrix
+from conftest import contained_in, flag_step, hstack, prefix_columns, uniform_flag, uniform_matrix
 from fultoncheck import rowred
 from fultoncheck.field import (
     DEFAULT_PRIME,
@@ -20,7 +22,6 @@ from fultoncheck.linalg import (
     Flag,
     LinAlgError,
     Matrix,
-    contained_in,
     random_nonzero_combination,
     random_unitriangular,
 )
@@ -152,13 +153,37 @@ def test_inverse_fixture_rational():
     assert (m @ inv).rows == Matrix.identity(QF, 2).rows
 
 
+@dataclasses.dataclass(frozen=True)
+class _FrozenMatrix:
+    """What `Matrix` was: a frozen dataclass over the same four fields."""
+
+    field: Field
+    nrows: int
+    ncols: int
+    rows: tuple
+
+
+def test_matrix_keeps_the_frozen_dataclass_signature_equality_hash_and_repr():
+    assert list(inspect.signature(Matrix).parameters) == ["field", "nrows", "ncols", "rows"]
+    for field, rows in ((QF, ((1, Fraction(1, 2)), (3, 4))), (PF, ((5,),)), (QF, ())):
+        m = Matrix(field, len(rows), len(rows[0]) if rows else 0, rows)
+        ref = _FrozenMatrix(field, m.nrows, m.ncols, rows)
+        assert repr(m) == repr(ref).replace("_FrozenMatrix", "Matrix")
+        assert hash(m) == hash(ref)
+        assert m != ref and not hasattr(m, "__dict__")
+        twin = Matrix(field, m.nrows, m.ncols, rows)
+        m.rank()  # the cached reduction takes no part in equality or hashing
+        assert m == twin and hash(m) == hash(twin)
+    assert Matrix(QF, 1, 1, ((1,),)) != Matrix(PF, 1, 1, ((1,),))
+
+
 def test_shape_validation():
     a = Matrix.from_rows(QF, [[1, 2]])
     b = Matrix.from_rows(QF, [[1], [2], [3]])
     with pytest.raises(LinAlgError):
         a @ b
     with pytest.raises(LinAlgError):
-        a.hstack(Matrix.from_rows(QF, [[1], [2]]))
+        hstack(a, Matrix.from_rows(QF, [[1], [2]]))
     with pytest.raises(LinAlgError):
         Matrix.from_rows(QF, [[1, 2], [3]])
 
@@ -166,7 +191,7 @@ def test_shape_validation():
 def test_column_helpers():
     m = Matrix.from_rows(QF, [[1, 2, 3], [4, 5, 6]])
     assert m.column(2) == (Fraction(3), Fraction(6))
-    assert m.prefix_columns(2).rows == ((Fraction(1), Fraction(2)), (Fraction(4), Fraction(5)))
+    assert prefix_columns(m, 2).rows == ((Fraction(1), Fraction(2)), (Fraction(4), Fraction(5)))
     assert m.take_columns([2, 0]).rows == ((Fraction(3), Fraction(1)), (Fraction(6), Fraction(4)))
     assert m.transpose().rows == ((Fraction(1), Fraction(4)), (Fraction(2), Fraction(5)), (Fraction(3), Fraction(6)))
     assert m.reverse_rows().rows == ((Fraction(4), Fraction(5), Fraction(6)), (Fraction(1), Fraction(2), Fraction(3)))
@@ -225,7 +250,7 @@ def test_inverse_matches_augmented_rref_route(name):
         if n > 1 and rng.random() < 0.2:
             rows[-1] = list(rows[0])  # force a singular matrix
         m = Matrix.from_rows(field, rows)
-        red, piv = m.hstack(Matrix.identity(field, n)).rref()
+        red, piv = hstack(m, Matrix.identity(field, n)).rref()
         if len(piv) == n and all(pc < n for pc in piv):
             inv = m.inverse()
             assert inv == red.take_columns(range(n, 2 * n))
@@ -528,7 +553,7 @@ def test_contained_in_agrees_with_rank(name):
         n = rng.randint(0, 9)
         big = uniform_matrix(field, n, rng.randint(0, 5), rng)
         small = uniform_matrix(field, n, rng.randint(0, 5), rng)
-        expected = big.hstack(small).rank() == big.rank()
+        expected = hstack(big, small).rank() == big.rank()
         assert contained_in(small, big) == expected
         seen[expected] += 1
     assert min(seen.values()) > 50
@@ -536,11 +561,11 @@ def test_contained_in_agrees_with_rank(name):
 
 def test_standard_flag_steps():
     fl = Flag(Matrix.identity(QF, 4))
-    assert fl.step(2).ncols == 2
-    assert fl.step(2).column(1) == (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-    assert fl.step(3).rank() == 3
+    assert flag_step(fl, 2).ncols == 2
+    assert flag_step(fl, 2).column(1) == (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    assert flag_step(fl, 3).rank() == 3
     for i in range(1, 4):
-        assert contained_in(fl.step(i), fl.step(i + 1))
+        assert contained_in(flag_step(fl, i), flag_step(fl, i + 1))
 
 
 def test_random_objects_are_well_formed():

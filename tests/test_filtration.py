@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from conftest import uniform_flag_tuples
+from conftest import (
+    contained_in,
+    flag_step,
+    hstack,
+    rank_positions,
+    uniform_flag,
+    uniform_flag_tuples,
+    uniform_matrix,
+)
 from fultoncheck.cohomology import intersection_number
 from fultoncheck.field import field_from_name
 from fultoncheck.filtration import (
@@ -14,12 +22,19 @@ from fultoncheck.filtration import (
     TERMINATION_KERNEL_VANISHED,
     TERMINATION_NO_MAPS,
     TERMINATION_TANGENT_ZERO,
+    _lowest_rows,
     run_filtration,
     run_filtration_random,
     trace_to_dict,
     verify_trace,
 )
-from fultoncheck.homspace import generic_hom_dim
+from fultoncheck.homspace import (
+    HomAuditError,
+    audit_system,
+    build_system,
+    generic_hom_dim,
+    random_flag_tuples,
+)
 from fultoncheck.linalg import Matrix
 from fultoncheck.partitions import IndexSet, SchubertProblem
 from fultoncheck.sweeps import enumerate_problems, rng_for
@@ -272,7 +287,7 @@ AUDIT_CHECKS = [
 def test_audit_fails_a_malformed_trace_and_never_raises():
     # Each tampered copy makes one check raise: the repeated last level
     # breaks `falcon_compose` in the position chain, and a one-column eta_0
-    # breaks the product `eta @ inter` in the containments.  The audit fails
+    # breaks the product with eta in the containments.  The audit fails
     # that check and still reports all 11, in order.
     tr = _trace("1,4@4;2,3@4")
     assert list(verify_trace(tr).checks) == AUDIT_CHECKS
@@ -348,6 +363,222 @@ def test_audit_rejects_wrong_hom_dim():
     assert not audit.ok
     assert not audit.checks["rank_formula"]
     assert "!=" in audit.details["rank_formula"]
+
+
+# ---------------------------------------------------------------------------
+# Certificate audits: products only, so a broken kernel cannot pass them
+# ---------------------------------------------------------------------------
+
+
+# Every termination, a second level (1,5,6@6;2,3,4@6) and the two problems
+# whose quotient is zero-dimensional, so their quotient flags are 0 x 0.
+CERTIFIED_PROBLEMS = [
+    "1,4@4;2,3@4", "1,5,6@6;2,3,4@6", "2,4@5;2,4@5;1,3@5;2,5@5", "3,4@4", "2,3@4",
+    "1,2@2", "1@1",
+]
+
+
+def _wrong_inverse(flag):
+    """The stored inverse with 1 added to its top-left entry: same shape, not the inverse."""
+    inv = flag.inverse
+    rows = [list(row) for row in inv.rows]
+    rows[0][0] += 1
+    return Matrix.from_rows(inv.field, rows, ncols=inv.ncols)
+
+
+def _system_at(trace):
+    return build_system(trace.problem, trace.sub_flags, trace.quot_flags)
+
+
+def _refuse_reduction(monkeypatch):
+    from fultoncheck import linalg
+
+    def refuse(rows, p):
+        raise AssertionError("the audit made a row reduction")
+
+    monkeypatch.setattr(linalg, "rref_mod", refuse)
+
+
+@pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
+@pytest.mark.parametrize("text", CERTIFIED_PROBLEMS)
+def test_certificate_audits_pass_without_any_reduction(monkeypatch, text, field):
+    tr = _trace(text, field=field)
+    system = _system_at(tr)
+    _refuse_reduction(monkeypatch)
+    audit_system(system)
+    audit = verify_trace(tr)
+    assert audit.checks["containments"] and audit.checks["positions_geometric"], audit.details
+    if text in ("1,2@2", "1@1"):
+        assert tr.termination == TERMINATION_NO_MAPS
+        assert all(g.n == 0 and g._certified_inverse() == g.matrix for g in tr.quot_flags)
+    monkeypatch.undo()
+    assert verify_trace(tr).ok
+
+
+@pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
+def test_a_wrong_quotient_inverse_fails_both_audits(field):
+    tr = _trace("1,5,6@6;2,3,4@6", field=field)
+    system = _system_at(tr)
+    g = tr.quot_flags[1]
+    object.__setattr__(g, "inverse", _wrong_inverse(g))
+    with pytest.raises(HomAuditError, match="stored inverse of quotient flag j=2"):
+        audit_system(system)
+    audit = verify_trace(tr)
+    assert audit.failed_checks() == ["containments"]
+    assert audit.details["containments"] == "quotient flag 2: stored inverse is not its inverse"
+
+
+@pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
+def test_a_wrong_sub_inverse_fails_the_trace_audit(field):
+    tr = _trace("1,5,6@6;2,3,4@6", field=field)
+    f = tr.sub_flags[0]
+    object.__setattr__(f, "inverse", _wrong_inverse(f))
+    audit = verify_trace(tr)
+    assert audit.failed_checks() == ["positions_geometric", "containments"]
+    for name in audit.failed_checks():
+        assert audit.details[name] == "sub flag 1: stored inverse is not its inverse"
+
+
+@pytest.mark.parametrize("field_name", ["prime", "prime:2", "rational"])
+def test_lowest_rows_agree_with_the_rank_oracle(field_name):
+    # Subspaces often in special position: at least half of the basis columns
+    # that fit inside a step of the flag are drawn from it, as in the `cut`
+    # oracle test.
+    field = field_from_name(field_name)
+    rng = random.Random(404)
+    special = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        d = rng.randint(0, n)
+        flag = uniform_flag(field, n, rng)
+        j = rng.randint(0, n)
+        k = rng.randint((min(d, j) + 1) // 2, min(d, j))
+        basis = hstack(
+            flag_step(flag, j) @ uniform_matrix(field, j, k, rng), uniform_matrix(field, n, d - k, rng)
+        )
+        reduced = _lowest_rows(flag.inverse @ basis)
+        if basis.rank() < d:
+            assert reduced is None
+            continue
+        lows, t = reduced
+        assert t.rank() == d and len(set(lows)) == d
+        adapted = flag.inverse @ basis @ t
+        for col, low in enumerate(lows):
+            assert adapted.rows[low][col] and not any(row[col] for row in adapted.rows[low + 1:])
+        pos = rank_positions(basis, flag)
+        assert tuple(sorted(low + 1 for low in lows)) == pos.elements
+        special += pos.elements != tuple(range(n - d + 1, n + 1))
+    assert special >= 15
+
+
+def _with_one_flag_redrawn(record, rng):
+    """A copy of a trace or hom system with one sub or quotient flag redrawn
+    anywhere in the flag variety: the first violated (u, j, a) then moves
+    across levels, conditions and steps."""
+    kind = rng.choice(["sub_flags", "quot_flags"])
+    flags = list(getattr(record, kind))
+    j = rng.randrange(len(flags))
+    flags[j] = uniform_flag(flags[j].field, flags[j].n, rng)
+    return dataclasses.replace(record, **{kind: tuple(flags)})
+
+
+def _first_violation_by_ranks(trace) -> str:
+    """The containment check by the rank route: S cap F_a from one kernel,
+    containment by one reduction; the detail `_containments` must give."""
+    problem = trace.problem
+    r, m = problem.r, problem.n - problem.r
+    for u, eta in enumerate(trace.etas):
+        amb = trace.steps[u - 1].basis_in_ambient if u else Matrix.identity(eta.field, r)
+        for j in range(problem.s):
+            i_set = problem.index_sets[j].elements
+            for a in range(1, r + 1):
+                ker = hstack(amb, flag_step(trace.sub_flags[j], a)).kernel_basis()
+                inter = Matrix(eta.field, amb.ncols, ker.ncols, ker.rows[: amb.ncols])
+                level = min(i_set[a - 1] - a, m)
+                if not contained_in(eta @ inter, flag_step(trace.quot_flags[j], level)):
+                    return f"eta_{u}, condition {j + 1}, step {a}"
+    return "ok"
+
+
+@pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
+def test_containments_fail_where_the_rank_route_does(field):
+    # The certificate route must pass or fail exactly as the rank route
+    # does, at the same first (u, j, a). A redrawn flag breaks level 0, so
+    # every other tampered copy instead moves one entry of a later eta_u.
+    rng = random.Random(17)
+    details = set()
+    for text in ("1,4@4;2,3@4", "1,5,6@6;2,3,4@6", "1,5,6@6;3,4,5@6;3,4,5@6", "2,5@6;3,4@6", "3,4@4"):
+        tr = _trace(text, field=field)
+        for i in range(12):
+            if i % 2 and len(tr.etas) > 1:
+                u = rng.randrange(1, len(tr.etas))
+                rows = [list(row) for row in tr.etas[u].rows]
+                rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += 1
+                etas = list(tr.etas)
+                etas[u] = Matrix.from_rows(field, rows, ncols=tr.etas[u].ncols)
+                bad = dataclasses.replace(tr, etas=tuple(etas))
+            else:
+                bad = _with_one_flag_redrawn(tr, rng)
+            want = _first_violation_by_ranks(bad)
+            assert verify_trace(bad).details["containments"] == want, text
+            details.add(want)
+    assert len(details) >= 5 and any(d.startswith("eta_1") for d in details)
+
+
+def _first_map_violation_by_ranks(system):
+    """`audit_system`'s message by the rank route, or None when every map passes."""
+    problem = system.problem
+    r, m = problem.r, problem.n - problem.r
+    for phi in system.solutions():
+        for j in range(problem.s):
+            i_set = problem.index_sets[j].elements
+            for a in range(1, r + 1):
+                image = phi @ flag_step(system.sub_flags[j], a)
+                level = min(i_set[a - 1] - a, m)
+                if not contained_in(image, flag_step(system.quot_flags[j], level)):
+                    return f"solved map violates condition j={j + 1}, a={a} for problem {problem.text()}"
+    return None
+
+
+@pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
+def test_audit_system_fails_where_the_rank_route_does(field):
+    rng = random.Random(23)
+    messages = set()
+    for text in ("1,4@4;2,3@4", "1,5,6@6;2,3,4@6", "1,5,6@6;3,4,5@6;3,4,5@6", "2,5@6;3,4@6", "3,4@4"):
+        problem = SchubertProblem.parse(text)
+        system = build_system(problem, *random_flag_tuples(problem, random.Random(3), field))
+        for _ in range(10):
+            bad = _with_one_flag_redrawn(system, rng)
+            want = _first_map_violation_by_ranks(bad)
+            try:
+                audit_system(bad)
+                got = None
+            except HomAuditError as exc:
+                got = str(exc)
+            assert got == want, text
+            messages.add(want)
+    assert len(messages) >= 6
+
+
+@pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
+def test_a_kernel_that_drops_its_last_pivot_fails_the_audit(monkeypatch, field):
+    # The flags are drawn with the true kernel; the planted one then makes
+    # `kernel_basis` add a column that is no solution, and only a route that
+    # makes no reduction of its own is sure to see it.
+    from fultoncheck import linalg
+    from fultoncheck.rowred import rref_mod
+
+    def drop_last_pivot(rows, p):
+        red, piv = rref_mod(rows, p)
+        return red, piv[:-1]
+
+    for text in ("1,4@4;2,3@4", "1,5,6@6;2,3,4@6", "2,3@4"):
+        problem = SchubertProblem.parse(text)
+        subs, quots = random_flag_tuples(problem, random.Random(5), field)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref_mod", drop_last_pivot)
+            with pytest.raises(HomAuditError, match="solved map violates"):
+                build_system(problem, subs, quots)
 
 
 # ---------------------------------------------------------------------------

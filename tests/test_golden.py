@@ -24,7 +24,11 @@ from fultoncheck.semistability import SlopeViolation, slope, total_slope
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
-FILTRATION_PROBLEMS = ["1,4@4;2,3@4", "2,4@5;2,4@5;1,3@5;2,5@5", "1,3@4;1,3@4;2,4@4"]
+# The last three pin the edge cases of the certificate audits: a quotient of
+# dimension zero, whose flags and inverses are 0 x 0, and an injective map.
+FILTRATION_PROBLEMS = [
+    "1,4@4;2,3@4", "2,4@5;2,4@5;1,3@5;2,5@5", "1,3@4;1,3@4;2,4@4", "1,2@2", "1@1", "3,4@4",
+]
 
 
 def _stripped_report(tmp_path, argv) -> str:

@@ -4,15 +4,17 @@ import random
 
 import pytest
 
-from conftest import uniform_flag, uniform_matrix, uniform_subspace
-from fultoncheck.field import Field, field_from_name
-from fultoncheck.filtration import _rank_positions
-from fultoncheck.linalg import (
-    Flag,
-    LinAlgError,
-    Matrix,
+from conftest import (
     contained_in,
+    flag_step,
+    hstack,
+    rank_positions,
+    uniform_flag,
+    uniform_matrix,
+    uniform_subspace,
 )
+from fultoncheck.field import Field, field_from_name
+from fultoncheck.linalg import Flag, LinAlgError, Matrix
 from fultoncheck.partitions import IndexSet
 from fultoncheck.positions import (
     cut,
@@ -82,13 +84,13 @@ def test_induced_flag_on_subspace_realizes_jumps():
         v = uniform_subspace(PF, n, r, rng)
         e = uniform_flag(PF, n, rng)
         (pos,), sub, _, _ = cut((e,), v)
-        assert pos == _rank_positions(v, e)
+        assert pos == rank_positions(v, e)
         l = sub[0]
         # the a-th induced step, sent back to ambient coordinates, lies in
         # the Schubert level where the a-th jump happens
         for a in range(1, r + 1):
-            step_amb = v @ l.step(a)
-            assert contained_in(step_amb, e.step(pos.elements[a - 1]))
+            step_amb = v @ flag_step(l, a)
+            assert contained_in(step_amb, flag_step(e, pos.elements[a - 1]))
 
 
 def test_quotient_map_identities():
@@ -119,7 +121,7 @@ def test_quotient_map_is_the_bottom_of_the_inverse(field_name):
         proj, comp = quotient_map(basis)
         for j in range(comp.ncols):  # standard basis vectors
             assert sorted(comp.column(j)) == [0] * (n - 1) + [1]
-        inv = basis.hstack(comp).inverse()
+        inv = hstack(basis, comp).inverse()
         assert proj.rows == inv.rows[d:]
         checked += 1
     assert checked > 30
@@ -214,9 +216,9 @@ def test_chain_identity_on_random_subspace_chains():
         w = v @ w_in_v
         flags = [uniform_flag(PF, n, rng) for _ in range(s)]
         i_sets, inner, _, _ = cut(tuple(flags), v)
-        assert i_sets == tuple(_rank_positions(v, e) for e in flags)
+        assert i_sets == tuple(rank_positions(v, e) for e in flags)
         k_sets = cut(inner, w_in_v)[0]
-        direct = tuple(_rank_positions(w, e) for e in flags)
+        direct = tuple(rank_positions(w, e) for e in flags)
         assert tuple(falcon_compose(i, k) for i, k in zip(i_sets, k_sets)) == direct
         assert dim_triple(k_sets) - dim_triple(direct) == rappel_delta(i_sets, k_sets)
 
@@ -235,7 +237,7 @@ def test_flagged_space_restrict_and_quotient():
         positions, inner, quot, comp = cut(flags, basis)
         assert all(f.n == r for f in inner)
         assert len(inner) == 2
-        assert positions == tuple(_rank_positions(basis, f) for f in flags)
+        assert positions == tuple(rank_positions(basis, f) for f in flags)
         proj, comp_again = quotient_map(basis)
         assert comp == comp_again
         assert all(q.n == n - r for q in quot)
@@ -245,15 +247,15 @@ def test_flagged_space_restrict_and_quotient():
             # step b of the quotient flag is the image of E_{alpha(b)}, all of it
             alpha = pos.complement().elements
             for b, level in enumerate(alpha, start=1):
-                image = proj @ f.step(level)
+                image = proj @ flag_step(f, level)
                 assert image.rank() == b
-                assert contained_in(image, q.step(b))
+                assert contained_in(image, flag_step(q, b))
 
 
 def _oracle_positions(basis: Matrix, e: Flag) -> tuple[int, ...]:
     """Jumps of dim(V ∩ E_u) = d + u - rank([V | E_u]), by ranks alone."""
     d = basis.ncols
-    dims = [d + u - basis.hstack(e.step(u)).rank() for u in range(e.n + 1)]
+    dims = [d + u - hstack(basis, flag_step(e, u)).rank() for u in range(e.n + 1)]
     return tuple(u for u in range(1, e.n + 1) if dims[u] > dims[u - 1])
 
 
@@ -273,8 +275,8 @@ def test_cut_agrees_with_rank_oracle(field_name):
         j = rng.randint(0, n)
         k = rng.randint((min(d, j) + 1) // 2, min(d, j))
         while True:
-            inside = flags[0].step(j) @ uniform_matrix(field, j, k, rng)
-            basis = inside.hstack(uniform_matrix(field, n, d - k, rng))
+            inside = flag_step(flags[0], j) @ uniform_matrix(field, j, k, rng)
+            basis = hstack(inside, uniform_matrix(field, n, d - k, rng))
             if basis.rank() == d:
                 break
         positions, sub, quot, comp = cut(flags, basis)
@@ -284,13 +286,13 @@ def test_cut_agrees_with_rank_oracle(field_name):
         generic = tuple(range(n - d + 1, n + 1))
         special += any(pos.elements != generic for pos in positions)
         for e, pos, l, q in zip(flags, positions, sub, quot):
-            assert pos.elements == _oracle_positions(basis, e) == _rank_positions(basis, e).elements
+            assert pos.elements == _oracle_positions(basis, e) == rank_positions(basis, e).elements
             for a, level in enumerate(pos.elements, start=1):
-                step_amb = basis @ l.step(a)
+                step_amb = basis @ flag_step(l, a)
                 assert step_amb.rank() == a
-                assert contained_in(step_amb, e.step(level))
+                assert contained_in(step_amb, flag_step(e, level))
             for b, level in enumerate(pos.complement().elements, start=1):
-                image = proj @ e.step(level)
+                image = proj @ flag_step(e, level)
                 assert image.rank() == b
-                assert contained_in(image, q.step(b))
+                assert contained_in(image, flag_step(q, b))
     assert special >= 30
