@@ -31,8 +31,8 @@ _EXPORTS = {
     "partitions": ("IndexSet", "Partition", "SchubertProblem", "all_index_sets",
                    "partition_to_index", "partitions_with"),
     "positions": ("dim_triple", "falcon_compose", "rappel_delta"),
-    "semistability": ("ParabolicWeights", "SlopeViolation", "clincher", "clinchers",
-                      "find_violations", "slope", "total_slope"),
+    "semistability": ("ParabolicWeights", "SlopeViolation", "clinchers", "find_violations",
+                      "total_slope"),
     "sweeps": ("SweepConfig", "cmd_crosscheck", "cmd_fulton", "cmd_saturation",
                "cmd_semistable", "derive_seed", "enumerate_problems", "enumerate_triples",
                "rng_for"),

@@ -25,8 +25,11 @@ dimensions come from sampling and taking the minimum; the rows read only
 each sub flag's basis F^j and each quotient flag's inverse (G^j)^-1, so
 `generic_hom_dim` draws both directly in the cell, with no inversion (lower
 unitriangular matrices form a group, so (G^j)^-1 is uniform in the cell
-exactly when G^j is). Kernel dimension is upper-semicontinuous, so every
-sample is an upper bound, attained generically: a sample's kernel dimension
+exactly when G^j is). A draw stays on plain rows: `constraint_rows` assembles
+them as lists and the rank is the pivot count of one `rref_mod`, so sampling
+builds no `Matrix`; only `build_system` wraps the rows, in the `HomSystem` it
+keeps. Kernel dimension is upper-semicontinuous, so every sample is an upper
+bound, attained generically: a sample's kernel dimension
 over F_p is never below the generic dimension over C. That in turn is never
 below max(0, expected_dim), since the system has exactly total-codim rows. A
 sample that lands on this floor therefore proves the generic value (the
@@ -56,6 +59,7 @@ from typing import Callable
 from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, SolverFault
 from .linalg import Flag, Matrix, random_nonzero_combination, random_unitriangular
 from .partitions import SchubertProblem
+from .rowred import rref_mod
 
 # The largest accepted chance that one chart sample misses the generic rank.
 MAX_MISS_BOUND = Fraction(1, 10**6)
@@ -135,18 +139,23 @@ def build_system(
         if g.n != m or g.matrix.field != field:
             raise ValueError("quotient flag has wrong dimension or field")
 
-    matrix = constraint_matrix(
-        problem, tuple(f.matrix for f in sub_flags), tuple(g.inverse for g in quot_flags)
+    rows = constraint_rows(
+        problem,
+        tuple(f.matrix.rows for f in sub_flags),
+        tuple(g.inverse.rows for g in quot_flags),
+        field.p,
     )
+    matrix = Matrix(field, len(rows), m * r, tuple(map(tuple, rows)))
     system = HomSystem(problem, sub_flags, quot_flags, matrix, matrix.kernel_basis())
     audit_system(system)
     return system
 
 
-def constraint_matrix(
-    problem: SchubertProblem, sub_mats: tuple[Matrix, ...], quot_invs: tuple[Matrix, ...]
-) -> Matrix:
-    """The constraint rows for sub flag bases F^j and quotient flag inverses (G^j)^-1.
+def constraint_rows(
+    problem: SchubertProblem, sub_rows: tuple, quot_inv_rows: tuple, p: int
+) -> list[list]:
+    """The constraint rows over F_p (over Q when p = 0) for the rows of sub flag
+    bases F^j and of quotient flag inverses (G^j)^-1, as fresh lists.
 
     One row per (condition j, flag generator a, missing quotient coordinate t):
     the a-th flag vector f^j_a must map into the span of the first i^j_a - a
@@ -154,22 +163,20 @@ def constraint_matrix(
     vanish. Rows are emitted in (j, a, t) order for determinism.
     """
     r, m = problem.r, problem.n - problem.r
-    field = sub_mats[0].field
-    p = field.p
-    rows: list[tuple] = []
+    rows: list[list] = []
     for j in range(problem.s):
         i_set = problem.index_sets[j].elements
-        d_inv, f_mat = quot_invs[j], sub_mats[j]
+        d_inv, f_mat = quot_inv_rows[j], sub_rows[j]
         for a in range(1, r + 1):
             level = i_set[a - 1] - a  # allowed quotient step for this generator
-            f_col = [f_mat.rows[v][a - 1] for v in range(r)]
+            f_col = [f_mat[v][a - 1] for v in range(r)]
             for t in range(level, m):
                 # Row t of D^-1 (x) f_a: entry u * r + v is D^-1[t][u] * f_a[v].
                 if p:
-                    rows.append(tuple(du * fv % p for du in d_inv.rows[t] for fv in f_col))
+                    rows.append([du * fv % p for du in d_inv[t] for fv in f_col])
                 else:
-                    rows.append(tuple(du * fv for du in d_inv.rows[t] for fv in f_col))
-    return Matrix(field, len(rows), m * r, tuple(rows))
+                    rows.append([du * fv for du in d_inv[t] for fv in f_col])
+    return rows
 
 
 def audit_system(system: HomSystem) -> None:
@@ -283,8 +290,10 @@ def random_flag_tuples(
     the open Bruhat cell: every sub flag, then every quotient flag."""
     r = problem.r
     m = problem.n - problem.r
-    subs = tuple(Flag(random_unitriangular(field, r, rng)) for _ in range(problem.s))
-    quots = tuple(Flag(random_unitriangular(field, m, rng)) for _ in range(problem.s))
+    subs = tuple(Flag(Matrix(field, r, r, random_unitriangular(field, r, rng)))
+                 for _ in range(problem.s))
+    quots = tuple(Flag(Matrix(field, m, m, random_unitriangular(field, m, rng)))
+                  for _ in range(problem.s))
     return subs, quots
 
 
@@ -304,17 +313,19 @@ def generic_hom_dim(
 
     Each sample draws every sub flag basis and every quotient flag inverse as
     a fresh uniform lower unitriangular matrix and takes the exact rank of the
-    constraint matrix. The floor is max(0, expected_dim): a sample there is
-    the generic value, certified, and ends the sampling; otherwise the
-    generic value is the stabilized minimum across samples.
+    constraint rows, read off the pivots of one `rref_mod`, with no `Matrix`.
+    The floor is max(0, expected_dim): a sample there is the generic value,
+    certified, and ends the sampling; otherwise the generic value is the
+    stabilized minimum across samples.
     """
 
     r, m = problem.r, problem.n - problem.r
+    p = field.p
 
     def draw() -> int:
         subs = tuple(random_unitriangular(field, r, rng) for _ in range(problem.s))
         quot_invs = tuple(random_unitriangular(field, m, rng) for _ in range(problem.s))
-        return r * m - constraint_matrix(problem, subs, quot_invs).rank()
+        return r * m - len(rref_mod(constraint_rows(problem, subs, quot_invs, p), p)[1])
 
     return stabilized_min(
         draw,

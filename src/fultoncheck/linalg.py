@@ -5,13 +5,16 @@ numbers (see `field`), and of the field the arithmetic reads only p (0 for Q):
 products reduce mod p > 0, and over Q they take integer dot products of rows
 and columns scaled to integers, making a `Fraction` only for an entry that is
 not an integer. Rank and kernel come from the one exact RREF
-`rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances), cached
-per matrix. Every question that needs the row operations themselves
-(inverse, the coefficients of a jump profile, a quotient map) reads them off
-one routine, `Matrix.echelon_transform`, which reduces `[M | I]` once. Random
-flags are drawn in the open Bruhat cell of the flag variety: uniform lower
+`rowred.rref_mod(rows, p)` (first-nonzero pivoting, no tolerances), whose own
+row and pivot lists are cached per matrix; no reduced `Matrix` is built.
+Every question that needs the row operations themselves (inverse, the
+coefficients of a jump profile, a quotient map) reads them off one routine,
+`Matrix.echelon_transform`, which reduces `[M | I]` once. Random flags are
+drawn in the open Bruhat cell of the flag variety: uniform lower
 unitriangular bases (`random_unitriangular`), which are always invertible and
-so need no retry. The only resampling left is `random_nonzero_combination`'s.
+so need no retry. The sampler returns plain rows; only a caller that keeps
+the basis wraps it in a `Matrix`. The only resampling left is
+`random_nonzero_combination`'s.
 A flag's stored inverse is certified by one product (`Flag._certified_inverse`),
 so the audits that read it make no reduction.
 Every draw is a deterministic function of the supplied RNG state.
@@ -111,12 +114,6 @@ class Matrix:
         idx = list(idx)
         return Matrix(self.field, self.nrows, len(idx), tuple(tuple(row[j] for j in idx) for row in self.rows))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.rows)) if self.rows else tuple(() for _ in range(self.ncols)))
-
-    def reverse_rows(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, tuple(reversed(self.rows)))
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows or self.field != other.field:
             raise LinAlgError("matmul shape or field mismatch")
@@ -145,27 +142,21 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(x for row in self.rows for x in row)
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """The reduced row echelon form and its pivot columns, computed once."""
+    def _rref(self) -> tuple[list[list], list[int]]:
+        """`rref_mod`'s reduced rows and pivot columns, computed once."""
         try:
             return self._echelon
         except AttributeError:  # the slot is left unset until the first call
             pass
-        f = self.field
-        red, piv = rref_mod([list(row) for row in self.rows], f.p)
-        cached = self._echelon = (
-            Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in red)),
-            tuple(piv),
-        )
+        cached = self._echelon = rref_mod([list(row) for row in self.rows], self.field.p)
         return cached
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._rref()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns span the null space {x : self @ x = 0}; rank-nullity holds."""
-        red, piv = self.rref()
-        f = self.field
+        red, piv = self._rref()
         pivset = set(piv)
         free = [j for j in range(self.ncols) if j not in pivset]
         cols = []
@@ -173,9 +164,9 @@ class Matrix:
             vec = [0] * self.ncols
             vec[j] = 1
             for k, pc in enumerate(piv):
-                vec[pc] = -red.rows[k][j]  # `from_columns` reduces it
+                vec[pc] = -red[k][j]  # `from_columns` reduces it
             cols.append(vec)
-        return Matrix.from_columns(f, cols, nrows=self.ncols)
+        return Matrix.from_columns(self.field, cols, nrows=self.ncols)
 
     def echelon_transform(self) -> tuple[tuple[int, ...], "Matrix"]:
         """One reduction of `[M | I]`: its pivot columns and its right block T.
@@ -247,13 +238,13 @@ class Flag:
         return inverse
 
 
-def random_unitriangular(field: Field, n: int, rng: Random) -> Matrix:
-    """Uniform lower unitriangular matrix, drawn row by row below the diagonal;
-    deterministic given the RNG state."""
-    return Matrix(field, n, n, tuple(
+def random_unitriangular(field: Field, n: int, rng: Random) -> tuple[tuple, ...]:
+    """The rows of a uniform lower unitriangular matrix, drawn row by row below
+    the diagonal; deterministic given the RNG state."""
+    return tuple(
         tuple(field.sample(rng) if j < i else 1 if j == i else 0 for j in range(n))
         for i in range(n)
-    ))
+    )
 
 
 def random_nonzero_combination(columns: Matrix, rng: Random) -> Matrix:

@@ -5,9 +5,10 @@ set of levels u where dim(V ∩ E_u) jumps. Induced flags come with explicit
 coordinates: on V, an ordered basis adapted to the jump levels, expressed in
 V's own basis; on W/V, the images of the non-jump flag vectors, expressed in
 a fixed complement basis chosen once per call. A jump profile and a quotient
-map are one `Matrix.echelon_transform` each. `cut` builds every induced flag
-of the filtration run off one jump profile per flag; the trace audit shares
-none of this, reading positions off its own certified elimination
+map are one `Matrix.echelon_transform` each; a jump profile reduces the
+transpose of its coordinates upside down, built as one `Matrix`. `cut`
+builds every induced flag of the filtration run off one jump profile per
+flag; the trace audit shares none of this, reading positions off its own certified elimination
 (`filtration._lowest_rows`).
 """
 
@@ -21,13 +22,14 @@ def _bottom_pivot_profile(c: Matrix) -> list[tuple[int, tuple]]:
     """Column-reduce `c` so the lowest nonzero rows are distinct.
 
     Returns pairs (lowest_row_1based, coefficient_vector) sorted by level;
-    the coefficient vectors, rows of the `echelon_transform` of `c` flipped,
-    express the reduced columns in the original ones and are invertible.
+    the coefficient vectors, rows of the `echelon_transform` of the transpose
+    of `c` upside down, express the reduced columns in the original ones and
+    are invertible.
     """
     n, r = c.nrows, c.ncols
     if r == 0:
         return []
-    piv, t = c.reverse_rows().transpose().echelon_transform()
+    piv, t = Matrix(c.field, r, n, tuple(zip(*reversed(c.rows)))).echelon_transform()
     if len(piv) != r or any(q >= n for q in piv):
         raise LinAlgError("subspace coordinates are rank deficient")
     return sorted(((n - q, t.rows[k]) for k, q in enumerate(piv)), key=lambda item: item[0])

@@ -73,22 +73,6 @@ class ParabolicWeights:
         )
 
 
-def slope(positions: tuple[IndexSet, ...], weights: ParabolicWeights) -> Fraction:
-    """Exact slope of a subspace at the given positions: weight sum over dim."""
-    if len(positions) != weights.s:
-        raise ValueError("position tuple length differs from the weight table")
-    d = positions[0].r
-    if d < 1:
-        raise ValueError("slope needs a nonzero subspace")
-    total = 0
-    for k, row in zip(positions, weights.rows):
-        if k.n != weights.r or k.r != d:
-            raise ValueError("position shape does not match the weight table")
-        for a in k.elements:
-            total += row[a - 1]
-    return Fraction(total, d)
-
-
 def total_slope(weights: ParabolicWeights) -> Fraction:
     """The slope of the whole space: every weight, over r."""
     return Fraction(sum(map(sum, weights.rows)), weights.r)
@@ -163,8 +147,12 @@ def _margins(ix: IndexSet, n: int, r: int) -> tuple[int, ...]:
 
 
 def clinchers(problem: SchubertProblem, d: int) -> list[int]:
-    """The margin (see `clincher`) of every tuple of
-    `nonvanishing_positions(d, r, s)`, in that order.
+    """The destabilization margin sum_j sum_{a in K^j} (n - r + a - i^j_a) - d(n - r)
+    of every tuple K of `nonvanishing_positions(d, r, s)`, in that order.
+
+    For the problem's own weight table this is d * (slope(K) - (n - r))
+    whenever the total weight is r(n - r); semistability then forces every
+    margin to be nonpositive.
 
     Each condition becomes a table of its `_margins` share at each d-subset
     of [r] (`_margin_table`), so a tuple's margin is s lookups minus d(n - r).
@@ -182,25 +170,3 @@ def _margin_table(ix: IndexSet, d: int) -> tuple[int, ...]:
     lexicographic order of `_position_indices`."""
     at = _margins(ix, ix.n, ix.r).__getitem__
     return tuple(sum(map(at, k)) for k in combinations(range(1, ix.r + 1), d))
-
-
-def clincher(problem: SchubertProblem, positions: tuple[IndexSet, ...]) -> int:
-    """The destabilization margin sum_j sum_{a in K^j} (n-r+a-i^j_a) - d(n-r).
-
-    Implemented directly from the problem's index sets (independently of the
-    weight table and of the chain bookkeeping elsewhere) so that agreement
-    with either is an actual cross-check; `clinchers` reads the same
-    per-condition entries for all tuples of one d. For the weight table of the
-    problem itself this equals d * (slope(K) - (n-r)) whenever the total
-    weight is r(n-r); semistability then forces the value to be nonpositive.
-    """
-    if len(positions) != problem.s:
-        raise ValueError("position tuple length differs from the problem")
-    n, r = problem.n, problem.r
-    d = len(positions[0].elements)
-    total = 0
-    for ix, k in zip(problem.index_sets, positions):
-        if k.n != r or len(k.elements) != d:
-            raise ValueError("position shape does not match the problem")
-        total += sum(map(_margins(ix, n, r).__getitem__, k.elements))
-    return total - d * (n - r)

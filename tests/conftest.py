@@ -9,12 +9,19 @@ And the rank route that the package's audits no longer take, kept as the
 tests' oracle: flag steps as column prefixes, containment of column spans by
 one reduction, and Schubert positions from ranks, with the column
 stacking they reduce.
+
+And the one-tuple reference routes that the table-driven `find_violations`
+and `clinchers` are checked against: `slope`, from a weight table, and
+`clincher`, from a problem's index sets.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from fultoncheck.linalg import Flag, LinAlgError, Matrix
 from fultoncheck.partitions import IndexSet
+from fultoncheck.rowred import rref_mod
 
 
 def uniform_matrix(field, nrows, ncols, rng) -> Matrix:
@@ -68,10 +75,15 @@ def flag_step(flag: Flag, i: int) -> Matrix:
     return prefix_columns(flag.matrix, i)
 
 
+def rref_of(mat: Matrix) -> tuple[list[list], list[int]]:
+    """`rref_mod` of a fresh copy of the matrix's rows: (reduced rows, pivots)."""
+    return rref_mod([list(row) for row in mat.rows], mat.field.p)
+
+
 def contained_in(small: Matrix, big: Matrix) -> bool:
     """True when every column of `small` lies in the column span of `big`:
     one reduction of `[big | small]` puts no pivot in `small`'s columns."""
-    return all(q < big.ncols for q in hstack(big, small).rref()[1])
+    return all(q < big.ncols for q in rref_of(hstack(big, small))[1])
 
 
 def rank_positions(basis: Matrix, flag: Flag) -> IndexSet:
@@ -79,6 +91,37 @@ def rank_positions(basis: Matrix, flag: Flag) -> IndexSet:
     d, n = basis.ncols, flag.n
     dims = [0, *(d + u - hstack(basis, flag_step(flag, u)).rank() for u in range(1, n)), d]
     return IndexSet(n, tuple(u for u in range(1, n + 1) if dims[u] > dims[u - 1]))
+
+
+def slope(positions, weights) -> Fraction:
+    """Exact slope of a subspace at the given positions: weight sum over dim."""
+    if len(positions) != weights.s:
+        raise ValueError("position tuple length differs from the weight table")
+    d = positions[0].r
+    if d < 1:
+        raise ValueError("slope needs a nonzero subspace")
+    total = 0
+    for k, row in zip(positions, weights.rows):
+        if k.n != weights.r or k.r != d:
+            raise ValueError("position shape does not match the weight table")
+        for a in k.elements:
+            total += row[a - 1]
+    return Fraction(total, d)
+
+
+def clincher(problem, positions) -> int:
+    """The destabilization margin sum_j sum_{a in K^j} (n-r+a-i^j_a) - d(n-r),
+    read directly off the problem's index sets, with no weight table."""
+    if len(positions) != problem.s:
+        raise ValueError("position tuple length differs from the problem")
+    n, r = problem.n, problem.r
+    d = len(positions[0].elements)
+    total = 0
+    for ix, k in zip(problem.index_sets, positions):
+        if k.n != r or len(k.elements) != d:
+            raise ValueError("position shape does not match the problem")
+        total += sum(n - r + a - ix.elements[a - 1] for a in k.elements)
+    return total - d * (n - r)
 
 
 def pytest_configure(config):

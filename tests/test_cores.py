@@ -9,13 +9,14 @@ n <= 6, s <= 4 the same semistability verdicts.
 
 import random
 
+from conftest import clincher
 from fultoncheck.cohomology import intersection_number, nonvanishing_positions, problem_class
 from fultoncheck.field import field_from_name
 from fultoncheck.filtration import run_filtration_random, verify_trace
-from fultoncheck.homspace import constraint_matrix
+from fultoncheck.homspace import constraint_rows
 from fultoncheck.linalg import random_unitriangular
 from fultoncheck.partitions import IndexSet, Partition, SchubertProblem
-from fultoncheck.semistability import ParabolicWeights, clincher, find_violations
+from fultoncheck.semistability import ParabolicWeights, find_violations
 from fultoncheck.sweeps import enumerate_problems, rng_for
 
 PF = field_from_name("prime")
@@ -48,8 +49,8 @@ def test_padded_problem_has_its_cores_rows_and_class():
         quot_invs = tuple(random_unitriangular(PF, m, rng) for _ in range(problem.s))
         kept = [j for j, ix in enumerate(problem.index_sets) if ix.codim()]
         core = problem.core()
-        assert constraint_matrix(problem, subs, quot_invs) == constraint_matrix(
-            core, tuple(subs[j] for j in kept), tuple(quot_invs[j] for j in kept)
+        assert constraint_rows(problem, subs, quot_invs, PF.p) == constraint_rows(
+            core, tuple(subs[j] for j in kept), tuple(quot_invs[j] for j in kept), PF.p
         )
         assert problem_class(problem) == problem_class(core)
 

@@ -310,7 +310,7 @@ def test_audit_rejects_positions_from_a_planted_top_pivot_profile(monkeypatch):
     def top_pivot_profile(c):
         if c.ncols == 0:
             return []
-        piv, t = c.transpose().echelon_transform()
+        piv, t = Matrix(c.field, c.ncols, c.nrows, tuple(zip(*c.rows))).echelon_transform()
         return sorted(((q + 1, t.rows[k]) for k, q in enumerate(piv)), key=lambda item: item[0])
 
     monkeypatch.setattr(positions, "_bottom_pivot_profile", top_pivot_profile)

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import slope
 from fultoncheck import cli, homspace, semistability
 from fultoncheck.cohomology import nonvanishing_positions
 from fultoncheck.linalg import SamplingError
 from fultoncheck.partitions import IndexSet, SchubertProblem
 from fultoncheck.reports import strip_volatile, to_json_str
-from fultoncheck.semistability import SlopeViolation, slope, total_slope
+from fultoncheck.semistability import SlopeViolation, total_slope
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 

@@ -16,7 +16,7 @@ from fultoncheck.homspace import (
     HomAuditError,
     audit_system,
     build_system,
-    constraint_matrix,
+    constraint_rows,
     generic_hom_dim,
     miss_bound,
     random_flag_tuples,
@@ -183,8 +183,8 @@ def test_random_unitriangular_is_unit_lower_triangular_and_deterministic(field):
     m = random_unitriangular(field, n, rng)
     after = rng.getstate()
     for i in range(n):
-        assert m.rows[i][i] == 1
-        assert all(m.rows[i][j] == 0 for j in range(i + 1, n))
+        assert m[i][i] == 1
+        assert all(m[i][j] == 0 for j in range(i + 1, n))
     rng.setstate(state)
     assert random_unitriangular(field, n, rng) == m
     assert rng.getstate() == after
@@ -192,7 +192,7 @@ def test_random_unitriangular_is_unit_lower_triangular_and_deterministic(field):
     rng.setstate(state)
     below = [field.sample(rng) for _ in range(n * (n - 1) // 2)]
     assert rng.getstate() == after
-    assert below == [m.rows[i][j] for i in range(n) for j in range(i)]
+    assert below == [m[i][j] for i in range(n) for j in range(i)]
 
 
 @pytest.mark.parametrize("field", [PF, QQ], ids=["prime", "rational"])
@@ -205,10 +205,10 @@ def test_build_system_rows_equal_the_chart_rows(field):
     quot_invs = tuple(random_unitriangular(field, m, rng) for _ in range(problem.s))
     system = build_system(
         problem,
-        tuple(Flag(mat) for mat in subs),
-        tuple(Flag(d_inv.inverse()) for d_inv in quot_invs),
+        tuple(Flag(Matrix(field, r, r, rows)) for rows in subs),
+        tuple(Flag(Matrix(field, m, m, rows).inverse()) for rows in quot_invs),
     )
-    assert system.matrix == constraint_matrix(problem, subs, quot_invs)
+    assert system.matrix.rows == tuple(map(tuple, constraint_rows(problem, subs, quot_invs, field.p)))
     assert system.matrix.nrows == problem.total_codim()
 
 
@@ -221,6 +221,25 @@ def test_generic_hom_dim_builds_no_flag_and_inverts_nothing(monkeypatch):
         monkeypatch.setattr(Matrix, name, refuse)
     for text, want in [("1,4@4;2,3@4", 1), ("2,4@4;2,4@4", 2), ("2,4@4;2,4@4;2,4@4;2,4@4", 0)]:
         assert generic_hom_dim(SchubertProblem.parse(text), random.Random(3), PF).dim == want
+
+
+@pytest.mark.parametrize("field", [PF, QQ], ids=["prime", "rational"])
+def test_generic_hom_dim_and_rank_build_no_matrix(field, monkeypatch):
+    """A draw reduces plain rows, and `rank` caches `rref_mod`'s own lists,
+    so neither constructs a `Matrix`; each construction runs `__post_init__`."""
+    fresh = Matrix.from_rows(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    for text, want in [("1,4@4;2,3@4", 1), ("2,4@4;2,4@4", 2), ("2,4@4;2,4@4;2,4@4;2,4@4", 0)]:
+        assert generic_hom_dim(SchubertProblem.parse(text), random.Random(3), field).dim == want
+    assert fresh.rank() == 2
+    assert built == []
 
 
 def test_chart_dims_equal_dims_at_full_random_flags():

@@ -153,8 +153,6 @@ _UNCALLED_KEPT = {
     "Partition.trimmed": "the benchmark's planted fault (perfbench/child.py) calls it",
     "partitions.partition_to_index": "fixture helper: tests write index sets as partitions",
     "reports.strip_volatile": "fixture helper: tests and CI compare reports without wall time",
-    "semistability.slope": "reference route the table-driven find_violations is checked against",
-    "semistability.clincher": "reference route the table-driven clinchers is checked against",
 }
 
 

@@ -7,6 +7,7 @@ from operator import le
 
 import pytest
 
+from conftest import clincher, slope
 from fultoncheck.cohomology import (
     _position_indices,
     _top_degree_indices,
@@ -20,10 +21,8 @@ from fultoncheck.positions import rappel_delta
 from fultoncheck.semistability import (
     ParabolicWeights,
     SlopeViolation,
-    clincher,
     clinchers,
     find_violations,
-    slope,
     total_slope,
 )
 from fultoncheck.sweeps import enumerate_problems
