@@ -26,7 +26,7 @@ _EXPORTS = {
     "homspace": ("GenericDimResult", "GenericityError", "HomAuditError", "HomSystem",
                  "build_system", "generic_hom_dim", "random_flag_tuples", "sample_generic",
                  "stabilized_min"),
-    "linalg": ("Flag", "LinAlgError", "Matrix", "SamplingError"),
+    "linalg": ("Flag", "LinAlgError", "Matrix"),
     "littlewood": ("lr_coefficient", "lr_coefficient_pieri"),
     "partitions": ("IndexSet", "Partition", "SchubertProblem", "all_index_sets",
                    "partition_to_index", "partitions_with"),

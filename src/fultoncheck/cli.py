@@ -18,8 +18,9 @@ echoes which source was used.
 Exit codes: 0 all checks passed, 1 a counterexample or failed audit was
 found, 2 usage or configuration error.  An --out or --checkpoint path naming
 an existing non-regular file (a directory, FIFO or device), or whose parent
-directory does not exist, is refused before any instance runs.  A symbolic
-link is written through: the file it names gets the output.
+directory does not exist, is refused before any instance runs, and so is an
+--out that resolves to the --checkpoint file.  A symbolic link is written
+through: the file it names gets the output.
 """
 
 from __future__ import annotations
@@ -193,8 +194,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
+        checkpoint = getattr(args, "checkpoint", None)
         _check_target("--out", args.out)
-        _check_target("--checkpoint", getattr(args, "checkpoint", None))
+        _check_target("--checkpoint", checkpoint)
+        if args.out and checkpoint and os.path.realpath(args.out) == os.path.realpath(checkpoint):
+            raise ConfigError(f"--out {args.out} is the --checkpoint file {checkpoint}")
         seed, seed_source = _resolve_seed(args)
         given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
         cfg = SweepConfig(**given, seed=seed)

@@ -122,7 +122,11 @@ class FiltrationTrace:
 
 
 def _generic_kernel_element(system: HomSystem, rng: Random, trials: int, context: str) -> Matrix:
-    """A sampled map whose kernel dimension equals the stabilized generic one."""
+    """A sampled map whose kernel dimension equals the stabilized generic one.
+
+    Each draw builds one `Matrix`, whose cached `rank` the chosen map's
+    `kernel_basis` reuses; a zero draw lies above the generic value.
+    """
     drawn: list[tuple[int, Matrix]] = []
 
     def draw() -> int:

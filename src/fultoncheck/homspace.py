@@ -51,13 +51,14 @@ have no proven bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Callable
 
 from .field import DEFAULT_TRIALS, MAX_TOTAL_TRIALS, Field, SolverFault
-from .linalg import Flag, Matrix, random_nonzero_combination, random_unitriangular
+from .linalg import Flag, Matrix, random_unitriangular
 from .partitions import SchubertProblem
 from .rowred import rref_mod
 
@@ -214,16 +215,21 @@ def audit_system(system: HomSystem) -> None:
 
 
 def sample_generic(system: HomSystem, rng: Random) -> Matrix:
-    """A random nonzero element of the solution space, as a map matrix."""
+    """A random element of the solution space, as a map matrix: the kernel
+    basis combined on plain rows with `dim` coefficients drawn in order.
+
+    No resampling: the basis columns are independent, so only all-zero
+    coefficients (chance p^-dim) give the zero map, whose kernel lies above
+    that of a generic nonzero one; `stabilized_min` never settles on it.
+    """
     if system.dim == 0:
         raise ValueError("the solution space is zero; nothing to sample")
-    combo = random_nonzero_combination(system.kernel, rng)
-    return unvec(
-        (combo.rows[i][0] for i in range(combo.nrows)),
-        system.quot_dim,
-        system.sub_dim,
-        system.field,
-    )
+    field = system.field
+    coeffs = [field.sample(rng) for _ in range(system.dim)]
+    sums = (field.reduce(sum(map(operator.mul, row, coeffs))) for row in system.kernel.rows)
+    # Over Q an integral sum of `Fraction`s is stored as an int, as `Matrix.mul` does.
+    return unvec((x.numerator if x.denominator == 1 else x for x in sums),
+                 system.quot_dim, system.sub_dim, field)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ coefficients of a jump profile, a quotient map) reads them off one routine,
 drawn in the open Bruhat cell of the flag variety: uniform lower
 unitriangular bases (`random_unitriangular`), which are always invertible and
 so need no retry. The sampler returns plain rows; only a caller that keeps
-the basis wraps it in a `Matrix`. The only resampling left is
-`random_nonzero_combination`'s.
+the basis wraps it in a `Matrix`. Nothing here resamples: the one resampling
+loop is `homspace.stabilized_min`.
 A flag's stored inverse is certified by one product (`Flag._certified_inverse`),
 so the audits that read it make no reduction.
 Every draw is a deterministic function of the supplied RNG state.
@@ -33,15 +33,9 @@ from typing import Iterable, Sequence
 from .field import Field, SolverFault
 from .rowred import _integer_vector, rref_mod
 
-MAX_SAMPLE_ATTEMPTS = 100
-
 
 class LinAlgError(ValueError, SolverFault):
     """Ill-posed exact linear algebra input (shape mismatch, singularity)."""
-
-
-class SamplingError(SolverFault):
-    """Random sampling failed to produce a full-rank object within the cap."""
 
 
 class Matrix:
@@ -245,16 +239,3 @@ def random_unitriangular(field: Field, n: int, rng: Random) -> tuple[tuple, ...]
         tuple(field.sample(rng) if j < i else 1 if j == i else 0 for j in range(n))
         for i in range(n)
     )
-
-
-def random_nonzero_combination(columns: Matrix, rng: Random) -> Matrix:
-    """A random field combination of the columns, resampled while zero."""
-    field = columns.field
-    if columns.ncols == 0:
-        raise LinAlgError("no columns to combine")
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        coeffs = Matrix.from_columns(field, [[field.sample(rng) for _ in range(columns.ncols)]])
-        combo = columns @ coeffs
-        if not combo.is_zero():
-            return combo
-    raise SamplingError("random combination stayed zero")

@@ -30,7 +30,6 @@ from fultoncheck.linalg import (
     Flag,
     LinAlgError,
     Matrix,
-    random_nonzero_combination,
     random_unitriangular,
 )
 from fultoncheck.positions import cut, quotient_map
@@ -578,11 +577,3 @@ def test_random_objects_are_well_formed():
     rng = random.Random(0)
     fl = Flag(Matrix(PF, 5, 5, random_unitriangular(PF, 5, rng)))
     assert fl.matrix.rank() == 5
-    combo = random_nonzero_combination(Matrix.identity(PF, 3), rng)
-    assert combo.ncols == 1 and not combo.is_zero()
-
-
-def test_random_nonzero_combination_needs_columns():
-    rng = random.Random(0)
-    with pytest.raises(LinAlgError):
-        random_nonzero_combination(Matrix(PF, 3, 0, ((),) * 3), rng)

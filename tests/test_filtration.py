@@ -15,6 +15,7 @@ from conftest import (
     uniform_flag_tuples,
     uniform_matrix,
 )
+from fultoncheck import filtration
 from fultoncheck.cohomology import intersection_number
 from fultoncheck.field import field_from_name
 from fultoncheck.filtration import (
@@ -22,6 +23,7 @@ from fultoncheck.filtration import (
     TERMINATION_KERNEL_VANISHED,
     TERMINATION_NO_MAPS,
     TERMINATION_TANGENT_ZERO,
+    _generic_kernel_element,
     _lowest_rows,
     run_filtration,
     run_filtration_random,
@@ -156,6 +158,44 @@ def test_every_step_strictly_descends():
         dims = [s.dim for s in tr.steps]
         assert all(a > b for a, b in zip(dims, dims[1:]))
         assert verify_trace(tr).ok
+
+
+class _ZeroFirst(random.Random):
+    """Returns 0 from its first `zeros` `randrange` calls, then draws as usual."""
+
+    def __init__(self, seed: int, zeros: int):
+        super().__init__(seed)
+        self.zeros = zeros
+
+    def randrange(self, *args, **kwargs):
+        if self.zeros:
+            self.zeros -= 1
+            return 0
+        return super().randrange(*args, **kwargs)
+
+
+@pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
+def test_a_zero_kernel_draw_is_absorbed(field, monkeypatch):
+    """All-zero coefficients give the zero map, kernel all of V; nothing
+    resamples it, but it lies above the generic kernel, so `stabilized_min`
+    goes on drawing and settles on a nonzero map of the generic dimension."""
+    problem = SchubertProblem.parse("1,4@4;2,3@4")
+    subs, quots = random_flag_tuples(problem, random.Random(1), field)
+    system = build_system(problem, subs, quots)
+    generic = _generic_kernel_element(system, random.Random(2), 3, "reference")
+    results = []
+    real = filtration.stabilized_min
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(filtration, "stabilized_min", recorded)
+    phi = _generic_kernel_element(system, _ZeroFirst(2, system.dim), 3, "zero first")
+    assert results[0].samples == (2, 1, 1, 1)
+    assert not phi.is_zero()
+    assert phi.ncols - phi.rank() == generic.ncols - generic.rank() == 1
+    assert verify_trace(run_filtration(problem, subs, quots, _ZeroFirst(2, system.dim))).ok
 
 
 # ---------------------------------------------------------------------------

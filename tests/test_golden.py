@@ -18,7 +18,6 @@ import pytest
 from conftest import slope
 from fultoncheck import cli, homspace, semistability
 from fultoncheck.cohomology import nonvanishing_positions
-from fultoncheck.linalg import SamplingError
 from fultoncheck.partitions import IndexSet, SchubertProblem
 from fultoncheck.reports import strip_volatile, to_json_str
 from fultoncheck.semistability import SlopeViolation, total_slope
@@ -105,7 +104,7 @@ def _plant_crosscheck_faults(patch: pytest.MonkeyPatch) -> None:
 
     def faulty(problem, *args, **kwargs):
         if problem == target:
-            raise SamplingError("planted sampler fault")
+            raise homspace.GenericityError("planted sampler fault")
         result = real(problem, *args, **kwargs)
         return dataclasses.replace(result, dim=result.dim + 1)
 

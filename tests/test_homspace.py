@@ -1,5 +1,6 @@
 """Constrained map spaces between generic flags."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -240,6 +241,42 @@ def test_generic_hom_dim_and_rank_build_no_matrix(field, monkeypatch):
         assert generic_hom_dim(SchubertProblem.parse(text), random.Random(3), field).dim == want
     assert fresh.rank() == 2
     assert built == []
+
+
+@pytest.mark.parametrize("field", [PF, QQ], ids=["prime", "rational"])
+def test_sample_generic_builds_only_the_map(field, monkeypatch):
+    """A kernel draw combines the basis on plain rows: the map is its one
+    `Matrix`, equal entry for entry, types included, to the product route.
+    Over Q a basis of `Fraction`s, integral ones included, gives ints where
+    the product does."""
+    problem = SchubertProblem.parse("2,4@4;2,4@4")
+    system = build_system(problem, *random_flag_tuples(problem, random.Random(2), field))
+    assert system.dim == 2
+    systems = [system]
+    if not field.p:
+        as_fractions = [[Fraction(x) for x in row] for row in system.kernel.rows]
+        systems.append(dataclasses.replace(system, kernel=Matrix.from_rows(field, as_fractions)))
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    for sys in systems:
+        rng = random.Random(5)
+        coeffs = Matrix.from_columns(field, [[field.sample(rng) for _ in range(2)]])
+        product = sys.kernel @ coeffs
+        want = unvec((row[0] for row in product.rows), sys.quot_dim, sys.sub_dim, field)
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "__post_init__", counted)
+            phi = sample_generic(sys, random.Random(5))
+        assert built == [phi]
+        built.clear()
+        assert phi == want
+        assert [type(x) for row in phi.rows for x in row] == [
+            type(x) for row in want.rows for x in row
+        ]
 
 
 def test_chart_dims_equal_dims_at_full_random_flags():

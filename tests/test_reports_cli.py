@@ -975,6 +975,27 @@ def test_cli_writes_through_a_symlink(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
+def test_cli_refuses_a_report_path_that_is_the_checkpoint(tmp_path, capsys, monkeypatch):
+    """An --out naming the checkpoint, directly or through a symlink, would
+    overwrite the resume state with the report; it is refused before any
+    instance runs, and the checkpoint is left as it was."""
+    sweep = ["fulton", "--r-max", "2", "--size-max", "4"]
+    ck = tmp_path / "same.json"
+    assert cli.main(sweep + ["--checkpoint", str(ck), "--out", str(tmp_path / "rep.json")]) == 0
+    saved = ck.read_text()
+    link = tmp_path / "link.json"
+    link.symlink_to(ck)
+    calls = []
+    monkeypatch.setattr(sweeps, "lr_coefficient", lambda *a: calls.append(a))
+    for out in (ck, link):
+        assert cli.main(sweep + ["--out", str(out), "--checkpoint", str(ck)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert calls == [], out
+        assert ck.read_text() == saved
+    assert link.is_symlink()
+
+
 @pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])
 def test_cli_refuses_a_strong_pseudoprime_modulus(modulus, tmp_path, capsys):
     out_path = tmp_path / "rep.json"
@@ -1364,13 +1385,13 @@ def _plant_dependent_kernel(monkeypatch):
     monkeypatch.setattr(Matrix, "kernel_basis", faulty)
 
 
-def test_solver_faults_are_the_five_solver_exceptions():
+def test_solver_faults_are_the_four_solver_exceptions():
     from fultoncheck.field import SolverFault
     from fultoncheck.filtration import FiltrationError
     from fultoncheck.homspace import GenericityError, HomAuditError
-    from fultoncheck.linalg import LinAlgError, SamplingError
+    from fultoncheck.linalg import LinAlgError
 
-    for fault in (GenericityError, FiltrationError, SamplingError, HomAuditError, LinAlgError):
+    for fault in (GenericityError, FiltrationError, HomAuditError, LinAlgError):
         assert issubclass(fault, SolverFault), fault
     assert issubclass(LinAlgError, ValueError)
 
@@ -1420,8 +1441,6 @@ def test_crosscheck_rejects_an_inflated_positive_dimension(tmp_path, monkeypatch
 def test_crosscheck_reports_a_shared_core_fault_for_every_copy(fault, monkeypatch):
     import dataclasses
 
-    from fultoncheck.linalg import SamplingError
-
     target = SchubertProblem.parse("1@3")
     real = homspace.generic_hom_dim
 
@@ -1430,7 +1449,7 @@ def test_crosscheck_reports_a_shared_core_fault_for_every_copy(fault, monkeypatc
         if problem != target:
             return result
         if fault == "sampling_error":
-            raise SamplingError("planted sampler fault")
+            raise homspace.GenericityError("planted sampler fault")
         return dataclasses.replace(result, dim=result.dim + 1)
 
     monkeypatch.setattr(homspace, "generic_hom_dim", faulty)
