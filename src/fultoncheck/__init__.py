@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 # (PEP 562), so `import fultoncheck` loads no submodule and a command loads
 # only the layers it runs.
 _EXPORTS = {
-    "cohomology": ("class_product", "intersection_number", "nonvanishing_positions",
-                   "problem_class", "schubert_class"),
+    "cohomology": ("intersection_number", "nonvanishing_positions"),
     "field": ("DEFAULT_PRIME", "Field", "SolverFault", "field_from_name"),
     "filtration": ("FiltrationError", "FiltrationStep", "FiltrationTrace", "TraceAudit",
                    "run_filtration", "run_filtration_random", "trace_to_dict", "verify_trace"),

@@ -1,12 +1,13 @@
 """Schubert-class arithmetic in H*(Gr(r, n)).
 
-A class is a plain dict from `Partition` (inside the r x (n-r) rectangle) to
-its nonzero integer coefficient; the empty dict is zero.
-Products expand through `lr_coefficient` and truncate to the rectangle. The
-point class is the full rectangle partition.
-
-An intersection number is read inside the dual of its largest condition
-(`intersection_number`), not off the full product.  The position tables of
+A class is a plain dict from `Partition` to its nonzero integer coefficient;
+the empty dict is zero.  Products expand through `lr_coefficient`.  There is
+one product route, `_dual_product`: it multiplies every condition but one of
+largest codimension lam and keeps only the shapes inside the dual lam^v, since
+sigma_nu * sigma_lam is nonzero exactly when nu is inside lam^v.  An
+intersection number is that product's coefficient of lam^v
+(`intersection_number`), and a position tuple is realizable exactly when that
+product is nonzero (`_position_indices`).  The position tables of
 `nonvanishing_positions` have a top-degree subsequence
 (`_top_degree_indices`) on which `semistability.find_violations` decides
 each subspace dimension first.
@@ -26,12 +27,6 @@ from .partitions import (
     all_index_sets,
     partitions_with,
 )
-
-
-def schubert_class(lam: Partition, r: int, n: int) -> dict[Partition, int]:
-    if not lam.fits_in(r, n - r):
-        raise ValueError(f"partition {lam.parts} outside the {r}x{n - r} rectangle")
-    return {lam: 1}
 
 
 @lru_cache(maxsize=None)
@@ -59,60 +54,50 @@ def _product_within(
     return out
 
 
-def class_product(
-    x: dict[Partition, int], y: dict[Partition, int], r: int, n: int
-) -> dict[Partition, int]:
-    """The product of two classes on Gr(r, n): every shape inside the
-    r x (n-r) rectangle."""
-    return _product_within(x, y, (n - r,) * r)
+def _dual_product(problem: SchubertProblem) -> tuple[dict[Partition, int], Partition]:
+    """The product of every condition class but one of largest codimension
+    lam (the first such), kept inside the dual lam^v = (n-r-lam_r, ...,
+    n-r-lam_1), returned with lam^v.
 
-
-def problem_class(problem: SchubertProblem) -> dict[Partition, int]:
-    """The product of the problem's condition classes on Gr(r, n).
-
-    A codimension-0 condition has class sigma_empty = 1, so it is skipped and
-    the product starts from the first nontrivial condition's class; a problem
-    whose conditions are all trivial has class {empty: 1}.
+    The product starts from the first other nontrivial class {mu: 1} ({} when
+    mu is not inside lam^v; the unit class when there is none) and stops as
+    soon as it is zero.  By the duality theorem (Fulton, Young Tableaux,
+    1997, 9.4) sigma_nu * sigma_lam is nonzero exactly when nu is inside
+    lam^v, and is the point class when nu = lam^v.  Schubert products have
+    nonnegative coefficients, so nothing cancels, and c^kappa_{nu,mu} = 0
+    unless nu is inside kappa, so a shape outside lam^v never leads back
+    inside it.  Hence the problem's class is nonzero exactly when this
+    product is, and in top degree its point coefficient is this product's
+    coefficient of lam^v.
     """
     r, n = problem.r, problem.n
-    nontrivial = [lam for lam in problem.partitions() if lam.size]
-    if not nontrivial:
-        return {Partition(()): 1}
-    first, *rest = nontrivial
-    acc = schubert_class(first, r, n)
+    lams = problem.partitions()
+    last = max(range(len(lams)), key=lambda j: lams[j].size)
+    dual = Partition(tuple(n - r - x for x in reversed(lams[last].padded(r))))
+    others = [lam for j, lam in enumerate(lams) if j != last and lam.size]
+    if not others:
+        return {Partition(()): 1}, dual
+    first, *rest = others
+    acc = {first: 1} if _parts_contain(dual.parts, first.parts) else {}
     for lam in rest:
-        acc = class_product(acc, schubert_class(lam, r, n), r, n)
         if not acc:
             break
-    return acc
+        acc = _product_within(acc, {lam: 1}, dual.parts)
+    return acc, dual
 
 
 def intersection_number(problem: SchubertProblem) -> int:
     """Coefficient of the point class; requires total codim = dim Gr(r, n).
 
-    By the duality theorem, for |mu| + |lam| = r(n - r), sigma_mu * sigma_lam
-    is the point class when mu is the dual lam^v = (n-r-lam_r, ...,
-    n-r-lam_1), and 0 otherwise (Fulton, Young Tableaux, 1997, ch. 9).  So the number is the coefficient of lam^v in
-    the product of the other classes, lam being a condition of largest
-    codimension.  A shape nu in that product reaches lam^v only if nu is
-    inside lam^v, since c^kappa_{nu,mu} = 0 unless nu is inside kappa; so each
-    partial product keeps only the shapes inside lam^v.
+    It is read inside the dual of a largest condition (`_dual_product`).
     """
     r, n = problem.r, problem.n
     if problem.total_codim() != r * (n - r):
         raise ValueError(
             f"dimension condition fails: total codim {problem.total_codim()} != {r * (n - r)}"
         )
-    lams = problem.partitions()
-    last = max(range(len(lams)), key=lambda j: lams[j].size)
-    dual = Partition(tuple(n - r - x for x in reversed(lams[last].padded(r))))
-    acc = {Partition(()): 1}
-    for j, lam in enumerate(lams):
-        if j != last and lam.size:
-            acc = _product_within(acc, {lam: 1}, dual.parts)
-            if not acc:
-                return 0
-    return acc.get(dual, 0)
+    classes, dual = _dual_product(problem)
+    return classes.get(dual, 0)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +111,8 @@ def _position_indices(
     vanishes, so the tuples within that cap are found by a depth-first search
     that takes each set's codimension once and prunes a branch as soon as its
     codimension exceeds what is left of the cap; only those tuples have their
-    class product computed.  The order is that of `itertools.product`.
+    class product computed, inside the dual of a largest condition
+    (`_dual_product`).  The order is that of `itertools.product`.
     """
     if not 0 < d <= r:
         raise ValueError("need 0 < d <= r")
@@ -136,7 +122,7 @@ def _position_indices(
     codims = [k.codim() for k in sets]
     out = []
     for tup in _tuples_within(codims, s, d * (r - d)):
-        if problem_class(SchubertProblem(r, d, tuple(sets[i] for i in tup))):
+        if _dual_product(SchubertProblem(r, d, tuple(sets[i] for i in tup)))[0]:
             out.append(tup)
     return sets, tuple(out)
 

@@ -266,16 +266,17 @@ class TraceAudit:
         return [name for name, passed in self.checks.items() if not passed]
 
 
-def _lowest_rows(coords: Matrix) -> tuple[list[int], Matrix] | None:
+def _lowest_rows(coords: Matrix) -> tuple[list[int], Matrix]:
     """Column-reduce `coords` until its columns' lowest nonzero rows are distinct.
 
-    Returns (lows, t): t is invertible and column k of coords @ t has its
-    lowest nonzero entry in row lows[k] (0-based). None means a column
-    reduced to zero, so the columns of `coords` are dependent. This is the
-    audit's own elimination, sharing nothing with `rowred`: a column is
-    cleared against the earlier one with the same lowest row as
-    pv * col - f * pcol, and over Q every column starts scaled to integers
-    and stays primitive together with its column of t.
+    Returns (lows, t): t has independent columns and column k of coords @ t
+    has its lowest nonzero entry in row lows[k] (0-based). A column that
+    reduces to zero depends on the earlier ones and is dropped, so len(lows)
+    is the rank of `coords`. This is the audit's own elimination, sharing
+    nothing with `rowred`: a column is cleared against the earlier one with
+    the same lowest row as pv * col - f * pcol, and over Q every column
+    starts scaled to integers and stays primitive together with its column
+    of t.
     """
     field = coords.field
     p = field.p
@@ -303,12 +304,10 @@ def _lowest_rows(coords: Matrix) -> tuple[list[int], Matrix] | None:
                     col = [x // g for x in col]
                     unit = [x // g for x in unit]
             low = next((i for i in range(low - 1, -1, -1) if col[i]), -1)
-        if low < 0:
-            return None
-        by_low[low] = (col, unit)
+        if low >= 0:
+            by_low[low] = (col, unit)
     units = [unit for _, unit in by_low.values()]
-    lows = list(by_low)
-    return lows, Matrix(field, d, d, tuple(zip(*units)) if units else ())
+    return list(by_low), Matrix(field, d, len(units), tuple(zip(*units)) or ((),) * d)
 
 
 def _shape_consistency(trace: FiltrationTrace) -> tuple[bool, str]:
@@ -385,10 +384,10 @@ def _positions_geometric(trace: FiltrationTrace) -> tuple[bool, str]:
             f_inv = flag._certified_inverse()
             if f_inv is None:
                 return False, f"sub flag {j + 1}: stored inverse is not its inverse"
-            reduced = _lowest_rows(f_inv @ step.basis_in_ambient)
-            if reduced is None:
+            lows, _ = _lowest_rows(f_inv @ step.basis_in_ambient)
+            if len(lows) < step.basis_in_ambient.ncols:
                 return False, f"level {step.level}: parent basis columns are dependent"
-            amb.append(IndexSet(r, tuple(sorted(low + 1 for low in reduced[0]))))
+            amb.append(IndexSet(r, tuple(sorted(low + 1 for low in lows))))
         if tuple(amb) != step.amb_positions:
             return False, f"level {step.level}: ambient positions differ"
         parent = step.basis_in_ambient
@@ -426,10 +425,10 @@ def _containments(trace: FiltrationTrace) -> tuple[bool, str]:
                 kind = "sub" if f_inv is None else "quotient"
                 return False, f"{kind} flag {j + 1}: stored inverse is not its inverse"
             if u:
-                reduced = _lowest_rows(f_inv @ trace.steps[u - 1].basis_in_ambient)
-                if reduced is None:
+                basis = trace.steps[u - 1].basis_in_ambient
+                lows, t = _lowest_rows(f_inv @ basis)
+                if len(lows) < basis.ncols:
                     return False, f"eta_{u}: level {u} basis columns are dependent"
-                lows, t = reduced
             else:  # S^(0) = V, and F^j's own columns are adapted to F^j
                 lows, t = range(r), trace.sub_flags[j].matrix
             image = g_inv @ eta @ t
@@ -442,13 +441,13 @@ def _containments(trace: FiltrationTrace) -> tuple[bool, str]:
 
 
 def _eta_kernels(trace: FiltrationTrace) -> tuple[bool, str]:
-    """Each comparison map kills exactly the next subspace."""
+    """Each comparison map kills exactly the next subspace (rank by `_lowest_rows`)."""
     for u, eta in enumerate(trace.etas):
         here_dim = trace.problem.r if u == 0 else trace.steps[u - 1].dim
         nxt = trace.steps[u] if u < len(trace.steps) else None
         if eta.ncols != here_dim:
             return False, f"eta_{u} domain dimension"
-        if eta.ncols - eta.rank() != (0 if nxt is None else nxt.dim):
+        if eta.ncols - len(_lowest_rows(eta)[0]) != (0 if nxt is None else nxt.dim):
             return False, f"eta_{u} kernel dimension"
         basis = None if nxt is None else nxt.basis_in_parent
         if basis is not None and basis.ncols and not (eta @ basis).is_zero():
@@ -527,7 +526,8 @@ def verify_trace(trace: FiltrationTrace) -> TraceAudit:
     flag's stored inverse passes one product (`Flag._certified_inverse`),
     and each level basis, in each sub flag's coordinates, is brought to
     columns with distinct lowest rows by the audit's own elimination
-    (`_lowest_rows`). Only the kernel dimension of eta_u is still a rank.
+    (`_lowest_rows`), which also gives the rank of each eta_u. No check reads
+    a rank or a reduction cached by the run.
 
     The audit never raises: the arithmetic is exact, so an exception in a
     check is a malformed trace, and every name that check reports fails with

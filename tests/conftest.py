@@ -13,6 +13,10 @@ stacking they reduce.
 And the one-tuple reference routes that the table-driven `find_violations`
 and `clinchers` are checked against: `slope`, from a weight table, and
 `clincher`, from a problem's index sets.
+
+And the full-rectangle Schubert product that `cohomology`'s one product
+route, inside the dual of the largest condition, is checked against:
+`schubert_class`, `class_product` and `problem_class`.
 """
 
 from fractions import Fraction
@@ -20,7 +24,8 @@ from fractions import Fraction
 import pytest
 
 from fultoncheck.linalg import Flag, LinAlgError, Matrix
-from fultoncheck.partitions import IndexSet
+from fultoncheck.littlewood import lr_coefficient
+from fultoncheck.partitions import IndexSet, Partition, partitions_with
 from fultoncheck.rowred import rref_mod
 
 
@@ -122,6 +127,45 @@ def clincher(problem, positions) -> int:
             raise ValueError("position shape does not match the problem")
         total += sum(n - r + a - ix.elements[a - 1] for a in k.elements)
     return total - d * (n - r)
+
+
+def schubert_class(lam: Partition, r: int, n: int) -> dict[Partition, int]:
+    if not lam.fits_in(r, n - r):
+        raise ValueError(f"partition {lam.parts} outside the {r}x{n - r} rectangle")
+    return {lam: 1}
+
+
+def class_product(x, y, r: int, n: int) -> dict[Partition, int]:
+    """The product of two classes on Gr(r, n): every shape inside the
+    r x (n-r) rectangle."""
+    out: dict[Partition, int] = {}
+    for mu, cx in x.items():
+        for nu, cy in y.items():
+            for lam in partitions_with(mu.size + nu.size, r, n - r):
+                c = lr_coefficient(mu, nu, lam)
+                if c:
+                    out[lam] = out.get(lam, 0) + cx * cy * c
+    return out
+
+
+def problem_class(problem) -> dict[Partition, int]:
+    """The product of the problem's condition classes on Gr(r, n).
+
+    A codimension-0 condition has class sigma_empty = 1, so it is skipped and
+    the product starts from the first nontrivial condition's class; a problem
+    whose conditions are all trivial has class {empty: 1}.
+    """
+    r, n = problem.r, problem.n
+    nontrivial = [lam for lam in problem.partitions() if lam.size]
+    if not nontrivial:
+        return {Partition(()): 1}
+    first, *rest = nontrivial
+    acc = schubert_class(first, r, n)
+    for lam in rest:
+        acc = class_product(acc, schubert_class(lam, r, n), r, n)
+        if not acc:
+            break
+    return acc
 
 
 def pytest_configure(config):

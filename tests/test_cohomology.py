@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fultoncheck.cohomology import (
-    class_product,
-    intersection_number,
-    nonvanishing_positions,
-    problem_class,
-    schubert_class,
-)
+from conftest import class_product, problem_class, schubert_class
+from fultoncheck.cohomology import intersection_number, nonvanishing_positions
 from fultoncheck.littlewood import lr_coefficient, lr_coefficient_pieri
 from fultoncheck.partitions import Partition, SchubertProblem, partition_to_index, partitions_with
 from fultoncheck.sweeps import enumerate_problems

@@ -9,8 +9,8 @@ n <= 6, s <= 4 the same semistability verdicts.
 
 import random
 
-from conftest import clincher
-from fultoncheck.cohomology import intersection_number, nonvanishing_positions, problem_class
+from conftest import clincher, problem_class
+from fultoncheck.cohomology import intersection_number, nonvanishing_positions
 from fultoncheck.field import field_from_name
 from fultoncheck.filtration import run_filtration_random, verify_trace
 from fultoncheck.homspace import constraint_rows

@@ -431,28 +431,31 @@ def _system_at(trace):
 
 
 def _refuse_reduction(monkeypatch):
+    """Make every row reduction, and every rank or reduction a matrix cached
+    during the run (phi's among them), raise."""
     from fultoncheck import linalg
 
-    def refuse(rows, p):
-        raise AssertionError("the audit made a row reduction")
+    def refuse(*args):
+        raise AssertionError("the audit made or read a row reduction")
 
     monkeypatch.setattr(linalg, "rref_mod", refuse)
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    monkeypatch.setattr(Matrix, "_rref", refuse)
 
 
 @pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
 @pytest.mark.parametrize("text", CERTIFIED_PROBLEMS)
 def test_certificate_audits_pass_without_any_reduction(monkeypatch, text, field):
+    # The problems reach all four terminations, over both fields.
     tr = _trace(text, field=field)
     system = _system_at(tr)
     _refuse_reduction(monkeypatch)
     audit_system(system)
     audit = verify_trace(tr)
-    assert audit.checks["containments"] and audit.checks["positions_geometric"], audit.details
+    assert audit.ok, audit.details
     if text in ("1,2@2", "1@1"):
         assert tr.termination == TERMINATION_NO_MAPS
         assert all(g.n == 0 and g._certified_inverse() == g.matrix for g in tr.quot_flags)
-    monkeypatch.undo()
-    assert verify_trace(tr).ok
 
 
 @pytest.mark.parametrize("field", [PF, QF], ids=["prime", "rational"])
@@ -496,15 +499,13 @@ def test_lowest_rows_agree_with_the_rank_oracle(field_name):
         basis = hstack(
             flag_step(flag, j) @ uniform_matrix(field, j, k, rng), uniform_matrix(field, n, d - k, rng)
         )
-        reduced = _lowest_rows(flag.inverse @ basis)
-        if basis.rank() < d:
-            assert reduced is None
-            continue
-        lows, t = reduced
-        assert t.rank() == d and len(set(lows)) == d
+        lows, t = _lowest_rows(flag.inverse @ basis)
+        assert len(lows) == len(set(lows)) == t.rank() == basis.rank()
         adapted = flag.inverse @ basis @ t
         for col, low in enumerate(lows):
             assert adapted.rows[low][col] and not any(row[col] for row in adapted.rows[low + 1:])
+        if len(lows) < d:
+            continue
         pos = rank_positions(basis, flag)
         assert tuple(sorted(low + 1 for low in lows)) == pos.elements
         special += pos.elements != tuple(range(n - d + 1, n + 1))

@@ -7,14 +7,13 @@ from operator import le
 
 import pytest
 
-from conftest import clincher, slope
+from conftest import clincher, problem_class, slope
 from fultoncheck.cohomology import (
     _position_indices,
     _top_degree_indices,
     _tuples_within,
     intersection_number,
     nonvanishing_positions,
-    problem_class,
 )
 from fultoncheck.partitions import IndexSet, SchubertProblem, all_index_sets
 from fultoncheck.positions import rappel_delta
@@ -206,16 +205,23 @@ def test_clincher_sign_matches_slope_comparison():
 
 
 def test_positions_equal_the_product_filter():
-    """The pruned search keeps exactly the tuples of `product` whose class
-    product is nonzero, in the same order."""
-    for r in range(2, 5):
+    """The pruned search keeps exactly the tuples of `product` whose
+    full-rectangle class product is nonzero, in the same order.  From r = 5 on
+    the candidates are only the tuples within the codimension cap
+    (`_tuples_within`, checked against `product` below); r = 6 reaches the
+    d = 4 and d = 5 tables."""
+    for r in range(2, 7):
         for d in range(1, r):
             sets = all_index_sets(r, d)
+            codims = [k.codim() for k in sets]
             for s in range(1, 5):
+                if r < 5:
+                    candidates = product(sets, repeat=s)
+                else:
+                    within = _tuples_within(codims, s, d * (r - d))
+                    candidates = (tuple(sets[i] for i in tup) for tup in within)
                 expected = tuple(
-                    tup
-                    for tup in product(sets, repeat=s)
-                    if problem_class(SchubertProblem(r, d, tup))
+                    tup for tup in candidates if problem_class(SchubertProblem(r, d, tup))
                 )
                 assert nonvanishing_positions(d, r, s) == expected, (d, r, s)
 
